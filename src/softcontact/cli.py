@@ -250,8 +250,8 @@ def cmd_force_sweep(args) -> int:
     if body.kind != "free":
         raise ConfigError("force-sweep: the moving body must be free")
     idx = cfg.scene.body_index(body.name)
-    k = cfg.scene.free_indices.index(idx)
     dof = cfg.scene.dof_start(idx)
+    k = dof // 6
     axis = _AXES[args.axis]
     a0, a1 = _floats(args.sweep_range, 2, "--range")
     if args.samples < 2:
@@ -293,15 +293,12 @@ def _apply_pose_overrides(cfg, overrides):
             q = q / np.linalg.norm(q)
         else:
             raise ConfigError(f"--pose {spec!r}: expected 3 or 7 numbers")
-        idx = None
-        for i, body in enumerate(cfg.scene.bodies):
-            if body.name == name:
-                idx = i
-        if idx is None:
+        if name not in {body.name for body in cfg.scene.bodies}:
             raise ConfigError(f"--pose: unknown body {name!r}")
-        if cfg.scene.dof_start(idx) is None:
+        dof = cfg.scene.dof_start(cfg.scene.body_index(name))
+        if dof is None:
             raise ConfigError(f"--pose: body {name!r} is kinematic")
-        k = cfg.scene.free_indices.index(idx)
+        k = dof // 6
         cfg.state.q[k, :3] = t
         cfg.state.q[k, 3:] = q
 

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_temperature, softmax
-from .ssdf import ssdf
-
-# Above this many pairwise entries the per-query softmin weights are not
-# cached inside the field (contact recomputes them chunk-wise instead).
-WEIGHT_CACHE_MAX_ENTRIES = 4_194_304
+from .ssdf import SsdfResult, ssdf
 
 
 @dataclass(frozen=True)
@@ -27,7 +23,9 @@ class SeparationField:
     """values: stacked soft signed distances, points of body b against body a
     first (I_b entries) and points of a against b second (I_a entries);
     distribution: softmin weights over those entries; owner/face record which
-    surface (1 = a, 2 = b) owns the query point behind each entry.
+    surface (1 = a, 2 = b) owns the query point behind each entry; b_in_a and
+    a_in_b: the two SSDF batteries the values came from, whose weights and
+    plane distances the contact model reuses.
     """
 
     values: np.ndarray
@@ -36,41 +34,31 @@ class SeparationField:
     face: np.ndarray
     eps1: float
     eps2: float
-    weights_b_in_a: np.ndarray | None = None
-    weights_a_in_b: np.ndarray | None = None
+    b_in_a: SsdfResult
+    a_in_b: SsdfResult
 
     def __len__(self) -> int:
         return self.values.shape[0]
 
 
-def separation_field(a, b, eps1: float, eps2: float, cache_weights: bool | None = None) -> SeparationField:
+def separation_field(a, b, eps1: float, eps2: float) -> SeparationField:
     """Evaluate both directional SSDF batteries and the softmin distribution.
 
     a and b are posed WorldAopc's (LocalAopc works for purely geometric
-    queries). The per-query softmin weight matrices are cached on the field
-    when small enough so the contact model can reuse them verbatim.
+    queries). The batteries' (Q, I) weight and plane-distance matrices stay
+    on the field, so the contact model evaluates no softmin or plane
+    distance again.
     """
     check_temperature(eps1, "eps1")
     check_temperature(eps2, "eps2")
     Ia, Ib = a.num_points, b.num_points
-    if cache_weights is None:
-        cache_weights = Ia * Ib <= WEIGHT_CACHE_MAX_ENTRIES
     r_ba = ssdf(a, b.points, eps1)  # points of b in a's field
     r_ab = ssdf(b, a.points, eps1)  # points of a in b's field
     values = np.concatenate([r_ba.value, r_ab.value])
     distribution = softmax(-values, eps2)
     owner = np.concatenate([np.full(Ib, 2, dtype=np.int8), np.full(Ia, 1, dtype=np.int8)])
     face = np.concatenate([np.arange(Ib), np.arange(Ia)])
-    return SeparationField(
-        values,
-        distribution,
-        owner,
-        face,
-        float(eps1),
-        float(eps2),
-        weights_b_in_a=r_ba.weights if cache_weights else None,
-        weights_a_in_b=r_ab.weights if cache_weights else None,
-    )
+    return SeparationField(values, distribution, owner, face, float(eps1), float(eps2), r_ba, r_ab)
 
 
 def soft_separation_distance(field: SeparationField):

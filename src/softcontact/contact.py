@@ -7,6 +7,12 @@ that always opposes sliding and stays inside the cone |f_t| <= mu * f_n.
 Because the penalty never reaches exactly zero, bodies exert exponentially
 small forces at a distance, which is what gives the dynamics informative
 gradients before contact is made.
+
+The pair force evaluates every point-plane entry of both directions with
+(Q, I) matrices only: the softmin weights and plane distances come from the
+separation field, velocities are resolved in each plane's (n, t1, t2) frame,
+and the per-point forces are matmuls against the cloud's frame vectors. They
+are projected through the point Jacobians once per body.
 """
 from __future__ import annotations
 
@@ -15,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import SeparationField
-from .core import check_temperature, dot, softmax, softplus, squared_norm
+# softmax stays bound here: perfbench/tracer.py wraps contact.softmax.
+from .core import check_temperature, dot, softmax, softplus, squared_norm  # noqa: F401
+from .ssdf import SsdfResult, ssdf
 
 
 @dataclass(frozen=True)
@@ -81,57 +89,39 @@ def point_plane_force(p, v, plane_p, plane_n, params: ContactParams):
     return lam_n[..., None] * plane_n + scale[..., None] * v_t
 
 
-def _weighted_generalized_force(
-    aopc, q_points, q_velocities, q_jacobians, params: ContactParams,
-    query_coeff, weights=None, chunk_entries: int = 1_000_000,
-):
-    """Accumulate sum_q coeff_q * sum_i w_qi (J_q - J_i)^T lambda_qi.
+def _point_forces(cloud, q_velocities, battery: SsdfResult, coeff, params: ContactParams):
+    """Softly selected point-plane forces between query points and a cloud.
 
-    lambda_qi is the point-plane force on query point q from cloud plane i,
-    so the query body receives +J_q^T lambda and the cloud body the reaction
-    -J_i^T lambda. The inner softmin weights w_qi are the same weights an
-    SSDF query of q_points against the cloud produces; pass them in when
-    already available, otherwise they are recomputed chunk-wise
-    (chunk_entries bounds the Q*I working-set size). The pair forces are
-    assembled with matmul projections rather than a broadcast call of
-    point_plane_force: same formula, fewer (Q, I, 3) temporaries.
+    Query point q feels coeff_q sum_i w_qi lambda_qi, lambda_qi being
+    point_plane_force against plane i of the posed cloud, with w and phi
+    taken from the battery (the SSDF of the query points against the cloud);
+    the cloud points take the reactions. Returns (f_query (Q, 3), f_cloud
+    (I, 3)), which sum to zero.
+
+    Only (Q, I) arrays are built. The relative velocity is resolved in each
+    plane's frame (n_i, t1_i, t2_i) into v_n, a and b, so |v_t|^2 = a^2 + b^2
+    has no cancellation, and with W = coeff w the sums over i are the matmuls
+    (W lambda_n) @ n + (W scale a) @ t1 + (W scale b) @ t2; the sums over q
+    are the column sums of the same matrices.
     """
-    pts = np.asarray(aopc.points)
-    nrm = np.asarray(aopc.normals)
-    vel = np.asarray(aopc.velocities)
-    J_cloud = np.asarray(aopc.jacobians)
-    I = pts.shape[0]
-    n = J_cloud.shape[2]
-    Q = q_points.shape[0]
-    coeff = np.asarray(query_coeff)
-    dtype = np.result_type(pts.dtype, q_points.dtype, q_velocities.dtype, coeff.dtype)
-    cloud_force = np.zeros((I, 3), dtype=dtype)
-    out = np.zeros(n, dtype=dtype)
-    chunk = max(1, int(chunk_entries // max(1, I)))
-    pp = np.sum(pts * pts, axis=-1)
-    pn = np.sum(pts * nrm, axis=-1)
-    vn_cloud = np.sum(vel * nrm, axis=-1)
-    for start in range(0, Q, chunk):
-        sl = slice(start, min(start + chunk, Q))
-        qp = q_points[sl]
-        qv = q_velocities[sl]
-        if weights is not None:
-            w = weights[sl]
-        else:
-            d = np.sum(qp * qp, axis=-1)[:, None] - 2.0 * (qp @ pts.T) + pp[None, :]
-            w = softmax(-d, params.eps1, axis=-1, check=False)
-        phi = qp @ nrm.T - pn[None, :]
-        v_n = qv @ nrm.T - vn_cloud[None, :]
-        lam_n = params.k * softplus(-phi, params.eps3, check=False) * dissipation_factor(v_n / params.v_d)
-        v_t = (qv[:, None, :] - vel[None, :, :]) - v_n[..., None] * nrm[None, :, :]
-        scale = -params.mu * lam_n / np.sqrt(params.v_s**2 + squared_norm(v_t))
-        wl = (coeff[sl][:, None] * w)[..., None] * (
-            lam_n[..., None] * nrm[None, :, :] + scale[..., None] * v_t
-        )
-        cloud_force += wl.sum(axis=0)
-        out += np.einsum("qkn,qk->n", q_jacobians[sl], wl.sum(axis=1))
-    out -= np.einsum("ikn,ik->n", J_cloud, cloud_force)
-    return out
+    nrm = cloud.normals
+    t1, t2 = cloud.tangents
+    vel = cloud.velocities
+
+    def component(axes):
+        return q_velocities @ axes.T - np.sum(vel * axes, axis=-1)
+
+    v_n, a, b = component(nrm), component(t1), component(t2)
+    lam_n = params.k * softplus(-battery.plane_distances, params.eps3, check=False) * dissipation_factor(v_n / params.v_d)
+    scale = -params.mu * lam_n / np.sqrt(params.v_s**2 + (a * a + b * b))
+    W = coeff[:, None] * battery.weights
+    C = W * lam_n
+    B = W * scale
+    Ba = B * a
+    Bb = B * b
+    f_query = C @ nrm + Ba @ t1 + Bb @ t2
+    f_cloud = -(C.sum(axis=0)[:, None] * nrm + Ba.sum(axis=0)[:, None] * t1 + Bb.sum(axis=0)[:, None] * t2)
+    return f_query, f_cloud
 
 
 def point_ssdf_force(aopc, p, v, J, params: ContactParams) -> np.ndarray:
@@ -142,18 +132,9 @@ def point_ssdf_force(aopc, p, v, J, params: ContactParams) -> np.ndarray:
     lambda_i, weighted by the same softmin distribution the SSDF query at p
     uses. Returns a vector over the scene's generalized coordinates.
     """
-    p = np.asarray(p)
-    v = np.asarray(v)
-    J = np.asarray(J)
-    dtype = np.result_type(p.dtype, v.dtype, J.dtype)
-    return _weighted_generalized_force(
-        aopc,
-        p[None, :],
-        v[None, :],
-        J[None, :, :],
-        params,
-        np.ones(1, dtype=dtype),
-    )
+    battery = ssdf(aopc, np.asarray(p)[None, :], params.eps1)
+    f_point, f_cloud = _point_forces(aopc, np.asarray(v)[None, :], battery, np.ones(1), params)
+    return np.asarray(J).T @ f_point[0] + np.tensordot(f_cloud, aopc.jacobians, axes=2)
 
 
 def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.ndarray:
@@ -161,9 +142,10 @@ def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.n
 
     The point-against-cloud forces of b's points in a's field and a's points
     in b's field are combined with the separation distribution, matching the
-    field's concatenation order. Every pair force enters the two translation
-    blocks as an equal-and-opposite (+lambda, -lambda) couple, so linear
-    momentum is conserved by construction.
+    field's concatenation order; the field's SSDF batteries supply the
+    softmin weights and plane distances. Every pair force enters the two
+    translation blocks as an equal-and-opposite (+lambda, -lambda) couple, so
+    linear momentum is conserved by construction.
     """
     Ia, Ib = a.num_points, b.num_points
     if len(field) != Ia + Ib:
@@ -173,12 +155,7 @@ def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.n
     if field.eps1 != params.eps1 or field.eps2 != params.eps2:
         raise ValueError("separation field temperatures do not match the contact parameters")
     coeff = field.distribution
-    out = _weighted_generalized_force(
-        a, np.asarray(b.points), np.asarray(b.velocities), np.asarray(b.jacobians),
-        params, coeff[:Ib], weights=field.weights_b_in_a,
-    )
-    out = out + _weighted_generalized_force(
-        b, np.asarray(a.points), np.asarray(a.velocities), np.asarray(a.jacobians),
-        params, coeff[Ib:], weights=field.weights_a_in_b,
-    )
-    return out
+    f_b, f_a = _point_forces(a, b.velocities, field.b_in_a, coeff[:Ib], params)
+    g_a, g_b = _point_forces(b, a.velocities, field.a_in_b, coeff[Ib:], params)
+    # Each body's per-point forces go through its (I, 3, n) Jacobian once.
+    return np.tensordot(f_a + g_a, a.jacobians, axes=2) + np.tensordot(f_b + g_b, b.jacobians, axes=2)

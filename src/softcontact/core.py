@@ -8,6 +8,8 @@ safe to call from any number of concurrent workers.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -27,6 +29,19 @@ def _reject_nonfinite(x: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains a non-finite entry at index {pos}")
 
 
+# exp(x) is a normal float64 for x >= -708, subnormal below, 0 below -745.
+_EXP_TAIL = -708.0
+
+
+def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL) -> np.ndarray:
+    # np.exp is tens of times slower on its subnormal and underflow range.
+    # Entries whose real part is below the cutoff become an exact 0, with exp
+    # taken at the cutoff rather than skipped: the cost stays the same however
+    # many entries are far, which is the contact-count independence.
+    live = z.real >= cutoff
+    return np.exp(np.where(live, z, cutoff)) * live
+
+
 def softmax(x: np.ndarray, eps: float, axis: int = -1, check: bool = True) -> np.ndarray:
     """Temperature-scaled softmax, exp(x_i/eps) / sum_j exp(x_j/eps).
 
@@ -43,43 +58,48 @@ def softmax(x: np.ndarray, eps: float, axis: int = -1, check: bool = True) -> np
     if check:
         _reject_nonfinite(x, "softmax input")
     # Shift by the (real-part) max so the largest exponent is exactly 0. For
-    # astronomically spread inputs the shifted tail saturates to -inf; its
-    # exp is exactly 0, which is the right limit, so the overflow is benign.
+    # astronomically spread inputs the shifted tail saturates to -inf, which
+    # lands in the zero tail below, so the overflow is benign.
     shift = np.max(x.real, axis=axis, keepdims=True)
     with np.errstate(over="ignore"):
-        e = np.exp((x - shift) / eps)
+        z = (x - shift) / eps
+    # The log(N) margin on the exp cutoff keeps the normalized weights normal
+    # too, as the sum is at most N; products of subnormals are slow as well.
+    # The entries dropped weigh under 1e-305 of the largest.
+    e = _exp(z, _EXP_TAIL + math.log(x.shape[axis]))
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def _log1p(x: np.ndarray) -> np.ndarray:
-    # np.log1p handles complex, but loses the tail for |x| far below machine
-    # epsilon of the real part; the series keeps tiny imaginary parts exact.
-    x = np.asarray(x)
-    if not np.iscomplexobj(x):
-        return np.log1p(x)
+    # Complex x. np.log1p handles complex, but loses the tail for |x| far
+    # below machine epsilon of the real part; the series keeps tiny imaginary
+    # parts exact.
     small = np.abs(x) < 1e-4
     safe = np.where(small, 0.0, x)
-    out = np.where(small, x * (1.0 - x * (0.5 - x / 3.0)), np.log(1.0 + safe))
-    return out
+    return np.where(small, x * (1.0 - x * (0.5 - x / 3.0)), np.log(1.0 + safe))
 
 
 def softplus(x: np.ndarray, eps: float, check: bool = True) -> np.ndarray:
     """Smooth ReLU, eps*log(1 + exp(x/eps)), in the overflow-safe branch form.
 
-    Equals max(x, 0) + eps*log1p(exp(-|x|/eps)); strictly positive and
-    monotone increasing for all finite x.
+    Equals max(x, 0) + eps*log1p(exp(-|x|/eps)); monotone increasing, and
+    strictly positive for x > -708 eps. Further out the exp term, under
+    1e-307 eps, is an exact 0.
     """
     eps = check_temperature(eps)
     x = np.asarray(x)
     if check:
         _reject_nonfinite(x, "softplus input")
     if not np.iscomplexobj(x):
-        return np.maximum(x, 0.0) + eps * np.log1p(np.exp(-np.abs(x) / eps))
+        tail = _exp(-np.abs(x) / eps)
+        # log1p(y) rounds to y below 2^-54, where np.log1p is slow: keep y.
+        tail = np.where(tail < 2.0**-54, tail, np.log1p(np.maximum(tail, 2.0**-54)))
+        return np.maximum(x, 0.0) + eps * tail
     pos = x.real > 0.0
     # |x| with a branch on the real part keeps the imaginary perturbation
     # analytic; the exponent then has non-positive real part, so no overflow.
     ax = np.where(pos, x, -x)
-    return np.where(pos, x, 0.0) + eps * _log1p(np.exp(-ax / eps))
+    return np.where(pos, x, 0.0) + eps * _log1p(_exp(-ax / eps))
 
 
 def dot(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -216,7 +216,7 @@ def body_pose(scene: Scene, state: SceneState, body_index: int) -> Pose:
     body = scene.bodies[body_index]
     if body.kind == "kinematic":
         return body.motion.pose(state.time)
-    k = scene.free_indices.index(body_index)
+    k = scene.dof_start(body_index) // 6
     return Pose(state.q[k, :3], state.q[k, 3:])
 
 
@@ -232,7 +232,7 @@ def pose_all(scene: Scene, state: SceneState) -> list[WorldAopc]:
                           prescribed_velocity=body.motion.velocity(state.time))
             )
         else:
-            k = scene.free_indices.index(i)
+            k = ds // 6
             pose = Pose(state.q[k, :3], quat_normalize(state.q[k, 3:]))
             out.append(pose_aopc(body.aopc, pose, state.v, ds, body_id=body.name))
     return out
@@ -299,15 +299,17 @@ def inverse_dynamics(scene: Scene, state: SceneState, vdot: np.ndarray) -> np.nd
     return mass_matrix(scene, state) @ vdot + bias_force(scene, state) - total_contact_force(scene, state)
 
 
-def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = None) -> np.ndarray:
+def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = None, *, _with_separation: bool = False):
     """Acceleration under controls, bias, and contact. The mass matrix is
-    inverted per 6x6 block (diagonal linear part, 3x3 symmetric solve)."""
+    inverted per 6x6 block (diagonal linear part, 3x3 symmetric solve).
+    _with_separation (private) returns (vdot, minimum separation at state)."""
     if tau is None:
         tau = scene.tau(state.time)
     tau = np.asarray(tau)
     if tau.shape != (scene.n,):
         raise ValueError("tau length must match the scene's free DOFs")
-    rhs = tau - bias_force(scene, state) + total_contact_force(scene, state)
+    contact, min_sep = _contact_force(scene, state)
+    rhs = tau - bias_force(scene, state) + contact
     vdot = np.zeros(scene.n, dtype=rhs.dtype)
     for k, i in enumerate(scene.free_indices):
         body = scene.bodies[i]
@@ -319,7 +321,7 @@ def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = N
             vdot[s + 3 : s + 6] = np.linalg.solve(Iw, rhs[s + 3 : s + 6])
         except np.linalg.LinAlgError:
             raise ValueError(f"body {body.name}: rotational inertia is singular") from None
-    return vdot
+    return (vdot, min_sep) if _with_separation else vdot
 
 
 def _advance_q(q: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
@@ -355,41 +357,36 @@ def _check_finite(state: SceneState, scene: Scene):
         raise DivergenceError(f"non-finite velocity coordinate {coord} of body {name}")
 
 
-def step(scene: Scene, state: SceneState, dt: float, integrator: str = "rk4") -> SceneState:
+def step(scene: Scene, state: SceneState, dt: float, integrator: str = "rk4", *, _with_separation: bool = False):
     """One explicit step. Euler or classical RK4 on (q, v); orientation is
     advanced on the group via the exponential map, with RK4 combining the
     stage velocity samples before the single exponential update. Kinematic
-    bodies follow their trajectories evaluated at the stage times."""
+    bodies follow their trajectories evaluated at the stage times.
+    _with_separation (private) returns (new state, minimum separation at the
+    given state), read off the first stage's contact evaluation."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     t = state.time
-    if integrator == "euler":
-        a1 = forward_dynamics(scene, state, scene.tau(t))
-        q_new = _advance_q(state.q, state.v, dt)
-        v_new = state.v + dt * a1
-    elif integrator == "rk4":
-        v1 = state.v
-        a1 = forward_dynamics(scene, state, scene.tau(t))
-        s2 = SceneState(t + dt / 2, _advance_q(state.q, v1, dt / 2), state.v + (dt / 2) * a1)
-        _check_finite(s2, scene)
-        v2, a2 = s2.v, forward_dynamics(scene, s2, scene.tau(t + dt / 2))
-        s3 = SceneState(t + dt / 2, _advance_q(state.q, v2, dt / 2), state.v + (dt / 2) * a2)
-        _check_finite(s3, scene)
-        v3, a3 = s3.v, forward_dynamics(scene, s3, scene.tau(t + dt / 2))
-        s4 = SceneState(t + dt, _advance_q(state.q, v3, dt), state.v + dt * a3)
-        _check_finite(s4, scene)
-        v4, a4 = s4.v, forward_dynamics(scene, s4, scene.tau(t + dt))
-        v_eff = (v1 + 2 * v2 + 2 * v3 + v4) / 6.0
-        a_eff = (a1 + 2 * a2 + 2 * a3 + a4) / 6.0
-        q_new = _advance_q(state.q, v_eff, dt)
-        v_new = state.v + dt * a_eff
-    else:
+    if integrator not in ("euler", "rk4"):
         raise ValueError(f"unknown integrator {integrator!r} (use 'euler' or 'rk4')")
+    a1, min_sep = forward_dynamics(scene, state, scene.tau(t), _with_separation=True)
+    v_eff, a_eff = state.v, a1
+    if integrator == "rk4":
+        vs, accs = [state.v], [a1]
+        for h in (dt / 2, dt / 2, dt):
+            s = SceneState(t + h, _advance_q(state.q, vs[-1], h), state.v + h * accs[-1])
+            _check_finite(s, scene)
+            vs.append(s.v)
+            accs.append(forward_dynamics(scene, s, scene.tau(t + h)))
+        v_eff = (vs[0] + 2 * vs[1] + 2 * vs[2] + vs[3]) / 6.0
+        a_eff = (accs[0] + 2 * accs[1] + 2 * accs[2] + accs[3]) / 6.0
+    q_new = _advance_q(state.q, v_eff, dt)
+    v_new = state.v + dt * a_eff
     if q_new.shape[0]:
         q_new[:, 3:] = quat_normalize(q_new[:, 3:])
     out = SceneState(t + dt, q_new, v_new)
     _check_finite(out, scene)
-    return out
+    return (out, min_sep) if _with_separation else out
 
 
 @dataclass
@@ -405,27 +402,28 @@ class RolloutResult:
 
 def rollout(scene: Scene, state: SceneState, dt: float, n_steps: int, integrator: str = "rk4", record_separation: bool = True) -> RolloutResult:
     """Integrate n_steps and record states, per-step wall time, and (when
-    requested) the minimum separation-field value seen at each state."""
+    requested) the minimum separation-field value seen at each state.
+
+    Each state's separation comes from the first stage of the step that
+    starts from it, so only the final state needs an extra contact
+    evaluation."""
     states = [state.copy()]
     seps = []
     times = []
-
-    def min_sep(st):
-        if not record_separation:
-            return np.nan
-        return _contact_force(scene, st)[1]
-
-    seps.append(min_sep(state))
     cur = state
     for istep in range(n_steps):
         t0 = time.perf_counter()
         try:
-            cur = step(scene, cur, dt, integrator)
+            cur, sep = step(scene, cur, dt, integrator, _with_separation=True)
         except DivergenceError as e:
             raise DivergenceError(f"step {istep + 1}: {e}") from None
         times.append(time.perf_counter() - t0)
         states.append(cur.copy())
-        seps.append(min_sep(cur))
+        seps.append(sep)
+    if record_separation:
+        seps.append(_contact_force(scene, cur)[1])
+    else:
+        seps = [np.nan] * (n_steps + 1)
     return RolloutResult(states, np.asarray(seps), np.asarray(times))
 
 
@@ -438,7 +436,7 @@ def trajectory_csv(scene: Scene, result: RolloutResult) -> str:
                 pose = body.motion.pose(st.time)
                 vel = body.motion.velocity(st.time)
             else:
-                k = scene.free_indices.index(i)
+                k = scene.dof_start(i) // 6
                 pose = Pose(st.q[k, :3], st.q[k, 3:])
                 vel = st.v[6 * k : 6 * k + 6]
             row = [st.time, body.name, *pose.translation, *pose.quaternion, *vel]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,19 @@ class AopcError(ValueError):
     pass
 
 
+def _tangent_frames(normals: np.ndarray) -> np.ndarray:
+    """Tangents t1, t2 completing each unit normal n to a right-handed
+    orthonormal frame, shape (2, I, 3); branch-free apart from the sign of
+    n_z (Duff et al., "Building an Orthonormal Basis, Revisited", 2017)."""
+    x, y, z = (normals / norm(normals)[:, None]).T
+    s = np.where(z >= 0.0, 1.0, -1.0)
+    a = -1.0 / (s + z)
+    b = x * y * a
+    t1 = np.stack([1.0 + s * x * x * a, s * b, -s * x], axis=-1)
+    t2 = np.stack([b, s + y * y * a, -y], axis=-1)
+    return np.stack([t1, t2])
+
+
 @dataclass(frozen=True)
 class LocalAopc:
     """Body-frame oriented point cloud with quad-vertex incidence.
@@ -29,6 +42,8 @@ class LocalAopc:
     normals  : (I, 3) outward unit normals
     vertices : (V, 3) quad corner vertices, meters
     faces    : (I, 4) vertex indices of the quad behind each point
+    tangents : (2, I, 3) derived unit tangents t1, t2; (n, t1, t2) is a
+               right-handed orthonormal frame at each point
     """
 
     points: np.ndarray
@@ -36,6 +51,7 @@ class LocalAopc:
     vertices: np.ndarray
     faces: np.ndarray
     name: str = ""
+    tangents: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.ascontiguousarray(np.asarray(self.points, dtype=float))
@@ -61,8 +77,10 @@ class LocalAopc:
         used[faces.ravel()] = True
         if not used.all():
             raise AopcError(f"vertex {int(np.argmin(used))} belongs to no face")
-        for arr in (points, normals, vertices, faces):
+        tangents = _tangent_frames(normals)
+        for arr in (points, normals, vertices, faces, tangents):
             arr.setflags(write=False)
+        object.__setattr__(self, "tangents", tangents)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "vertices", vertices)
@@ -113,12 +131,14 @@ class WorldAopc:
     """A LocalAopc posed into world frame, with per-point velocities and
     Jacobians against the scene's generalized velocity (n columns).
 
+    tangents is (2, I, 3), the LocalAopc's tangents rotated with the normals.
     jacobians is (I, 3, n); for kinematic bodies it is all zeros and the
     velocities carry the prescribed rigid motion instead.
     """
 
     points: np.ndarray
     normals: np.ndarray
+    tangents: np.ndarray
     vertices: np.ndarray
     faces: np.ndarray
     velocities: np.ndarray
@@ -156,6 +176,7 @@ def pose_aopc(
     t = pose.translation
     pts = aopc.points @ R.T + t
     nrm = aopc.normals @ R.T
+    tan = aopc.tangents @ R.T
     verts = aopc.vertices @ R.T + t
     I = aopc.num_points
     dtype = np.result_type(pts.dtype, v.dtype)
@@ -173,7 +194,7 @@ def pose_aopc(
         J[:, :, s : s + 3] = np.eye(3, dtype=dtype)
         J[:, :, s + 3 : s + 6] = -skew(pts - t)
         vel = np.einsum("ikn,n->ik", J, v)
-    return WorldAopc(pts, nrm, verts, aopc.faces, vel, J, body_id=body_id)
+    return WorldAopc(pts, nrm, tan, verts, aopc.faces, vel, J, body_id=body_id)
 
 
 def transform_aopc(aopc: LocalAopc, pose: Pose) -> LocalAopc:

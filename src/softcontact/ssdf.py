@@ -17,7 +17,8 @@ from .core import check_temperature, softmax
 @dataclass(frozen=True)
 class SsdfResult:
     """value: signed distance estimate(s); weights: softmin distribution over
-    the cloud points; squared_distances: the distances the softmin saw.
+    the cloud points; plane_distances: the per-plane signed distances the
+    value averages.
 
     For a single (3,) query the fields are scalar / (I,); for an (Q, 3) batch
     they are (Q,) / (Q, I).
@@ -25,7 +26,7 @@ class SsdfResult:
 
     value: np.ndarray
     weights: np.ndarray
-    squared_distances: np.ndarray
+    plane_distances: np.ndarray
 
 
 def _cloud(aopc):
@@ -69,13 +70,16 @@ def ssdf(aopc, p, eps1: float) -> SsdfResult:
     """
     check_temperature(eps1, "eps1")
     q, single = _as_batch(p)
-    d = squared_distances(aopc, q)
-    w = softmax(-d, eps1, axis=-1)
+    return _weighted_average(aopc, q, softmax(-squared_distances(aopc, q), eps1, axis=-1), single)
+
+
+def _weighted_average(aopc, q, w, single) -> SsdfResult:
+    """The SsdfResult of weights w (Q, I) over the plane distances of q."""
     s = plane_distances(aopc, q)
     value = np.sum(w * s, axis=-1)
     if single:
-        return SsdfResult(value[0], w[0], d[0])
-    return SsdfResult(value, w, d)
+        return SsdfResult(value[0], w[0], s[0])
+    return SsdfResult(value, w, s)
 
 
 def hard_sdf(aopc, p):
@@ -148,13 +152,7 @@ def ssdf_general(aopc, p, basis) -> SsdfResult:
     lw = basis.log_weights(aopc, q)
     # The ratio is invariant to scaling all kernels per query; eps=1 softmax
     # of the log-weights is exactly that normalized ratio.
-    w = softmax(lw, 1.0, axis=-1)
-    s = plane_distances(aopc, q)
-    value = np.sum(w * s, axis=-1)
-    d = squared_distances(aopc, q)
-    if single:
-        return SsdfResult(value[0], w[0], d[0])
-    return SsdfResult(value, w, d)
+    return _weighted_average(aopc, q, softmax(lw, 1.0, axis=-1), single)
 
 
 def sample_sdf_grid(aopc, bounds, resolution, eps1: float, slice_axis: int | None = None, slice_value: float = 0.0):

@@ -227,11 +227,10 @@ def _state_clear_of_kinks(scene: Scene, state: SceneState, margin: float) -> boo
         fld = separation_field(world[ia], world[ib], scene.params.eps1, scene.params.eps2)
         Ib = world[ib].num_points
         for cloud, qs, coeff, w in (
-            (world[ia], world[ib], fld.distribution[:Ib], fld.weights_b_in_a),
-            (world[ib], world[ia], fld.distribution[Ib:], fld.weights_a_in_b),
+            (world[ia], world[ib], fld.distribution[:Ib], fld.b_in_a.weights),
+            (world[ib], world[ia], fld.distribution[Ib:], fld.a_in_b.weights),
         ):
-            v_rel = qs.velocities[:, None, :] - cloud.velocities[None, :, :]
-            v_n = np.einsum("qik,ik->qi", v_rel, cloud.normals)
+            v_n = qs.velocities @ cloud.normals.T - np.sum(cloud.velocities * cloud.normals, axis=-1)
             x = v_n / scene.params.v_d
             sig = (coeff[:, None] * w) > 1e-8
             if np.any(sig & ((np.abs(x) < margin) | (np.abs(x - 2.0) < margin))):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,7 +119,7 @@ def test_vertex_weights_one_hot_face():
     # force a one-hot distribution on field entry 0 (a face of b)
     dist = np.zeros(len(fld))
     dist[0] = 1.0
-    fld_hot = type(fld)(fld.values, dist, fld.owner, fld.face, fld.eps1, fld.eps2)
+    fld_hot = dataclasses.replace(fld, distribution=dist)
     z = vertex_weights(fld_hot, a, b)
     hot_face = b.faces[0]
     expected = np.zeros(a.num_vertices + b.num_vertices)
@@ -133,7 +135,7 @@ def test_vertex_weights_uniform_distribution_counts_degree():
     fld = separation_field(a, b, 1e-4, 1e-3)
     F = len(fld)
     dist = np.full(F, 1.0 / F)
-    fld_u = type(fld)(fld.values, dist, fld.owner, fld.face, fld.eps1, fld.eps2)
+    fld_u = dataclasses.replace(fld, distribution=dist)
     z = vertex_weights(fld_u, a, b)
     # every cube vertex belongs to 3 of the 6 faces
     np.testing.assert_allclose(z, 3.0 / F, atol=1e-15)

@@ -244,3 +244,50 @@ def test_force_gradient_matches_finite_differences():
         g_fd = fd_gradient(f, theta, 1e-6 * (1 + np.abs(theta)))
         scale = max(1e-8, np.abs(g_fd).max())
         assert np.abs(g_cs - g_fd).max() / scale < 1e-3
+
+
+def _broadcast_pair_force(a, b, fld, params):
+    """Reference pair force: point_plane_force on explicit (Q, I, 3)
+    broadcasts, weighted by the field's softmin weights and distribution."""
+    Ib = b.num_points
+    out = 0.0
+    for cloud, qs, coeff, battery in ((a, b, fld.distribution[:Ib], fld.b_in_a),
+                                      (b, a, fld.distribution[Ib:], fld.a_in_b)):
+        lam = point_plane_force(qs.points[:, None, :], qs.velocities[:, None, :] - cloud.velocities[None, :, :],
+                                cloud.points[None, :, :], cloud.normals[None, :, :], params)
+        wl = (coeff[:, None] * battery.weights)[..., None] * lam
+        out = out + np.einsum("qkn,qk->n", qs.jacobians, wl.sum(axis=1)) - np.einsum("ikn,ik->n", cloud.jacobians, wl.sum(axis=0))
+    return out
+
+
+@pytest.mark.parametrize("slip, approach", [
+    (0.3, 0.0), (1.0, 0.05), (1.0, 1.0), (1.0, 3.0), (1e-3, 3.0), (40.0, 0.1)])
+def test_pair_force_matches_broadcast_oracle(slip, approach):
+    # b rests tilted on a, sliding at `slip` * v_s in the plane of the
+    # contact faces while approaching along -z at `approach` m/s, so the
+    # face-face entries have tangential speed at or below v_s next to a fast
+    # normal one; the other faces see the approach as tangential motion.
+    rng = np.random.default_rng(int(10 * slip + approach))
+    box1 = box_aopc([0.6, 0.5, 0.4], 54)
+    box2 = sphere_aopc(0.3, 96)
+    params = ContactParams(k=2e3, v_s=1e-3)
+    q = quat_normalize(np.array([1.0, 0.01, -0.02, 0.005]))
+    direction = rng.standard_normal(2)
+    vel = np.concatenate([slip * params.v_s * direction / np.linalg.norm(direction), [-approach],
+                          0.2 * params.v_s * rng.standard_normal(3)])
+    theta = np.concatenate([[0.01, -0.02, 0.49], q, vel])
+
+    def pair(theta, force):
+        vfull = np.zeros(12, dtype=theta.dtype)
+        vfull[6:] = theta[7:]
+        a = pose_aopc(box1, Pose(np.zeros(3), np.array([1.0, 0, 0, 0])), vfull, 0, "a")
+        b = pose_aopc(box2, Pose(theta[:3], theta[3:7]), vfull, 6, "b")
+        fld = separation_field(a, b, params.eps1, params.eps2)
+        return force(a, b, fld, params)
+
+    got = pair(theta, ssdf_ssdf_force)
+    want = pair(theta, _broadcast_pair_force)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    g_got = cs_gradient(lambda t: pair(t, ssdf_ssdf_force), theta)
+    g_want = cs_gradient(lambda t: pair(t, _broadcast_pair_force), theta)
+    assert np.abs(g_got - g_want).max() <= 1e-12 * np.abs(g_want).max()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from softcontact.core import (
+    _log1p,
     quat_from_rotvec,
     quat_multiply,
     quat_normalize,
@@ -159,3 +160,53 @@ def test_quaternion_helpers():
     np.testing.assert_allclose(
         quat_to_matrix(quat_multiply(a, b)), quat_to_matrix(a) @ quat_to_matrix(b), atol=1e-13
     )
+
+
+def test_softmax_tail_is_exact_zero_never_subnormal():
+    # Entries straddling the exp underflow band (exp(z) is subnormal for
+    # z in (-745, -708)); several near-top entries make the normalizing sum
+    # exceed 1, which would push borderline weights into the subnormal range,
+    # so the cutoff sits log(N) above -708.
+    rng = np.random.default_rng(5)
+    eps = 0.5
+    x = eps * np.concatenate([[0.0, 0.0, -0.5], -rng.uniform(690.0, 760.0, 400), -rng.uniform(0, 5, 20)])
+    x = rng.permutation(x)
+    w = softmax(x, eps)
+    tiny = np.finfo(float).tiny
+    assert ((w == 0) | (np.abs(w) >= tiny)).all()
+    z = (x - x.max()) / eps
+    tail = z < -708.0 + np.log(x.size)
+    assert tail.sum() > 100 and (w[tail] == 0).all()
+    # The entries kept match the plain formula, whose sum the dropped tail
+    # cannot change, and so do their complex-step derivatives.
+    e = np.exp(z)
+    np.testing.assert_array_equal(w[~tail], (e / e.sum())[~tail])
+    xc = x.astype(complex)
+    xc[np.argmax(x)] += 1e-30j
+    zc = (xc - x.max()) / eps
+    ec = np.exp(zc)
+    np.testing.assert_array_equal(softmax(xc, eps).imag[~tail], (ec / ec.sum()).imag[~tail])
+
+
+def test_softmax_minus_infinity_gives_zero_weight():
+    w = softmax(np.array([0.0, -np.inf, np.log(3.0)]), 1.0, check=False)
+    assert w[1] == 0.0
+    np.testing.assert_allclose(w, [0.25, 0.0, 0.75], rtol=1e-15)
+
+
+def test_softplus_tail_is_exact_and_body_unchanged():
+    # Beyond |x|/eps = 708 the log1p(exp) term is an exact 0 (it is under
+    # 1e-307 eps there); elsewhere the value and its complex-step derivative
+    # are those of the plain formula.
+    eps = 0.02
+    t = np.concatenate([np.linspace(-800.0, 40.0, 2001), [-708.5, -707.9, 707.9, 708.5, 800.0]])
+    x = t * eps
+    got = softplus(x, eps)
+    tail = np.abs(t) > 708.0
+    np.testing.assert_array_equal(got[tail], np.maximum(x[tail], 0.0))
+    plain = np.maximum(x, 0.0) + eps * np.log1p(np.exp(-np.abs(x) / eps))
+    np.testing.assert_array_equal(got[~tail], plain[~tail])
+    xc = x + 1e-30j
+    pos = x > 0
+    plain_c = np.where(pos, xc, 0.0) + eps * _log1p(np.exp(-np.where(pos, xc, -xc) / eps))
+    np.testing.assert_array_equal(softplus(xc, eps)[~tail], plain_c[~tail])

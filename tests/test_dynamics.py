@@ -277,3 +277,33 @@ def test_equilibrium_penetration_force_balance():
     st = make_state(scene, {"ball": Pose(np.array([0, 0, 0.5 - dstar]), np.array([1.0, 0, 0, 0]))})
     f = total_contact_force(scene, st)
     assert abs(f[2] - 9.81) / 9.81 < 0.1
+
+
+@pytest.mark.parametrize("integrator, stages", [("rk4", 4), ("euler", 1)])
+def test_rollout_reads_separation_off_the_first_stage(monkeypatch, integrator, stages):
+    from softcontact import dynamics
+    from softcontact.contact import ContactParams
+
+    box = box_aopc([0.3, 0.3, 0.1], 24)
+    ground = box_aopc([1.0, 1.0, 0.2], 54)
+    inertia = box_inertia(1.0, [0.3, 0.3, 0.1])
+    bodies = [Body("ground", ground, "kinematic", motion=StaticMotion(Pose(np.array([0, 0, -0.1]), np.array([1.0, 0, 0, 0])))),
+              Body("lower", box, "free", 1.0, inertia), Body("upper", box, "free", 1.0, inertia)]
+    scene = Scene(bodies, [("ground", "lower"), ("lower", "upper")], params=ContactParams(k=2e3, v_s=0.02))
+    st = make_state(scene, {"lower": Pose(np.array([0, 0, 0.048]), np.array([1.0, 0, 0, 0])),
+                            "upper": Pose(np.array([0.01, 0, 0.147]), np.array([1.0, 0, 0, 0]))},
+                    {"upper": [0.05, 0, -0.1, 0, 0, 0.3]})
+    calls = []
+    pair_force = dynamics.ssdf_ssdf_force
+    monkeypatch.setattr(dynamics, "ssdf_ssdf_force", lambda *args: calls.append(1) or pair_force(*args))
+    n = 3
+    res = rollout(scene, st, 2e-3, n, integrator, record_separation=True)
+    assert len(calls) == (stages * n + 1) * len(scene.pairs)
+    expected = [dynamics._contact_force(scene, s)[1] for s in res.states]
+    np.testing.assert_array_equal(res.min_separation, expected)
+    assert res.min_separation.max() < 0  # both pairs in contact throughout
+    calls.clear()
+    res_off = rollout(scene, st, 2e-3, n, integrator, record_separation=False)
+    assert len(calls) == stages * n * len(scene.pairs)
+    assert np.isnan(res_off.min_separation).all() and res_off.min_separation.shape == (n + 1,)
+    np.testing.assert_array_equal(res_off.states[-1].q, res.states[-1].q)
