@@ -8,6 +8,7 @@ tools.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -21,7 +22,7 @@ from .collision import (
     separation_field,
     soft_separation_distance,
 )
-from .config import ConfigError, SceneConfig, load_config
+from .config import ConfigError, SceneConfig, load_config, parse_config
 from .dynamics import (
     DivergenceError,
     body_pose,
@@ -175,23 +176,19 @@ def cmd_simulate(args) -> int:
 
 
 def _body_or_default(cfg, name, default_index, what):
-    if name is None:
-        return cfg.scene.bodies[default_index]
-    for body in cfg.scene.bodies:
-        if body.name == name:
-            return body
-    raise ConfigError(f"{what}: unknown body {name!r}")
+    try:
+        return cfg.scene.bodies[default_index if name is None else cfg.scene.body_index(name)]
+    except KeyError:
+        raise ConfigError(f"{what}: unknown body {name!r}") from None
 
 
 def cmd_sdf_grid(args) -> int:
     if args.primitive is not None:
-        import json as _json
-
         from .config import _aopc
 
         try:
-            doc = _json.loads(args.primitive)
-        except _json.JSONDecodeError as e:
+            doc = json.loads(args.primitive)
+        except json.JSONDecodeError as e:
             raise ConfigError(f"--primitive: invalid JSON: {e}") from None
         aopc, _spec = _aopc(doc, "--primitive", ".")
         body_name = aopc.name
@@ -286,21 +283,14 @@ def _apply_pose_overrides(cfg, overrides):
             vals = [float(v) for v in rest.split(",")]
         except ValueError:
             raise ConfigError(f"--pose {spec!r}: expected NAME:tx,ty,tz[,qw,qx,qy,qz]") from None
-        if len(vals) == 3:
-            t, q = np.array(vals), np.array([1.0, 0.0, 0.0, 0.0])
-        elif len(vals) == 7:
-            t, q = np.array(vals[:3]), np.array(vals[3:])
-            q = q / np.linalg.norm(q)
-        else:
+        if len(vals) not in (3, 7):
             raise ConfigError(f"--pose {spec!r}: expected 3 or 7 numbers")
-        if name not in {body.name for body in cfg.scene.bodies}:
-            raise ConfigError(f"--pose: unknown body {name!r}")
+        q = np.array(vals[3:] or [1.0, 0.0, 0.0, 0.0])
+        _body_or_default(cfg, name, None, "--pose")
         dof = cfg.scene.dof_start(cfg.scene.body_index(name))
         if dof is None:
             raise ConfigError(f"--pose: body {name!r} is kinematic")
-        k = dof // 6
-        cfg.state.q[k, :3] = t
-        cfg.state.q[k, 3:] = q
+        cfg.state.q[dof // 6] = np.concatenate([vals[:3], q / np.linalg.norm(q)])
 
 
 def cmd_collide(args) -> int:
@@ -369,51 +359,43 @@ def cmd_bench(args) -> int:
     resolutions = [None]
     if args.resolutions:
         resolutions = [int(v) for v in args.resolutions.split(",")]
+        with open(args.config) as fh:
+            doc = json.load(fh)
     rows = ["variant,resolution,total_points,median_ms,p10_ms,p90_ms"]
     summaries = []
     for res in resolutions:
-        scene = cfg.scene
+        scene, contact_state = cfg.scene, cfg.state
         if res is not None:
-            from .config import parse_config
-            import json as _json
-
-            with open(args.config) as fh:
-                doc = _json.load(fh)
             for b in doc["bodies"]:
                 if "kind" in b.get("aopc", {}):
                     b["aopc"]["resolution"] = res
             rebuilt = parse_config(doc, base_dir=os.path.dirname(os.path.abspath(args.config)))
             rebuilt.scene.params = cfg.scene.params
-            scene, base_state = rebuilt.scene, rebuilt.state
-        else:
-            base_state = cfg.state
+            scene, contact_state = rebuilt.scene, rebuilt.state
+        label = res if res is not None else "config"
         total_points = sum(b.aopc.num_points for b in scene.bodies)
-        medians = {}
-        for variant in ("contact", "separated"):
-            st = base_state.copy()
-            if variant == "separated":
-                # Move every free body far out along +x: same shapes, no contact.
-                span = max(float(np.abs(b.aopc.points).max()) for b in scene.bodies)
-                for k in range(st.q.shape[0]):
-                    st.q[k, 0] += 40.0 * (k + 1) * max(span, 1.0)
-            times = []
-            step(scene, st, cfg.world.dt, cfg.world.integrator)  # warm-up
-            for _ in range(args.repetitions):
+        # Move every free body far out along +x: same shapes, no contact.
+        apart = contact_state.copy()
+        span = max(float(np.abs(b.aopc.points).max()) for b in scene.bodies)
+        for k in range(apart.q.shape[0]):
+            apart.q[k, 0] += 40.0 * (k + 1) * max(span, 1.0)
+        times = {"contact": [], "separated": []}
+        # One warm-up round, then the variants alternate step by step, so the
+        # machine's speed swings reach both alike and cancel in each pair.
+        for rep in range(args.repetitions + 1):
+            for variant, st in (("contact", contact_state), ("separated", apart)):
                 t0 = time.perf_counter()
                 step(scene, st, cfg.world.dt, cfg.world.integrator)
-                times.append(time.perf_counter() - t0)
-            ms = np.sort(np.asarray(times)) * 1e3
-            med = float(np.median(ms))
-            medians[variant] = med
-            rows.append(
-                "%s,%s,%d,%.4f,%.4f,%.4f"
-                % (variant, res if res is not None else "config", total_points,
-                   med, ms[int(0.1 * len(ms))], ms[int(0.9 * len(ms))])
-            )
-        ratio = medians["separated"] / medians["contact"]
+                if rep:
+                    times[variant].append(time.perf_counter() - t0)
+        for variant, t in times.items():
+            ms = np.sort(t) * 1e3
+            rows.append("%s,%s,%d,%.4f,%.4f,%.4f" % (variant, label, total_points, np.median(ms),
+                                                      ms[int(0.1 * len(ms))], ms[int(0.9 * len(ms))]))
+        contact, separated = np.asarray(times["contact"]), np.asarray(times["separated"])
         summaries.append(
-            "resolution %s (%d points): median contact %.3f ms, separated %.3f ms, ratio %.3f"
-            % (res if res is not None else "config", total_points, medians["contact"], medians["separated"], ratio)
+            "resolution %s (%d points): median contact %.3f ms, separated %.3f ms, paired ratio %.3f"
+            % (label, total_points, 1e3 * np.median(contact), 1e3 * np.median(separated), np.median(separated / contact))
         )
     path = _write(args, "bench.csv", "\n".join(rows) + "\n")
     text = "\n".join(summaries)

@@ -25,7 +25,8 @@ class SeparationField:
     distribution: softmin weights over those entries; owner/face record which
     surface (1 = a, 2 = b) owns the query point behind each entry; b_in_a and
     a_in_b: the two SSDF batteries the values came from, whose weights and
-    plane distances the contact model reuses.
+    plane distances the contact model reuses. For a stack of P pairs values
+    and distribution are (P, I_b + I_a); owner and face are shared.
     """
 
     values: np.ndarray
@@ -38,23 +39,23 @@ class SeparationField:
     a_in_b: SsdfResult
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
 def separation_field(a, b, eps1: float, eps2: float) -> SeparationField:
     """Evaluate both directional SSDF batteries and the softmin distribution.
 
     a and b are posed WorldAopc's (LocalAopc works for purely geometric
-    queries). The batteries' (Q, I) weight and plane-distance matrices stay
-    on the field, so the contact model evaluates no softmin or plane
-    distance again.
+    queries), or two stacks of P posed clouds for P pairs at once. The
+    batteries' (..., Q, I) weight and plane-distance matrices stay on the
+    field, so the contact model evaluates no softmin or plane distance again.
     """
     check_temperature(eps1, "eps1")
     check_temperature(eps2, "eps2")
     Ia, Ib = a.num_points, b.num_points
     r_ba = ssdf(a, b.points, eps1)  # points of b in a's field
     r_ab = ssdf(b, a.points, eps1)  # points of a in b's field
-    values = np.concatenate([r_ba.value, r_ab.value])
+    values = np.concatenate([r_ba.value, r_ab.value], axis=-1)
     distribution = softmax(-values, eps2)
     owner = np.concatenate([np.full(Ib, 2, dtype=np.int8), np.full(Ia, 1, dtype=np.int8)])
     face = np.concatenate([np.arange(Ib), np.arange(Ia)])
@@ -64,7 +65,7 @@ def separation_field(a, b, eps1: float, eps2: float) -> SeparationField:
 def soft_separation_distance(field: SeparationField):
     """Distribution-weighted average of the separation field: a smooth stand-
     in for the minimum signed distance between the two bodies."""
-    return np.sum(field.distribution * field.values)
+    return np.sum(field.distribution * field.values, axis=-1)
 
 
 def vertex_weights(field: SeparationField, a, b) -> np.ndarray:

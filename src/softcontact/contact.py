@@ -11,8 +11,10 @@ gradients before contact is made.
 The pair force evaluates every point-plane entry of both directions with
 (Q, I) matrices only: the softmin weights and plane distances come from the
 separation field, velocities are resolved in each plane's (n, t1, t2) frame,
-and the per-point forces are matmuls against the cloud's frame vectors. They
-are projected through the point Jacobians once per body.
+and the per-point forces are matmuls against the cloud's frame vectors. Each
+body takes its per-point forces as one wrench (sum f, sum (p - t) x f) in its
+6-DOF block, which is J^T f without the Jacobian. Stacks of P pairs (a
+leading pair axis on every array) run through the same code.
 """
 from __future__ import annotations
 
@@ -48,6 +50,9 @@ class ContactParams:
     eps3: float = 1e-3
 
     def __post_init__(self):
+        for name in ("k", "mu", "v_d", "v_s"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.k > 0:
             raise ValueError("stiffness k must be positive")
         if self.mu < 0:
@@ -66,8 +71,13 @@ def dissipation_factor(x):
     """
     x = np.asarray(x)
     xr = x.real
-    neg = xr <= 0.0
-    return neg * (1.0 - x) + ((~neg) & (xr <= 2.0)) * ((x - 2.0) ** 2 / 4.0)
+    d = np.asarray(x - 2.0)
+    np.square(d, out=d)
+    d /= 4.0
+    np.subtract(1.0, x, out=d, where=xr <= 0.0)
+    # A NaN fails both tests and stays NaN.
+    d[xr > 2.0] = 0.0
+    return d
 
 
 def point_plane_force(p, v, plane_p, plane_n, params: ContactParams):
@@ -96,7 +106,7 @@ def _point_forces(cloud, q_velocities, battery: SsdfResult, coeff, params: Conta
     point_plane_force against plane i of the posed cloud, with w and phi
     taken from the battery (the SSDF of the query points against the cloud);
     the cloud points take the reactions. Returns (f_query (Q, 3), f_cloud
-    (I, 3)), which sum to zero.
+    (I, 3)), which sum to zero (with a leading P axis for a stack).
 
     Only (Q, I) arrays are built. The relative velocity is resolved in each
     plane's frame (n_i, t1_i, t2_i) into v_n, a and b, so |v_t|^2 = a^2 + b^2
@@ -109,18 +119,18 @@ def _point_forces(cloud, q_velocities, battery: SsdfResult, coeff, params: Conta
     vel = cloud.velocities
 
     def component(axes):
-        return q_velocities @ axes.T - np.sum(vel * axes, axis=-1)
+        return q_velocities @ np.swapaxes(axes, -1, -2) - np.sum(vel * axes, axis=-1)[..., None, :]
 
     v_n, a, b = component(nrm), component(t1), component(t2)
     lam_n = params.k * softplus(-battery.plane_distances, params.eps3, check=False) * dissipation_factor(v_n / params.v_d)
     scale = -params.mu * lam_n / np.sqrt(params.v_s**2 + (a * a + b * b))
-    W = coeff[:, None] * battery.weights
+    W = coeff[..., None] * battery.weights
     C = W * lam_n
     B = W * scale
     Ba = B * a
     Bb = B * b
     f_query = C @ nrm + Ba @ t1 + Bb @ t2
-    f_cloud = -(C.sum(axis=0)[:, None] * nrm + Ba.sum(axis=0)[:, None] * t1 + Bb.sum(axis=0)[:, None] * t2)
+    f_cloud = -(C.sum(axis=-2)[..., None] * nrm + Ba.sum(axis=-2)[..., None] * t1 + Bb.sum(axis=-2)[..., None] * t2)
     return f_query, f_cloud
 
 
@@ -128,13 +138,14 @@ def point_ssdf_force(aopc, p, v, J, params: ContactParams) -> np.ndarray:
     """Generalized force of one moving point against a posed AOPC.
 
     Each plane of the cloud exerts its point-plane force on the point, and
-    the cloud body takes the reaction: the contribution is (J - J_i)^T
-    lambda_i, weighted by the same softmin distribution the SSDF query at p
-    uses. Returns a vector over the scene's generalized coordinates.
+    the cloud body takes the reaction, weighted by the same softmin
+    distribution the SSDF query at p uses: J^T f on the point (J is its
+    (3, n) Jacobian) plus the cloud body's wrench. Returns a vector over the
+    scene's generalized coordinates.
     """
     battery = ssdf(aopc, np.asarray(p)[None, :], params.eps1)
     f_point, f_cloud = _point_forces(aopc, np.asarray(v)[None, :], battery, np.ones(1), params)
-    return np.asarray(J).T @ f_point[0] + np.tensordot(f_cloud, aopc.jacobians, axes=2)
+    return np.asarray(J).T @ f_point[0] + aopc.generalized_force(f_cloud)
 
 
 def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.ndarray:
@@ -145,7 +156,8 @@ def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.n
     field's concatenation order; the field's SSDF batteries supply the
     softmin weights and plane distances. Every pair force enters the two
     translation blocks as an equal-and-opposite (+lambda, -lambda) couple, so
-    linear momentum is conserved by construction.
+    linear momentum is conserved by construction. For stacks of P pairs each
+    body's wrench enters once per pair it is in; the result is the (n,) sum.
     """
     Ia, Ib = a.num_points, b.num_points
     if len(field) != Ia + Ib:
@@ -155,7 +167,6 @@ def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.n
     if field.eps1 != params.eps1 or field.eps2 != params.eps2:
         raise ValueError("separation field temperatures do not match the contact parameters")
     coeff = field.distribution
-    f_b, f_a = _point_forces(a, b.velocities, field.b_in_a, coeff[:Ib], params)
-    g_a, g_b = _point_forces(b, a.velocities, field.a_in_b, coeff[Ib:], params)
-    # Each body's per-point forces go through its (I, 3, n) Jacobian once.
-    return np.tensordot(f_a + g_a, a.jacobians, axes=2) + np.tensordot(f_b + g_b, b.jacobians, axes=2)
+    f_b, f_a = _point_forces(a, b.velocities, field.b_in_a, coeff[..., :Ib], params)
+    g_a, g_b = _point_forces(b, a.velocities, field.a_in_b, coeff[..., Ib:], params)
+    return a.generalized_force(f_a + g_a) + b.generalized_force(f_b + g_b)

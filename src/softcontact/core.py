@@ -21,12 +21,12 @@ def check_temperature(eps: float, name: str = "eps") -> float:
     return eps
 
 
-def _reject_nonfinite(x: np.ndarray, name: str) -> None:
+def _reject_nonfinite(x: np.ndarray, name: str, error: type = ValueError) -> None:
     bad = ~np.isfinite(x)
     if bad.any():
-        idx = np.unravel_index(int(np.argmax(bad)), x.shape)
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), x.shape))
         pos = idx[0] if len(idx) == 1 else idx
-        raise ValueError(f"{name} contains a non-finite entry at index {pos}")
+        raise error(f"{name} contains a non-finite entry at index {pos}")
 
 
 # exp(x) is a normal float64 for x >= -708, subnormal below, 0 below -745.
@@ -113,20 +113,6 @@ def squared_norm(v: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def norm(v: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.sqrt(squared_norm(v, axis=axis))
-
-
-def skew(v: np.ndarray) -> np.ndarray:
-    """3x3 cross-product matrix: skew(v) @ w == cross(v, w)."""
-    v = np.asarray(v)
-    z = np.zeros(v.shape[:-1], dtype=v.dtype)
-    return np.stack(
-        [
-            np.stack([z, -v[..., 2], v[..., 1]], axis=-1),
-            np.stack([v[..., 2], z, -v[..., 0]], axis=-1),
-            np.stack([-v[..., 1], v[..., 0], z], axis=-1),
-        ],
-        axis=-2,
-    )
 
 
 # Quaternions are stored (w, x, y, z).

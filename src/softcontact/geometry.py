@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import norm, quat_to_matrix, skew
+from .core import _reject_nonfinite, norm, quat_to_matrix
 
 
 class AopcError(ValueError):
@@ -66,6 +66,8 @@ class LocalAopc:
             raise AopcError("vertices must be a (V, 3) array")
         if faces.shape != (points.shape[0], 4):
             raise AopcError("faces must be an (I, 4) index array")
+        for name, arr in (("points", points), ("normals", normals), ("vertices", vertices)):
+            _reject_nonfinite(arr, name, AopcError)
         nn = norm(normals)
         if np.any(np.abs(nn - 1.0) > 1e-9):
             i = int(np.argmax(np.abs(nn - 1.0)))
@@ -128,30 +130,47 @@ class Pose:
 
 @dataclass(frozen=True)
 class WorldAopc:
-    """A LocalAopc posed into world frame, with per-point velocities and
-    Jacobians against the scene's generalized velocity (n columns).
+    """A LocalAopc posed into world frame, with per-point velocities.
 
     tangents is (2, I, 3), the LocalAopc's tangents rotated with the normals.
-    jacobians is (I, 3, n); for kinematic bodies it is all zeros and the
-    velocities carry the prescribed rigid motion instead.
+    A free body's 6-DOF block [linear; angular] of the num_dofs generalized
+    velocities starts at dof_start and refers to the body origin t; kinematic
+    bodies have dof_start -1. The point Jacobian [I3 | -skew(p - t)] is never
+    built. A stack of P same-size clouds adds a leading pair axis to every
+    array (tangents (2, P, I, 3)) and has no vertices or faces.
     """
 
     points: np.ndarray
     normals: np.ndarray
     tangents: np.ndarray
-    vertices: np.ndarray
-    faces: np.ndarray
     velocities: np.ndarray
-    jacobians: np.ndarray
+    origin: np.ndarray
+    dof_start: np.ndarray
+    num_dofs: int
+    vertices: np.ndarray | None = None
+    faces: np.ndarray | None = None
     body_id: str = ""
 
     @property
     def num_points(self) -> int:
-        return self.points.shape[0]
+        return self.points.shape[-2]
 
     @property
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
+
+    def generalized_force(self, forces: np.ndarray) -> np.ndarray:
+        """J^T f, (n,), of world forces f (..., I, 3) on the points: each
+        body's wrench (sum f, sum (p - t) x f) is added into its 6-DOF block,
+        once per stack entry; kinematic bodies' go to a dump block past n."""
+        # sum (p - t) x f is the antisymmetric part of M = sum (p - t) f^T.
+        M = np.swapaxes(self.points - self.origin[..., None, :], -1, -2) @ forces
+        torque = M[..., [1, 2, 0], [2, 0, 1]] - M[..., [2, 0, 1], [1, 2, 0]]
+        wrench = np.concatenate([forces.sum(axis=-2), torque], axis=-1)
+        n = self.num_dofs
+        out = np.zeros(n + 6, dtype=wrench.dtype)
+        np.add.at(out, np.where(self.dof_start < 0, n, self.dof_start)[..., None] + np.arange(6), wrench)
+        return out[:n]
 
 
 def pose_aopc(
@@ -162,13 +181,12 @@ def pose_aopc(
     body_id: str = "",
     prescribed_velocity: np.ndarray | None = None,
 ) -> WorldAopc:
-    """Pose an AOPC into world frame and attach point velocities/Jacobians.
+    """Pose an AOPC into world frame and attach point velocities.
 
     Free bodies occupy a 6-column block of the generalized velocity starting
-    at dof_start, ordered [world linear; world angular]; their point Jacobian
-    is [I3 | -skew(p_world - t)] in that block. Kinematic bodies pass
-    dof_start=None and a prescribed world spatial velocity (6,) taken at the
-    body origin; their Jacobians are zero.
+    at dof_start, ordered [world linear; world angular] at the body origin t,
+    so point p moves at v + w x (p - t). Kinematic bodies pass dof_start=None
+    and a prescribed world spatial velocity (6,) taken at the body origin.
     """
     v = np.asarray(gen_velocity)
     n = v.shape[0]
@@ -178,23 +196,15 @@ def pose_aopc(
     nrm = aopc.normals @ R.T
     tan = aopc.tangents @ R.T
     verts = aopc.vertices @ R.T + t
-    I = aopc.num_points
-    dtype = np.result_type(pts.dtype, v.dtype)
-    J = np.zeros((I, 3, n), dtype=dtype)
     if dof_start is None:
-        if prescribed_velocity is None:
-            prescribed_velocity = np.zeros(6)
-        w = np.asarray(prescribed_velocity)
-        vel = w[:3] + np.cross(w[3:6], pts - t)
-        vel = vel.astype(dtype, copy=False)
+        s, twist = -1, np.zeros(6) if prescribed_velocity is None else np.asarray(prescribed_velocity)
     else:
         s = int(dof_start)
         if s < 0 or s + 6 > n:
             raise ValueError("dof_start block exceeds generalized dimension")
-        J[:, :, s : s + 3] = np.eye(3, dtype=dtype)
-        J[:, :, s + 3 : s + 6] = -skew(pts - t)
-        vel = np.einsum("ikn,n->ik", J, v)
-    return WorldAopc(pts, nrm, tan, verts, aopc.faces, vel, J, body_id=body_id)
+        twist = v[s : s + 6]
+    vel = (twist[:3] + np.cross(twist[3:6], pts - t)).astype(np.result_type(pts.dtype, v.dtype), copy=False)
+    return WorldAopc(pts, nrm, tan, vel, np.asarray(t), np.asarray(s), n, verts, aopc.faces, body_id)
 
 
 def transform_aopc(aopc: LocalAopc, pose: Pose) -> LocalAopc:
@@ -247,6 +257,16 @@ def _grid_quads(u: np.ndarray, v: np.ndarray):
     return c.reshape(-1, 4, 2)
 
 
+def _face_quads(quads2d: np.ndarray, ax: int, offset: float) -> np.ndarray:
+    """(n, 4, 3) corners of lattice cells quads2d on the plane x_ax = offset,
+    spanned by the next two axes in cyclic order."""
+    q3 = np.zeros((quads2d.shape[0], 4, 3))
+    q3[:, :, (ax + 1) % 3] = quads2d[:, :, 0]
+    q3[:, :, (ax + 2) % 3] = quads2d[:, :, 1]
+    q3[:, :, ax] = offset
+    return q3
+
+
 def box_aopc(size, resolution: int = 6, name: str = "box") -> LocalAopc:
     """Axis-aligned box quadrangulated with near-square cells.
 
@@ -261,22 +281,15 @@ def box_aopc(size, resolution: int = 6, name: str = "box") -> LocalAopc:
     sx, sy, sz = size
     area = 2 * (sx * sy + sy * sz + sz * sx)
     h = math.sqrt(area / resolution)
-    corners = []
-    centers = []
-    normals = []
-    # (fixed axis, sign, in-plane axes)
+    corners, centers, normals = [], [], []
     for ax in range(3):
         u_ax, v_ax = (ax + 1) % 3, (ax + 2) % 3
         nu = max(1, math.ceil(size[u_ax] / h))
         nv = max(1, math.ceil(size[v_ax] / h))
         u = np.linspace(-size[u_ax] / 2, size[u_ax] / 2, nu + 1)
         v = np.linspace(-size[v_ax] / 2, size[v_ax] / 2, nv + 1)
-        quads2d = _grid_quads(u, v)
         for sign in (+1.0, -1.0):
-            q3 = np.zeros((quads2d.shape[0], 4, 3))
-            q3[:, :, u_ax] = quads2d[:, :, 0]
-            q3[:, :, v_ax] = quads2d[:, :, 1]
-            q3[:, :, ax] = sign * size[ax] / 2
+            q3 = _face_quads(_grid_quads(u, v), ax, sign * size[ax] / 2)
             corners.append(q3)
             centers.append(q3.mean(axis=1))
             nrm = np.zeros((q3.shape[0], 3))
@@ -305,16 +318,7 @@ def sphere_aopc(radius: float, resolution: int = 384, name: str = "sphere") -> L
     # Equiangular spacing keeps cell sizes nearly uniform across each face.
     a = np.tan(np.linspace(-math.pi / 4, math.pi / 4, n + 1))
     quads2d = _grid_quads(a, a)
-    corners = []
-    for ax in range(3):
-        u_ax, v_ax = (ax + 1) % 3, (ax + 2) % 3
-        for sign in (+1.0, -1.0):
-            q3 = np.zeros((quads2d.shape[0], 4, 3))
-            q3[:, :, u_ax] = quads2d[:, :, 0]
-            q3[:, :, v_ax] = quads2d[:, :, 1]
-            q3[:, :, ax] = sign
-            corners.append(q3)
-    corners = np.concatenate(corners)
+    corners = np.concatenate([_face_quads(quads2d, ax, sign) for ax in range(3) for sign in (+1.0, -1.0)])
     corners /= np.linalg.norm(corners, axis=-1, keepdims=True)
     corners *= radius
     vertices, faces = _weld(corners, decimals=12)

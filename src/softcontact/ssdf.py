@@ -21,7 +21,7 @@ class SsdfResult:
     value averages.
 
     For a single (3,) query the fields are scalar / (I,); for an (Q, 3) batch
-    they are (Q,) / (Q, I).
+    they are (Q,) / (Q, I); a stack of P clouds adds a leading P axis.
     """
 
     value: np.ndarray
@@ -37,20 +37,20 @@ def _as_batch(p):
     p = np.asarray(p)
     if p.ndim == 1:
         return p[None, :], True
-    if p.ndim != 2 or p.shape[1] != 3:
-        raise ValueError("query must be (3,) or (Q, 3)")
+    if p.ndim < 2 or p.shape[-1] != 3:
+        raise ValueError("query must be (3,), (Q, 3) or (P, Q, 3)")
     return p, False
 
 
 def plane_distances(aopc, p: np.ndarray) -> np.ndarray:
-    """Per-plane signed distances n_i . (p - p_i), shape (Q, I)."""
+    """Per-plane signed distances n_i . (p - p_i), shape (..., Q, I)."""
     pts, nrm = _cloud(aopc)
     q, _ = _as_batch(p)
-    return q @ nrm.T - np.sum(pts * nrm, axis=-1)
+    return q @ np.swapaxes(nrm, -1, -2) - np.sum(pts * nrm, axis=-1)[..., None, :]
 
 
 def squared_distances(aopc, p: np.ndarray) -> np.ndarray:
-    """Squared distances |p - p_i|^2, shape (Q, I).
+    """Squared distances |p - p_i|^2, shape (..., Q, I).
 
     Uses the expanded form (no (Q, I, 3) intermediate); written with x*x sums
     so complex-step perturbations stay analytic.
@@ -59,14 +59,15 @@ def squared_distances(aopc, p: np.ndarray) -> np.ndarray:
     q, _ = _as_batch(p)
     qq = np.sum(q * q, axis=-1)
     pp = np.sum(pts * pts, axis=-1)
-    return qq[:, None] - 2.0 * (q @ pts.T) + pp[None, :]
+    return qq[..., :, None] - 2.0 * (q @ np.swapaxes(pts, -1, -2)) + pp[..., None, :]
 
 
 def ssdf(aopc, p, eps1: float) -> SsdfResult:
     """Softmin-weighted average of per-plane signed distances.
 
     eps1 carries units of squared meters (it divides squared distances);
-    1e-4 is a reasonable default for meter-scale geometry.
+    1e-4 is a reasonable default for meter-scale geometry. A stack of clouds
+    (P, I, 3) takes a (P, Q, 3) query.
     """
     check_temperature(eps1, "eps1")
     q, single = _as_batch(p)
@@ -74,7 +75,7 @@ def ssdf(aopc, p, eps1: float) -> SsdfResult:
 
 
 def _weighted_average(aopc, q, w, single) -> SsdfResult:
-    """The SsdfResult of weights w (Q, I) over the plane distances of q."""
+    """The SsdfResult of weights w (..., Q, I) over the plane distances of q."""
     s = plane_distances(aopc, q)
     value = np.sum(w * s, axis=-1)
     if single:

@@ -282,7 +282,10 @@ def hard_pipeline_oracle(scene: Scene, state: SceneState) -> HardOracleResult:
             cloud.normals[ci],
             scene.params,
         )
-        force = (q.jacobians[qi] - cloud.jacobians[ci]).T @ lam
+        # lam on query point qi, -lam on cloud point ci, as body wrenches.
+        f_q, f_cloud = np.zeros(q.points.shape, lam.dtype), np.zeros(cloud.points.shape, lam.dtype)
+        f_q[qi], f_cloud[ci] = lam, -lam
+        force = q.generalized_force(f_q) + cloud.generalized_force(f_cloud)
         total += force
         per_pair.append((pair_min, (pidx, owner, qi, ci), force))
         if pair_min < best:

@@ -24,6 +24,18 @@ def posed(aopc, translation=(0, 0, 0), quaternion=(1, 0, 0, 0), dof=0, n=12, nam
                      prescribed_velocity=velocity if kinematic else None)
 
 
+def dense_jacobian(w):
+    """Oracle (I, 3, n) point Jacobian of a posed body: [I3 | -skew(p - t)]
+    in its 6-column block, zero for a kinematic body."""
+    J = np.zeros((w.num_points, 3, w.num_dofs), dtype=w.points.dtype)
+    s = int(w.dof_start)
+    if s >= 0:
+        J[:, :, s : s + 3] = np.eye(3)
+        # -skew(r) has rows r x e_j.
+        J[:, :, s + 3 : s + 6] = np.cross((w.points - w.origin)[:, None, :], np.eye(3))
+    return J
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ContactParams(k=0.0)
@@ -34,6 +46,39 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ContactParams(eps2=-1e-3)
     ContactParams()  # defaults are valid
+
+
+@pytest.mark.parametrize("field", ["k", "mu", "v_d", "v_s"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        ContactParams(**{field: value})
+
+
+def _dissipation_factor_boolean(x):
+    # The boolean-product form dissipation_factor replaced, kept as reference.
+    x = np.asarray(x)
+    xr = x.real
+    neg = xr <= 0.0
+    return neg * (1.0 - x) + ((~neg) & (xr <= 2.0)) * ((x - 2.0) ** 2 / 4.0)
+
+
+def test_dissipation_factor_matches_boolean_form_bit_for_bit():
+    rng = np.random.default_rng(4)
+    x = np.concatenate([rng.uniform(-4.0, 4.0, 3991), [0.0, -0.0, 2.0, 1.0, -1.0, 5e-324, 2.0 + 4e-16, 1e150, -1e150]])
+    inputs = [x, x.reshape(-1, 16), np.array(0.0), np.array(2.0), x + 1e-30j, (x + 1e-30j)[::-1],
+              x + 1e-20j * rng.standard_normal(x.size), np.array(0.0 + 1e-30j), np.array(2.0 - 1e-30j)]
+    for xs in inputs:
+        got, want = dissipation_factor(xs), _dissipation_factor_boolean(xs)
+        assert got.dtype == want.dtype and got.shape == np.shape(want)
+        np.testing.assert_array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))
+    # An exactly zero imaginary part may differ in the sign of that zero only.
+    np.testing.assert_array_equal(dissipation_factor(x + 0j), _dissipation_factor_boolean(x + 0j))
+    for nan in (np.nan, complex(np.nan, 1e-30), complex(0.5, np.nan)):
+        xs = np.array([0.5, nan, -1.0, 3.0])
+        got = dissipation_factor(xs)
+        assert np.isnan(got[1]) and np.isnan(_dissipation_factor_boolean(xs)[1])
+        np.testing.assert_array_equal(np.delete(got, 1), np.delete(_dissipation_factor_boolean(xs), 1))
 
 
 def test_dissipation_branches():
@@ -124,7 +169,7 @@ def test_point_ssdf_single_plane_exact():
     J[:, 6:9] = np.eye(3)
     out = point_ssdf_force(w, p, v, J, params)
     lam = point_plane_force(p, v - w.velocities[0], w.points[0], w.normals[0], params)
-    expected = (J - w.jacobians[0]).T @ lam
+    expected = (J - dense_jacobian(w)[0]).T @ lam
     np.testing.assert_allclose(out, expected, atol=1e-18)
 
 
@@ -256,7 +301,7 @@ def _broadcast_pair_force(a, b, fld, params):
         lam = point_plane_force(qs.points[:, None, :], qs.velocities[:, None, :] - cloud.velocities[None, :, :],
                                 cloud.points[None, :, :], cloud.normals[None, :, :], params)
         wl = (coeff[:, None] * battery.weights)[..., None] * lam
-        out = out + np.einsum("qkn,qk->n", qs.jacobians, wl.sum(axis=1)) - np.einsum("ikn,ik->n", cloud.jacobians, wl.sum(axis=0))
+        out = out + np.einsum("qkn,qk->n", dense_jacobian(qs), wl.sum(axis=1)) - np.einsum("ikn,ik->n", dense_jacobian(cloud), wl.sum(axis=0))
     return out
 
 
@@ -291,3 +336,27 @@ def test_pair_force_matches_broadcast_oracle(slip, approach):
     g_got = cs_gradient(lambda t: pair(t, ssdf_ssdf_force), theta)
     g_want = cs_gradient(lambda t: pair(t, _broadcast_pair_force), theta)
     assert np.abs(g_got - g_want).max() <= 1e-12 * np.abs(g_want).max()
+
+
+def test_stacked_pair_force_matches_dense_jacobian_oracle():
+    # One stack of three pairs: a kinematic body in two of them, and body 1
+    # as b in the first pair and a in the last, so its wrenches add up.
+    from softcontact.dynamics import _stack
+
+    rng = np.random.default_rng(6)
+    box = box_aopc([0.3, 0.3, 0.3], 54)
+    params = ContactParams(k=2e3, v_s=0.02)
+    world = [posed(box, (0, 0, 0), kinematic=True, velocity=np.array([0.01, 0, 0, 0, 0, 0.2]), n=18, name="k")]
+    for k, t in enumerate(([0.01, 0, 0.29], [0.28, 0.02, 0.01], [0.3, -0.01, 0.3])):
+        world.append(posed(box, t, np.array([1.0, 0, 0, 0]) + 0.05 * rng.standard_normal(4), dof=6 * k, n=18,
+                           name=str(k), velocity=0.1 * rng.standard_normal(6)))
+    pairs = np.array([(0, 1), (0, 2), (1, 3)])
+    a, b = _stack(world, pairs[:, 0]), _stack(world, pairs[:, 1])
+    fld = separation_field(a, b, params.eps1, params.eps2)
+    got = ssdf_ssdf_force(a, b, fld, params)
+    want = 0.0
+    for ia, ib in pairs:
+        single = separation_field(world[ia], world[ib], params.eps1, params.eps2)
+        want = want + _broadcast_pair_force(world[ia], world[ib], single, params)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(want[:6]).max() > 1.0

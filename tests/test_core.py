@@ -9,7 +9,6 @@ from softcontact.core import (
     quat_normalize,
     quat_to_matrix,
     rotate,
-    skew,
     softmax,
     softplus,
 )
@@ -144,7 +143,6 @@ def test_quaternion_helpers():
     assert abs(np.linalg.det(R) - 1.0) < 1e-12
     v = rng.standard_normal(3)
     np.testing.assert_allclose(rotate(q, v), R @ v, atol=1e-14)
-    np.testing.assert_allclose(skew(v) @ v, 0.0, atol=1e-15)
 
     # exp map: small-angle series joins the trig branch smoothly
     w = np.array([1e-9, -2e-9, 0.5e-9])

@@ -47,6 +47,17 @@ def test_body_validation():
     assert isinstance(kin.motion, StaticMotion)
 
 
+@pytest.mark.parametrize("mass, inertia, message", [
+    (np.nan, np.eye(3), "finite mass"),
+    (np.inf, np.eye(3), "finite mass"),
+    (1.0, np.diag([1.0, 1.0, np.nan]), r"inertia contains a non-finite entry at index \(2, 2\)"),
+    (1.0, np.diag([1.0, np.inf, 1.0]), r"inertia contains a non-finite entry at index \(1, 1\)"),
+])
+def test_body_rejects_non_finite_mass_and_inertia(mass, inertia, message):
+    with pytest.raises(ValueError, match=rf"body x: .*{message}"):
+        Body("x", sphere_aopc(0.5, 24), "free", mass, inertia)
+
+
 def test_scene_pair_validation():
     s = sphere_aopc(0.5, 24)
     a = Body("a", s, "free", 1.0, sphere_inertia(1.0, 0.5))
@@ -307,3 +318,54 @@ def test_rollout_reads_separation_off_the_first_stage(monkeypatch, integrator, s
     assert len(calls) == stages * n * len(scene.pairs)
     assert np.isnan(res_off.min_separation).all() and res_off.min_separation.shape == (n + 1,)
     np.testing.assert_array_equal(res_off.states[-1].q, res.states[-1].q)
+
+
+def _batching_scene():
+    # Two groups of same-shape pairs: four 54 x 54 pairs (two chunks of two)
+    # and two 24 x 54 pairs (one stack). The kinematic ground is in three
+    # pairs, lower is a in one pair and b in another, and middle is b in
+    # three.
+    from softcontact.contact import ContactParams
+
+    box = box_aopc([0.2, 0.2, 0.2], 54)
+    inertia = box_inertia(1.0, [0.2, 0.2, 0.2])
+    ground = Body("ground", box_aopc([0.6, 0.6, 0.6], 54), "kinematic",
+                  motion=LinearMotion(Pose(np.array([0.05, 0.05, -0.3]), np.array([1.0, 0, 0, 0])), [0.02, 0, 0], [0, 0, 0.1]))
+    bodies = [Body("lower", box, "free", 1.0, inertia), ground, Body("middle", box, "free", 1.0, inertia),
+              Body("upper", box, "free", 1.0, inertia), Body("ball", sphere_aopc(0.1, 24), "free", 0.5, sphere_inertia(0.5, 0.1))]
+    pairs = [("ground", "lower"), ("ground", "middle"), ("lower", "middle"), ("upper", "middle"),
+             ("ball", "ground"), ("ball", "lower")]
+    scene = Scene(bodies, pairs, params=ContactParams(k=2e3, v_s=0.02))
+    rng = np.random.default_rng(8)
+    poses = {name: Pose(np.array(t), quat_normalize(np.array([1.0, 0, 0, 0]) + 0.02 * rng.standard_normal(4)))
+             for name, t in (("lower", [0, 0, 0.098]), ("middle", [0.195, 0, 0.097]),
+                             ("upper", [0.2, 0.01, 0.293]), ("ball", [-0.05, 0.195, 0.097]))}
+    velocities = {name: 0.05 * rng.standard_normal(6) for name in poses}
+    return scene, make_state(scene, poses, velocities)
+
+
+def _pair_by_pair(scene, state):
+    from softcontact.collision import separation_field
+    from softcontact.contact import ssdf_ssdf_force
+    from softcontact.dynamics import pose_all
+
+    world = pose_all(scene, state)
+    fields = [separation_field(world[ia], world[ib], scene.params.eps1, scene.params.eps2) for ia, ib in scene.pair_indices]
+    force = sum(ssdf_ssdf_force(world[ia], world[ib], f, scene.params) for (ia, ib), f in zip(scene.pair_indices, fields))
+    return force, min(float(np.min(f.values.real)) for f in fields)
+
+
+def test_stacked_pairs_match_pair_by_pair_forces():
+    from softcontact import dynamics
+    from softcontact.verify import cs_gradient, flatten_state, unflatten_state
+
+    scene, st = _batching_scene()
+    assert [len(c) for c in dynamics._pair_chunks(scene)] == [2, 2, 2]
+    got, sep = dynamics._contact_force(scene, st)
+    want, want_sep = _pair_by_pair(scene, st)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert sep == want_sep < 0
+    theta = flatten_state(st)
+    g_got = cs_gradient(lambda t: dynamics._contact_force(scene, unflatten_state(scene, st, t))[0], theta)
+    g_want = cs_gradient(lambda t: _pair_by_pair(scene, unflatten_state(scene, st, t))[0], theta)
+    assert np.abs(g_got - g_want).max() <= 1e-12 * np.abs(g_want).max()

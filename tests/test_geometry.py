@@ -22,6 +22,17 @@ def random_pose(rng):
     return Pose(rng.standard_normal(3), quat_normalize(rng.standard_normal(4)))
 
 
+def dense_jacobian(points, translation, dof_start, n):
+    """Oracle (I, 3, n) point Jacobian: [I3 | -skew(p - t)] in the 6-column
+    block at dof_start, zero for a kinematic body (dof_start None)."""
+    J = np.zeros((points.shape[0], 3, n), dtype=points.dtype)
+    if dof_start is not None:
+        J[:, :, dof_start : dof_start + 3] = np.eye(3)
+        # -skew(r) has rows r x e_j.
+        J[:, :, dof_start + 3 : dof_start + 6] = np.cross((points - translation)[:, None, :], np.eye(3))
+    return J
+
+
 def test_unit_cube_minimal_resolution():
     cube = box_aopc([1, 1, 1], 6)
     assert cube.num_points == 6
@@ -166,6 +177,16 @@ def test_local_aopc_validation():
         LocalAopc(pts, nrm / 2.0, verts, np.array([[0, 1, 2, 4]]))
 
 
+@pytest.mark.parametrize("field, index", [("points", (3, 1)), ("normals", (2, 0)), ("vertices", (5, 2))])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_local_aopc_rejects_non_finite_entries(field, index, value):
+    cube = box_aopc([1, 1, 1], 6)
+    arrays = {"points": cube.points.copy(), "normals": cube.normals.copy(), "vertices": cube.vertices.copy()}
+    arrays[field][index] = value
+    with pytest.raises(AopcError, match=rf"{field} contains a non-finite entry at index \({index[0]}, {index[1]}\)"):
+        LocalAopc(arrays["points"], arrays["normals"], arrays["vertices"], cube.faces)
+
+
 def test_pose_identity_and_translation_velocity():
     cube = box_aopc([1, 1, 1], 6)
     w = pose_aopc(cube, Pose.identity(), np.zeros(6), 0, "c")
@@ -193,19 +214,27 @@ def test_pose_angular_velocity_cross_product():
 
 
 def test_velocity_equals_jacobian_times_v():
+    # v + w x (p - t) and J v round differently, so this is not bit-exact.
     rng = np.random.default_rng(5)
     aopc = sphere_aopc(0.5, 100)
     for _ in range(10):
         v = rng.standard_normal(12)
-        w = pose_aopc(aopc, random_pose(rng), v, 6, "b")
-        np.testing.assert_array_equal(w.velocities, np.einsum("ikn,n->ik", w.jacobians, v))
+        pose = random_pose(rng)
+        w = pose_aopc(aopc, pose, v, 6, "b")
+        J = dense_jacobian(w.points, pose.translation, 6, 12)
+        expected = np.einsum("ikn,n->ik", J, v)
+        assert np.abs(w.velocities - expected).max() <= 1e-15 * np.abs(expected).max()
+        f = rng.standard_normal(w.points.shape)
+        np.testing.assert_allclose(w.generalized_force(f), np.einsum("ikn,ik->n", J, f), rtol=1e-12, atol=1e-12)
 
 
 def test_kinematic_bodies_have_zero_jacobians():
     aopc = box_aopc([0.4, 0.4, 0.4], 24)
     w = pose_aopc(aopc, Pose.identity(), np.zeros(6), None, "k",
                   prescribed_velocity=np.array([0.5, 0, 0, 0, 0, 2.0]))
-    assert (w.jacobians == 0).all()
+    f = np.random.default_rng(3).standard_normal(w.points.shape)
+    J = dense_jacobian(w.points, np.zeros(3), None, 6)
+    np.testing.assert_array_equal(w.generalized_force(f), np.einsum("ikn,ik->n", J, f))
     expected = np.array([0.5, 0, 0]) + np.cross([0, 0, 2.0], w.points)
     np.testing.assert_allclose(w.velocities, expected, atol=1e-15)
 
@@ -229,7 +258,7 @@ def test_jacobian_consistency_finite_difference():
     for _ in range(100):
         v = rng.standard_normal(6)
         w = pose_aopc(aopc, pose, v, 0, "b")
-        expected = np.einsum("ikn,n->ik", w.jacobians, v)
+        expected = np.einsum("ikn,n->ik", dense_jacobian(w.points, pose.translation, 0, 6), v)
 
         def moved(sign):
             dq = quat_from_rotvec(sign * h * v[3:])
@@ -240,6 +269,7 @@ def test_jacobian_consistency_finite_difference():
         fd = (moved(+1.0) - moved(-1.0)) / (2 * h)
         scale = max(1.0, np.abs(expected).max())
         assert np.abs(fd - expected).max() / scale < 1e-4
+        assert np.abs(fd - w.velocities).max() / scale < 1e-4
 
 
 def test_transform_aopc_matches_pose():
