@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .collision import (
     separation_field,
     soft_separation_distance,
 )
-from .config import ConfigError, SceneConfig, load_config, parse_config
+from .config import ConfigError, SceneConfig, build_aopc, parse_config, read_document
 from .dynamics import (
     DivergenceError,
     body_pose,
@@ -106,30 +105,46 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="step timing: contact vs separated variants")
     _common_flags(p)
     p.add_argument("--repetitions", type=int, default=100, help="timed steps per variant (>= 10)")
-    p.add_argument("--resolutions", default=None, help="comma list; regenerate primitive AOPCs per resolution")
+    p.add_argument("--resolutions", type=_int_list, default=None,
+                   help="comma list; regenerate primitive AOPCs per resolution")
 
     return parser
 
 
+def _int_list(text):
+    return [int(v) for v in text.split(",")]
+
+
+# The document section whose entry each override flag replaces.
+_OVERRIDES = {"contact": ("eps1", "eps2", "eps3"), "world": ("dt", "integrator", "duration")}
+
+
+def _document(args):
+    """The scene document with each override flag written in as the entry it
+    replaces, so that config checks flags and file alike."""
+    doc, base_dir = read_document(args.config)
+    edits = [(section, name, getattr(args, name)) for section, names in _OVERRIDES.items()
+             for name in names if getattr(args, name, None) is not None]
+    poses = getattr(args, "pose", [])
+    if edits or poses:
+        parse_config(doc, base_dir)  # a malformed file fails with its own message, not in an edit
+    for section, name, value in edits:
+        doc.setdefault(section, {})[name] = value
+    for spec in poses:
+        try:
+            name, rest = spec.split(":", 1)
+            vals = [float(v) for v in rest.split(",")]
+        except ValueError:
+            raise ConfigError(f"--pose {spec!r}: expected NAME:tx,ty,tz[,qw,qx,qy,qz]") from None
+        body = next((b for b in doc["bodies"] if b["name"] == name), None)
+        if body is None:
+            raise ConfigError(f"--pose: unknown body {name!r}")
+        body["pose"] = {"translation": vals[:3], "quaternion": vals[3:] or [1.0, 0.0, 0.0, 0.0]}
+    return doc, base_dir
+
+
 def _load(args) -> SceneConfig:
-    cfg = load_config(args.config)
-    params = cfg.scene.params
-    for name in ("eps1", "eps2", "eps3"):
-        val = getattr(args, name, None)
-        if val is not None:
-            params = replace(params, **{name: val})
-    cfg.scene.params = params
-    if args.dt is not None:
-        if args.dt <= 0:
-            raise ConfigError("--dt must be positive")
-        cfg.world.dt = args.dt
-    if args.integrator is not None:
-        cfg.world.integrator = args.integrator
-    if getattr(args, "duration", None) is not None:
-        if args.duration < 0:
-            raise ConfigError("--duration must be nonnegative")
-        cfg.world.duration = args.duration
-    return cfg
+    return parse_config(*_document(args))
 
 
 def _say(args, text):
@@ -184,13 +199,11 @@ def _body_or_default(cfg, name, default_index, what):
 
 def cmd_sdf_grid(args) -> int:
     if args.primitive is not None:
-        from .config import _aopc
-
         try:
             doc = json.loads(args.primitive)
         except json.JSONDecodeError as e:
             raise ConfigError(f"--primitive: invalid JSON: {e}") from None
-        aopc, _spec = _aopc(doc, "--primitive", ".")
+        aopc, _ = build_aopc(doc, "--primitive", ".")
         body_name = aopc.name
     elif args.config is not None:
         cfg = _load(args)
@@ -276,28 +289,10 @@ def cmd_force_sweep(args) -> int:
     return 0
 
 
-def _apply_pose_overrides(cfg, overrides):
-    for spec in overrides:
-        try:
-            name, rest = spec.split(":", 1)
-            vals = [float(v) for v in rest.split(",")]
-        except ValueError:
-            raise ConfigError(f"--pose {spec!r}: expected NAME:tx,ty,tz[,qw,qx,qy,qz]") from None
-        if len(vals) not in (3, 7):
-            raise ConfigError(f"--pose {spec!r}: expected 3 or 7 numbers")
-        q = np.array(vals[3:] or [1.0, 0.0, 0.0, 0.0])
-        _body_or_default(cfg, name, None, "--pose")
-        dof = cfg.scene.dof_start(cfg.scene.body_index(name))
-        if dof is None:
-            raise ConfigError(f"--pose: body {name!r} is kinematic")
-        cfg.state.q[dof // 6] = np.concatenate([vals[:3], q / np.linalg.norm(q)])
-
-
 def cmd_collide(args) -> int:
     cfg = _load(args)
     if not cfg.scene.pair_indices:
         raise ConfigError("collide needs at least one collision pair")
-    _apply_pose_overrides(cfg, args.pose)
     world = pose_all(cfg.scene, cfg.state)
     oracle = hard_pipeline_oracle(cfg.scene, cfg.state)
     written = []
@@ -351,27 +346,21 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _load(args)
+    doc, base_dir = _document(args)
+    cfg = parse_config(doc, base_dir)
     if args.repetitions < 10:
         raise ConfigError("--repetitions must be at least 10")
     if not cfg.scene.pair_indices:
         raise ConfigError("bench needs at least one collision pair")
-    resolutions = [None]
-    if args.resolutions:
-        resolutions = [int(v) for v in args.resolutions.split(",")]
-        with open(args.config) as fh:
-            doc = json.load(fh)
     rows = ["variant,resolution,total_points,median_ms,p10_ms,p90_ms"]
     summaries = []
-    for res in resolutions:
-        scene, contact_state = cfg.scene, cfg.state
+    for res in args.resolutions or [None]:
         if res is not None:
             for b in doc["bodies"]:
-                if "kind" in b.get("aopc", {}):
+                if "kind" in b["aopc"]:
                     b["aopc"]["resolution"] = res
-            rebuilt = parse_config(doc, base_dir=os.path.dirname(os.path.abspath(args.config)))
-            rebuilt.scene.params = cfg.scene.params
-            scene, contact_state = rebuilt.scene, rebuilt.state
+            cfg = parse_config(doc, base_dir)
+        scene, contact_state = cfg.scene, cfg.state
         label = res if res is not None else "config"
         total_points = sum(b.aopc.num_points for b in scene.bodies)
         # Move every free body far out along +x: same shapes, no contact.

@@ -11,6 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
@@ -75,8 +76,9 @@ def _pose(obj, path) -> Pose:
     return Pose(t, q)
 
 
-def _aopc(obj, path, base_dir) -> tuple[LocalAopc, dict | None]:
-    """Build the collision geometry; returns (aopc, primitive spec or None)."""
+def build_aopc(obj, path, base_dir) -> tuple[LocalAopc, Callable[[float], np.ndarray] | None]:
+    """Build the collision geometry of an aopc entry. Returns the aopc and
+    the primitive's 'auto' inertia as a function of mass (None for a file)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     if "file" in obj:
@@ -95,19 +97,20 @@ def _aopc(obj, path, base_dir) -> tuple[LocalAopc, dict | None]:
     if "kind" not in obj:
         raise ConfigError(f"{path}: needs either 'kind' (primitive) or 'file'")
     kind = obj["kind"]
-    spec = dict(obj)
     try:
         if kind == "sphere":
             _check_keys(obj, path, ("kind", "radius", "resolution"))
-            aopc = generate_primitive("sphere", _number(obj["radius"], f"{path}.radius", True), int(obj["resolution"]))
-        elif kind == "box":
+            r = _number(obj["radius"], f"{path}.radius", True)
+            return generate_primitive("sphere", r, int(obj["resolution"])), lambda m: sphere_inertia(m, r)
+        if kind == "box":
             _check_keys(obj, path, ("kind", "size", "resolution"))
-            aopc = generate_primitive("box", _vector(obj["size"], f"{path}.size", 3), int(obj["resolution"]))
-        elif kind == "cylinder":
+            size = _vector(obj["size"], f"{path}.size", 3)
+            return generate_primitive("box", size, int(obj["resolution"])), lambda m: box_inertia(m, size)
+        if kind == "cylinder":
             _check_keys(obj, path, ("kind", "radius", "height", "resolution"))
-            dims = (_number(obj["radius"], f"{path}.radius", True), _number(obj["height"], f"{path}.height", True))
-            aopc = generate_primitive("cylinder", dims, int(obj["resolution"]))
-        elif kind == "composite":
+            r, h = _number(obj["radius"], f"{path}.radius", True), _number(obj["height"], f"{path}.height", True)
+            return generate_primitive("cylinder", (r, h), int(obj["resolution"])), lambda m: cylinder_inertia(m, r, h)
+        if kind == "composite":
             _check_keys(obj, path, ("kind", "members", "resolution"))
             if not isinstance(obj["members"], list) or not obj["members"]:
                 raise ConfigError(f"{path}.members: expected a non-empty list")
@@ -118,42 +121,30 @@ def _aopc(obj, path, base_dir) -> tuple[LocalAopc, dict | None]:
                     (_vector(m["size"], f"{path}.members[{i}].size", 3),
                      _vector(m["offset"], f"{path}.members[{i}].offset", 3))
                 )
-            aopc = generate_primitive("composite", members, int(obj["resolution"]))
-            spec["members"] = members
-        else:
-            raise ConfigError(f"{path}.kind: unknown primitive {kind!r}")
+
+            def auto_inertia(mass):
+                com, inertia = composite_box_inertia(mass, members)
+                scale = max(float(np.max(np.abs(s))) for s, _ in members)
+                if np.linalg.norm(com) > 1e-6 * max(scale, 1e-9):
+                    raise ConfigError(
+                        f"{path}.members: composite center of mass {com.tolist()} is off-origin; "
+                        "recenter the member offsets (dynamics assumes the body origin is the COM)"
+                    )
+                return inertia
+
+            return generate_primitive("composite", members, int(obj["resolution"])), auto_inertia
     except ConfigError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{path}: {e}") from None
-    return aopc, spec
+    raise ConfigError(f"{path}.kind: unknown primitive {kind!r}")
 
 
-def _auto_inertia(spec, mass, path) -> np.ndarray:
-    if spec is None:
-        raise ConfigError(f"{path}: inertia 'auto' needs a primitive aopc, not a file")
-    kind = spec["kind"]
-    if kind == "sphere":
-        return sphere_inertia(mass, spec["radius"])
-    if kind == "box":
-        return box_inertia(mass, spec["size"])
-    if kind == "cylinder":
-        return cylinder_inertia(mass, spec["radius"], spec["height"])
-    if kind == "composite":
-        com, inertia = composite_box_inertia(mass, spec["members"])
-        scale = max(float(np.max(np.abs(np.asarray(s)))) for s, _ in spec["members"])
-        if np.linalg.norm(com) > 1e-6 * max(scale, 1e-9):
-            raise ConfigError(
-                f"{path}: composite center of mass {com.tolist()} is off-origin; "
-                "recenter the member offsets (dynamics assumes the body origin is the COM)"
-            )
-        return inertia
-    raise ConfigError(f"{path}: no auto inertia for {kind!r}")
-
-
-def _inertia(obj, path, spec, mass) -> np.ndarray:
+def _inertia(obj, path, auto, mass) -> np.ndarray:
     if obj == "auto":
-        return _auto_inertia(spec, mass, path)
+        if auto is None:
+            raise ConfigError(f"{path}: inertia 'auto' needs a primitive aopc, not a file")
+        return auto(mass)
     if isinstance(obj, list) and len(obj) == 3 and all(isinstance(v, (int, float)) for v in obj):
         return np.diag(_vector(obj, path, 3))
     if isinstance(obj, list) and len(obj) == 3:
@@ -209,7 +200,8 @@ class SceneConfig:
     description: str = ""
 
 
-def load_config(path: str) -> SceneConfig:
+def read_document(path: str) -> tuple[object, str]:
+    """The JSON document at path and the directory its aopc files are relative to."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -217,7 +209,11 @@ def load_config(path: str) -> SceneConfig:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
-    return parse_config(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+    return doc, os.path.dirname(os.path.abspath(path))
+
+
+def load_config(path: str) -> SceneConfig:
+    return parse_config(*read_document(path))
 
 
 def parse_config(doc: dict, base_dir: str = ".") -> SceneConfig:
@@ -235,14 +231,14 @@ def parse_config(doc: dict, base_dir: str = ".") -> SceneConfig:
         if not isinstance(name, str) or not name:
             raise ConfigError(f"{path}.name: expected a non-empty string")
         kind = b["kind"]
-        aopc, spec = _aopc(b["aopc"], f"{path}.aopc", base_dir)
+        aopc, auto_inertia = build_aopc(b["aopc"], f"{path}.aopc", base_dir)
         if kind == "free":
             if "motion" in b:
                 raise ConfigError(f"{path}: free bodies take 'pose'/'velocity', not 'motion'")
             if "mass" not in b or "inertia" not in b:
                 raise ConfigError(f"{path}: free bodies need 'mass' and 'inertia'")
             mass = _number(b["mass"], f"{path}.mass", positive=True)
-            inertia = _inertia(b["inertia"], f"{path}.inertia", spec, mass)
+            inertia = _inertia(b["inertia"], f"{path}.inertia", auto_inertia, mass)
             try:
                 bodies.append(Body(name, aopc, "free", mass, inertia))
             except ValueError as e:

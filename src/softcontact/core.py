@@ -168,7 +168,3 @@ def quat_from_rotvec(rv: np.ndarray) -> np.ndarray:
     half_sinc = np.where(small, 0.5 - th2 / 48.0, np.sin(th_safe / 2.0) / th_safe)
     w = np.cos(th / 2.0)
     return np.concatenate([w, half_sinc * rv], axis=-1)
-
-
-def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (quat_to_matrix(q) @ np.asarray(v)[..., None])[..., 0]

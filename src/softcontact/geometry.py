@@ -118,6 +118,8 @@ class Pose:
         q = np.asarray(self.quaternion)
         if t.shape != (3,) or q.shape != (4,):
             raise ValueError("Pose needs translation (3,) and quaternion (4,)")
+        _reject_nonfinite(t, "Pose translation")
+        _reject_nonfinite(q, "Pose quaternion")
         if not np.iscomplexobj(q) and abs(float(np.sqrt(np.sum(q * q))) - 1.0) > 1e-9:
             raise ValueError("Pose quaternion must be unit (renormalize first)")
         object.__setattr__(self, "translation", t)
@@ -267,6 +269,15 @@ def _face_quads(quads2d: np.ndarray, ax: int, offset: float) -> np.ndarray:
     return q3
 
 
+def _join(parts):
+    """(points, normals, vertices, faces) of one cloud made of parts given as
+    such tuples; each part's face indices move past the vertices before it."""
+    points, normals, vertices, faces = zip(*parts)
+    starts = np.cumsum([0] + [v.shape[0] for v in vertices[:-1]])
+    faces = [f + s for f, s in zip(faces, starts)]
+    return tuple(np.concatenate(a) for a in (points, normals, vertices, faces))
+
+
 def box_aopc(size, resolution: int = 6, name: str = "box") -> LocalAopc:
     """Axis-aligned box quadrangulated with near-square cells.
 
@@ -341,7 +352,6 @@ def cylinder_aopc(radius: float, height: float, resolution: int = 256, name: str
         raise AopcError("resolution must be at least 6")
     area = 2 * math.pi * radius * height + 2 * math.pi * radius**2
     h = math.sqrt(area / resolution)
-    centers, normals, corners = [], [], []
 
     ntheta = max(3, math.ceil(2 * math.pi * radius / h))
     nz = max(1, math.ceil(height / h))
@@ -356,9 +366,9 @@ def cylinder_aopc(radius: float, height: float, resolution: int = 256, name: str
     z_c = 0.5 * (quads2d[:, 0, 1] + quads2d[:, 3, 1])
     lat_n = np.stack([np.cos(th_c), np.sin(th_c), np.zeros_like(th_c)], axis=-1)
     lat_c = radius * lat_n + np.stack([np.zeros_like(z_c)] * 2 + [z_c], axis=-1)
-    corners.append(lat)
-    centers.append(lat_c)
-    normals.append(lat_n)
+    # Weld each sheet separately so the lateral seam (theta = 0 == 2*pi)
+    # merges but cap rims keep their own vertices.
+    sheets = [(lat_c, lat_n, *_weld(lat))]
 
     ncap = max(1, math.ceil(2 * radius / h))
     g = np.linspace(-1.0, 1.0, ncap + 1)
@@ -369,24 +379,12 @@ def cylinder_aopc(radius: float, height: float, resolution: int = 256, name: str
     dy = v * np.sqrt(np.maximum(1.0 - u * u / 2.0, 0.0)) * radius
     for sign in (+1.0, -1.0):
         cap = np.stack([dx, dy, np.full_like(dx, sign * height / 2)], axis=-1)
-        corners.append(cap)
-        centers.append(cap.mean(axis=1))
         nrm = np.zeros((cap.shape[0], 3))
         nrm[:, 2] = sign
-        normals.append(nrm)
-
-    # Weld each sheet separately so the lateral seam (theta = 0 == 2*pi)
-    # merges but cap rims keep their own vertices.
-    all_v, all_f, off = [], [], 0
-    for c in corners:
-        vv, ff = _weld(c)
-        all_v.append(vv)
-        all_f.append(ff + off)
-        off += vv.shape[0]
-    centers = np.concatenate(centers)
-    normals = np.concatenate(normals)
+        sheets.append((cap.mean(axis=1), nrm, *_weld(cap)))
+    centers, normals, vertices, faces = _join(sheets)
     _check_outward(centers, normals, np.zeros(3))
-    return LocalAopc(centers, normals, np.concatenate(all_v), np.concatenate(all_f), name=name)
+    return LocalAopc(centers, normals, vertices, faces, name=name)
 
 
 def box_sdf(p: np.ndarray, size, center) -> np.ndarray:
@@ -432,15 +430,7 @@ def composite_box_aopc(members, resolution: int = 512, name: str = "composite") 
         parts.append(
             (pts[keep], b.normals[keep], b.vertices[used] + o, remap[faces])
         )
-    off = 0
-    pts, nrms, verts, faces = [], [], [], []
-    for p, n, v, f in parts:
-        pts.append(p)
-        nrms.append(n)
-        verts.append(v)
-        faces.append(f + off)
-        off += v.shape[0]
-    return LocalAopc(np.concatenate(pts), np.concatenate(nrms), np.concatenate(verts), np.concatenate(faces), name=name)
+    return LocalAopc(*_join(parts), name=name)
 
 
 def generate_primitive(kind: str, dimensions, resolution: int, name: str | None = None) -> LocalAopc:

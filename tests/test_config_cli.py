@@ -75,6 +75,11 @@ def test_out_of_range_values_rejected(tmp_path):
     with pytest.raises(ConfigError, match="eps2"):
         load_config(write(tmp_path, doc))
 
+    doc = minimal_doc()
+    doc["bodies"][0]["aopc"]["resolution"] = float("inf")  # json writes Infinity
+    with pytest.raises(ConfigError, match=r"bodies\[0\]\.aopc: cannot convert float infinity"):
+        load_config(write(tmp_path, doc))
+
 
 def test_kinematic_free_field_mixing_rejected(tmp_path):
     doc = minimal_doc()
@@ -255,3 +260,69 @@ def test_eps_overrides(tmp_path):
     args = build_parser().parse_args(["simulate", "--config", cfg, "--eps2", "0.05"])
     loaded = _load(args)
     assert loaded.scene.params.eps2 == 0.05
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["collide", "--config", "stacked_boxes.json", "--pose", "upper:nan,0,0"], "$.bodies[1].pose.translation[0]"),
+    (["collide", "--config", "stacked_boxes.json", "--pose", "upper:inf,0,0"], "$.bodies[1].pose.translation[0]"),
+    (["collide", "--config", "stacked_boxes.json", "--pose", "upper:0,0,1,0,0,0,0"], "$.bodies[1].pose.quaternion"),
+    (["collide", "--config", "sphere_drop.json", "--pose", "ground:0,0,0"], "$.bodies[1]: kinematic bodies"),
+    (["collide", "--config", "stacked_boxes.json", "--pose", "nobody:0,0,0"], "--pose: unknown body 'nobody'"),
+    (["simulate", "--config", "sphere_drop.json", "--eps1", "-1"], "$.contact: eps1"),
+    (["simulate", "--config", "sphere_drop.json", "--eps2", "nan"], "$.contact.eps2"),
+    (["simulate", "--config", "sphere_drop.json", "--dt", "nan"], "$.world.dt"),
+    (["simulate", "--config", "sphere_drop.json", "--dt", "-1"], "$.world.dt"),
+    (["simulate", "--config", "sphere_drop.json", "--duration", "nan"], "$.world.duration"),
+])
+def test_cli_bad_override_names_the_document_entry(tmp_path, capsys, argv, entry):
+    argv = [os.path.join(CONFIG_DIR, a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and entry in err[0], err
+    assert not list(tmp_path.iterdir())  # rejected before anything is written
+
+
+@pytest.mark.parametrize("edit, flag, message", [
+    (lambda doc: doc.pop("world"), ["--dt", "0.01"], "$: missing key(s) ['world']"),
+    (lambda doc: doc.pop("bodies"), ["--eps1", "0.01"], "$: missing key(s) ['bodies']"),
+    (lambda doc: doc["bodies"][0].pop("name"), ["--duration", "0"], "$.bodies[0]: missing key(s) ['name']"),
+    (lambda doc: doc.update(contact=[]), ["--eps2", "0.01"], "$.contact: expected an object"),
+])
+def test_cli_override_on_malformed_file_reports_the_file(tmp_path, capsys, edit, flag, message):
+    doc = minimal_doc()
+    edit(doc)
+    cfg = write(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    plain = capsys.readouterr().err
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"] + flag) == 1
+    assert capsys.readouterr().err == plain == f"error: {message}\n"
+
+
+def test_cli_pose_flag_matches_pose_written_in_the_file(tmp_path):
+    path = os.path.join(CONFIG_DIR, "stacked_boxes.json")
+    rc = main(["collide", "--config", path, "--out", str(tmp_path / "flag"), "--k", "8", "--quiet",
+               "--pose", "upper:0.01,0,0.97"])
+    assert rc == 0
+    with open(path) as fh:
+        doc = json.load(fh)
+    [upper] = [b for b in doc["bodies"] if b["name"] == "upper"]
+    upper["pose"] = {"translation": [0.01, 0, 0.97]}
+    rc = main(["collide", "--config", write(tmp_path, doc), "--out", str(tmp_path / "file"), "--k", "8", "--quiet"])
+    assert rc == 0
+    names = sorted(os.listdir(tmp_path / "flag"))
+    assert names == sorted(os.listdir(tmp_path / "file")) and len(names) == 2
+    for name in names:
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
+def test_cli_bench_resolutions(tmp_path):
+    rc = main(["bench", "--config", os.path.join(CONFIG_DIR, "stacked_boxes.json"), "--out", str(tmp_path),
+               "--resolutions", "24,54", "--repetitions", "10", "--quiet"])
+    assert rc == 0
+    rows = (tmp_path / "bench.csv").read_text().strip().splitlines()
+    assert len(rows) == 5
+    # Two 0.5 x 0.5 x 0.2 boxes; the lattice rounds each face's cells up.
+    assert [r.split(",")[:3] for r in rows[1:]] == [
+        ["contact", "24", "84"], ["separated", "24", "84"], ["contact", "54", "128"], ["separated", "54", "128"]]
+    assert main(["bench", "--config", os.path.join(CONFIG_DIR, "stacked_boxes.json"), "--out", str(tmp_path),
+                 "--resolutions", "24,x", "--quiet"]) == 1

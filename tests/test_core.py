@@ -8,7 +8,6 @@ from softcontact.core import (
     quat_multiply,
     quat_normalize,
     quat_to_matrix,
-    rotate,
     softmax,
     softplus,
 )
@@ -141,8 +140,6 @@ def test_quaternion_helpers():
     R = quat_to_matrix(q)
     np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-14)
     assert abs(np.linalg.det(R) - 1.0) < 1e-12
-    v = rng.standard_normal(3)
-    np.testing.assert_allclose(rotate(q, v), R @ v, atol=1e-14)
 
     # exp map: small-angle series joins the trig branch smoothly
     w = np.array([1e-9, -2e-9, 0.5e-9])

@@ -187,6 +187,23 @@ def test_local_aopc_rejects_non_finite_entries(field, index, value):
         LocalAopc(arrays["points"], arrays["normals"], arrays["vertices"], cube.faces)
 
 
+@pytest.mark.parametrize("field, index", [("translation", 0), ("translation", 2), ("quaternion", 0), ("quaternion", 3)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_pose_rejects_non_finite_entries(field, index, value):
+    arrays = {"translation": np.zeros(3, dtype=complex), "quaternion": np.array([1.0, 0, 0, 0], dtype=complex)}
+    arrays[field][index] = value
+    if isinstance(value, float):
+        arrays = {k: a.real.copy() for k, a in arrays.items()}
+    with pytest.raises(ValueError, match=rf"Pose {field} contains a non-finite entry at index {index}\b"):
+        Pose(arrays["translation"], arrays["quaternion"])
+
+
+def test_pose_accepts_complex_step_input():
+    q = quat_normalize(np.array([0.9, 0.1, -0.3, 0.2])) + 1e-20j * np.array([0.0, 1.0, 0.0, 0.0])
+    pose = Pose(np.array([0.1, -0.2, 0.3]) + 1e-20j, q)
+    assert pose.translation.imag[0] == 1e-20 and pose.quaternion.imag[1] == 1e-20
+
+
 def test_pose_identity_and_translation_velocity():
     cube = box_aopc([1, 1, 1], 6)
     w = pose_aopc(cube, Pose.identity(), np.zeros(6), 0, "c")
