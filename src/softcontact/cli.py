@@ -43,6 +43,10 @@ _AXES = {"x": 0, "y": 1, "z": 2}
 
 
 class _Parser(argparse.ArgumentParser):
+    # No abbreviated flags: sdf-grid would read --eps1 as --eps1-list.
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # Usage problems are validation errors: exit 1, not argparse's default 2.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -50,69 +54,79 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _common_flags(p: argparse.ArgumentParser, config_required: bool = True):
-    p.add_argument("--config", required=config_required, help="scene configuration (JSON)")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
-    p.add_argument("--dt", type=float, default=None, help="override world.dt")
-    p.add_argument("--integrator", choices=("euler", "rk4"), default=None, help="override world.integrator")
-    p.add_argument("--eps1", type=float, default=None, help="override contact.eps1 (m^2)")
-    p.add_argument("--eps2", type=float, default=None, help="override contact.eps2 (m)")
-    p.add_argument("--eps3", type=float, default=None, help="override contact.eps3 (m)")
-    p.add_argument("--quiet", action="store_true", help="suppress stdout summaries")
+def _comma_list(convert, n=None):
+    """argparse type: a comma list of finite values of type convert, exactly
+    n of them when n is given."""
+    what = f"{n or 'one or more'} comma-separated {'integers' if convert is int else 'finite numbers'}"
+
+    def parse(text):
+        try:
+            vals = [convert(v) for v in text.split(",")]
+        except ValueError:
+            vals = []
+        if not vals or (n and len(vals) != n) or not all(-np.inf < v < np.inf for v in vals):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return vals
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="softcontact", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # Flag sets shared by subcommands; each subcommand takes only the flags it reads.
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--out", default=".", help="output directory")
+    io.add_argument("--quiet", action="store_true", help="suppress stdout summaries")
+    contact = argparse.ArgumentParser(add_help=False, parents=[io])
+    contact.add_argument("--config", required=True, help="scene configuration (JSON)")
+    for name, unit in (("eps1", "m^2"), ("eps2", "m"), ("eps3", "m")):
+        contact.add_argument(f"--{name}", type=float, default=None, help=f"override contact.{name} ({unit})")
+    world = argparse.ArgumentParser(add_help=False, parents=[contact])
+    world.add_argument("--dt", type=float, default=None, help="override world.dt")
+    world.add_argument("--integrator", choices=("euler", "rk4"), default=None, help="override world.integrator")
 
-    p = sub.add_parser("simulate", help="roll out a scene and export the trajectory")
-    _common_flags(p)
+    p = sub.add_parser("simulate", parents=[world], help="roll out a scene and export the trajectory")
     p.add_argument("--duration", type=float, default=None, help="override world.duration (s)")
 
-    p = sub.add_parser("sdf-grid", help="sample the soft SDF of one body on a lattice")
-    _common_flags(p, config_required=False)
+    p = sub.add_parser("sdf-grid", parents=[io], help="sample the soft SDF of one body on a lattice")
+    p.add_argument("--config", default=None, help="scene configuration (JSON)")
     p.add_argument("--body", default=None, help="body name (default: first body)")
     p.add_argument("--primitive", default=None, metavar="JSON",
                    help="inline primitive instead of a config body, e.g. "
                         '\'{"kind": "box", "size": [1, 1, 1], "resolution": 150}\'')
-    p.add_argument("--bounds", default=None, help="x0,x1,y0,y1,z0,z1 (default: 1.6x the body bbox)")
-    p.add_argument("--resolution", default="41,41,41", help="nx,ny,nz lattice nodes")
-    p.add_argument("--eps1-list", default="0.01,0.25,0.5,10.0", help="comma list of temperatures; one CSV per value")
+    p.add_argument("--bounds", type=_comma_list(float, 6), default=None,
+                   help="x0,x1,y0,y1,z0,z1 (default: 1.6x the body bbox)")
+    p.add_argument("--resolution", type=_comma_list(int, 3), default="41,41,41", help="nx,ny,nz lattice nodes")
+    p.add_argument("--eps1-list", type=_comma_list(float), default="0.01,0.25,0.5,10.0",
+                   help="comma list of temperatures; one CSV per value")
     p.add_argument("--slice", dest="slice_spec", default=None, help="pin one axis, e.g. z=0")
 
-    p = sub.add_parser("force-sweep", help="contact force on a body swept along an axis")
-    _common_flags(p)
+    p = sub.add_parser("force-sweep", parents=[contact], help="contact force on a body swept along an axis")
     p.add_argument("--body", default=None, help="moving body (default: second body)")
     p.add_argument("--axis", choices=("x", "y", "z"), default="y")
-    p.add_argument("--range", dest="sweep_range", default="-1.5,1.5", help="start,stop (m)")
+    p.add_argument("--range", dest="sweep_range", type=_comma_list(float, 2), default="-1.5,1.5", help="start,stop (m)")
     p.add_argument("--samples", type=int, default=201)
 
-    p = sub.add_parser("collide", help="separation field report for the configured pairs")
-    _common_flags(p)
+    p = sub.add_parser("collide", parents=[contact], help="separation field report for the configured pairs")
     p.add_argument("--pose", action="append", default=[], metavar="NAME:tx,ty,tz[,qw,qx,qy,qz]",
                    help="override a free body pose (repeatable)")
     p.add_argument("--k", type=int, default=None, help="also emit K soft contact points")
     p.add_argument("--tau", type=float, default=1e-2, help="top-K selection temperature")
     p.add_argument("--swap", action="store_true", help="swap the order of every pair")
 
-    p = sub.add_parser("gradcheck", help="derivative checks on randomized states")
-    _common_flags(p)
+    p = sub.add_parser("gradcheck", parents=[contact], help="derivative checks on randomized states")
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled states")
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--h", type=float, default=1e-6, help="finite-difference step scale")
     p.add_argument("--tol", type=float, default=1e-3)
 
-    p = sub.add_parser("bench", help="step timing: contact vs separated variants")
-    _common_flags(p)
+    p = sub.add_parser("bench", parents=[world], help="step timing: contact vs separated variants")
     p.add_argument("--repetitions", type=int, default=100, help="timed steps per variant (>= 10)")
-    p.add_argument("--resolutions", type=_int_list, default=None,
+    p.add_argument("--resolutions", type=_comma_list(int), default=None,
                    help="comma list; regenerate primitive AOPCs per resolution")
 
     return parser
-
-
-def _int_list(text):
-    return [int(v) for v in text.split(",")]
 
 
 # The document section whose entry each override flag replaces.
@@ -213,15 +227,12 @@ def cmd_sdf_grid(args) -> int:
     else:
         raise ConfigError("sdf-grid needs --config or --primitive")
     if args.bounds is not None:
-        vals = _floats(args.bounds, 6, "--bounds")
-        lo = np.array(vals[0::2])
-        hi = np.array(vals[1::2])
+        lo, hi = np.array(args.bounds[0::2]), np.array(args.bounds[1::2])
     else:
         pts = aopc.points
         center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
         half = 0.8 * (pts.max(axis=0) - pts.min(axis=0)) + 0.5
         lo, hi = center - half, center + half
-    res = [int(v) for v in _floats(args.resolution, 3, "--resolution")]
     slice_axis = slice_value = None
     if args.slice_spec is not None:
         try:
@@ -230,26 +241,13 @@ def cmd_sdf_grid(args) -> int:
             slice_value = float(val)
         except (ValueError, KeyError):
             raise ConfigError("--slice must look like z=0") from None
-    eps_list = [float(v) for v in args.eps1_list.split(",") if v]
-    if not eps_list:
-        raise ConfigError("--eps1-list must name at least one temperature")
-    written = []
-    for eps1 in eps_list:
-        pts_grid, values = sample_sdf_grid(aopc, (lo, hi), res, eps1, slice_axis, slice_value or 0.0)
-        fname = f"sdf_{body_name}_eps{eps1:g}.csv"
-        written.append(_write(args, fname, grid_to_csv(pts_grid, values)))
+    # Every grid is sampled before any is written, so a rejected value writes nothing.
+    grids = [sample_sdf_grid(aopc, (lo, hi), args.resolution, eps1, slice_axis, slice_value or 0.0)
+             for eps1 in args.eps1_list]
+    written = [_write(args, f"sdf_{body_name}_eps{eps1:g}.csv", grid_to_csv(*grid))
+               for eps1, grid in zip(args.eps1_list, grids)]
     _say(args, "wrote " + ", ".join(written))
     return 0
-
-
-def _floats(text, n, what):
-    try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"{what}: expected {n} comma-separated numbers") from None
-    if len(vals) != n:
-        raise ConfigError(f"{what}: expected {n} comma-separated numbers")
-    return vals
 
 
 def cmd_force_sweep(args) -> int:
@@ -263,10 +261,9 @@ def cmd_force_sweep(args) -> int:
     dof = cfg.scene.dof_start(idx)
     k = dof // 6
     axis = _AXES[args.axis]
-    a0, a1 = _floats(args.sweep_range, 2, "--range")
     if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
-    positions = np.linspace(a0, a1, args.samples)
+    positions = np.linspace(*args.sweep_range, args.samples)
     rows = ["position,fx,fy,fz,tx,ty,tz,grad_f%s" % args.axis]
     base = cfg.state.copy()
     base.v[:] = 0.0
@@ -295,22 +292,21 @@ def cmd_collide(args) -> int:
         raise ConfigError("collide needs at least one collision pair")
     world = pose_all(cfg.scene, cfg.state)
     oracle = hard_pipeline_oracle(cfg.scene, cfg.state)
-    written = []
+    # Every pair is evaluated before any file is written, so a rejected --k or --tau writes nothing.
+    files, lines = [], []
     for pidx, (ia, ib) in enumerate(cfg.scene.pair_indices):
         a, b = (world[ib], world[ia]) if args.swap else (world[ia], world[ib])
         fld = separation_field(a, b, cfg.scene.params.eps1, cfg.scene.params.eps2)
         soft = float(soft_separation_distance(fld))
         hard = oracle.per_pair[pidx][0]
-        name = f"collision_{a.body_id}_{b.body_id}.csv"
-        written.append(_write(args, name, collision_report_csv(fld, soft, hard)))
-        _say(args, f"pair ({a.body_id}, {b.body_id}): soft separation {soft:.6g} m, hard {hard:.6g} m")
+        files.append((f"collision_{a.body_id}_{b.body_id}.csv", collision_report_csv(fld, soft, hard)))
+        lines.append(f"pair ({a.body_id}, {b.body_id}): soft separation {soft:.6g} m, hard {hard:.6g} m")
         if args.k is not None:
             cps = contact_points(a, b, fld, args.k, args.tau)
-            rows = ["k,cx,cy,cz"]
-            for j, c in enumerate(cps.points):
-                rows.append("%d,%.17g,%.17g,%.17g" % (j, *c))
-            written.append(_write(args, f"contact_points_{a.body_id}_{b.body_id}.csv", "\n".join(rows) + "\n"))
-    _say(args, "wrote " + ", ".join(written))
+            rows = ["k,cx,cy,cz"] + ["%d,%.17g,%.17g,%.17g" % (j, *c) for j, c in enumerate(cps.points)]
+            files.append((f"contact_points_{a.body_id}_{b.body_id}.csv", "\n".join(rows) + "\n"))
+    written = [_write(args, name, text) for name, text in files]
+    _say(args, "\n".join(lines + ["wrote " + ", ".join(written)]))
     return 0
 
 
@@ -318,8 +314,6 @@ def cmd_gradcheck(args) -> int:
     cfg = _load(args)
     if args.samples < 1:
         raise ConfigError("--samples must be at least 1")
-    if args.h <= 0:
-        raise ConfigError("--h must be positive")
     rng = np.random.default_rng(args.seed)
     worst = None
     texts = []
@@ -412,7 +406,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as e:
+    except ValueError as e:  # ConfigError, AopcError and the library's input checks
         print(f"error: {e}", file=sys.stderr)
         return 1
     except DivergenceError as e:

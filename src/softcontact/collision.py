@@ -22,17 +22,14 @@ from .ssdf import SsdfResult, ssdf
 class SeparationField:
     """values: stacked soft signed distances, points of body b against body a
     first (I_b entries) and points of a against b second (I_a entries);
-    distribution: softmin weights over those entries; owner/face record which
-    surface (1 = a, 2 = b) owns the query point behind each entry; b_in_a and
-    a_in_b: the two SSDF batteries the values came from, whose weights and
-    plane distances the contact model reuses. For a stack of P pairs values
-    and distribution are (P, I_b + I_a); owner and face are shared.
+    distribution: softmin weights over those entries; b_in_a and a_in_b: the
+    two SSDF batteries the values came from, whose weights and plane
+    distances the contact model reuses. For a stack of P pairs values and
+    distribution are (P, I_b + I_a).
     """
 
     values: np.ndarray
     distribution: np.ndarray
-    owner: np.ndarray
-    face: np.ndarray
     eps1: float
     eps2: float
     b_in_a: SsdfResult
@@ -52,14 +49,11 @@ def separation_field(a, b, eps1: float, eps2: float) -> SeparationField:
     """
     check_temperature(eps1, "eps1")
     check_temperature(eps2, "eps2")
-    Ia, Ib = a.num_points, b.num_points
     r_ba = ssdf(a, b.points, eps1)  # points of b in a's field
     r_ab = ssdf(b, a.points, eps1)  # points of a in b's field
     values = np.concatenate([r_ba.value, r_ab.value], axis=-1)
     distribution = softmax(-values, eps2)
-    owner = np.concatenate([np.full(Ib, 2, dtype=np.int8), np.full(Ia, 1, dtype=np.int8)])
-    face = np.concatenate([np.arange(Ib), np.arange(Ia)])
-    return SeparationField(values, distribution, owner, face, float(eps1), float(eps2), r_ba, r_ab)
+    return SeparationField(values, distribution, float(eps1), float(eps2), r_ba, r_ab)
 
 
 def soft_separation_distance(field: SeparationField):
@@ -134,8 +128,10 @@ def contact_points(a, b, field: SeparationField, k: int = 8, tau: float = 1e-2) 
 
 
 def collision_report_csv(field: SeparationField, soft_distance: float, hard_distance: float) -> str:
+    """Per field entry: the surface owning its query point (1 = a, 2 = b), the point's index there, phi, weight."""
+    Ib = field.b_in_a.value.shape[-1]
     lines = ["surface,face,phi,weight"]
-    for s, f, phi, w in zip(field.owner, field.face, field.values, field.distribution):
-        lines.append("%d,%d,%.17g,%.17g" % (s, f, phi, w))
+    for j, (phi, w) in enumerate(zip(field.values, field.distribution)):
+        lines.append("%d,%d,%.17g,%.17g" % ((2, j, phi, w) if j < Ib else (1, j - Ib, phi, w)))
     lines.append("# soft_separation_m=%.17g, hard_separation_m=%.17g" % (soft_distance, hard_distance))
     return "\n".join(lines) + "\n"

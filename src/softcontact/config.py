@@ -97,19 +97,21 @@ def build_aopc(obj, path, base_dir) -> tuple[LocalAopc, Callable[[float], np.nda
     if "kind" not in obj:
         raise ConfigError(f"{path}: needs either 'kind' (primitive) or 'file'")
     kind = obj["kind"]
+    if "resolution" in obj and type(obj["resolution"]) is not int:  # type(true) is bool
+        raise ConfigError(f"{path}.resolution: expected an integer")
     try:
         if kind == "sphere":
             _check_keys(obj, path, ("kind", "radius", "resolution"))
             r = _number(obj["radius"], f"{path}.radius", True)
-            return generate_primitive("sphere", r, int(obj["resolution"])), lambda m: sphere_inertia(m, r)
+            return generate_primitive("sphere", r, obj["resolution"]), lambda m: sphere_inertia(m, r)
         if kind == "box":
             _check_keys(obj, path, ("kind", "size", "resolution"))
             size = _vector(obj["size"], f"{path}.size", 3)
-            return generate_primitive("box", size, int(obj["resolution"])), lambda m: box_inertia(m, size)
+            return generate_primitive("box", size, obj["resolution"]), lambda m: box_inertia(m, size)
         if kind == "cylinder":
             _check_keys(obj, path, ("kind", "radius", "height", "resolution"))
             r, h = _number(obj["radius"], f"{path}.radius", True), _number(obj["height"], f"{path}.height", True)
-            return generate_primitive("cylinder", (r, h), int(obj["resolution"])), lambda m: cylinder_inertia(m, r, h)
+            return generate_primitive("cylinder", (r, h), obj["resolution"]), lambda m: cylinder_inertia(m, r, h)
         if kind == "composite":
             _check_keys(obj, path, ("kind", "members", "resolution"))
             if not isinstance(obj["members"], list) or not obj["members"]:
@@ -132,7 +134,7 @@ def build_aopc(obj, path, base_dir) -> tuple[LocalAopc, Callable[[float], np.nda
                     )
                 return inertia
 
-            return generate_primitive("composite", members, int(obj["resolution"])), auto_inertia
+            return generate_primitive("composite", members, obj["resolution"]), auto_inertia
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as e:

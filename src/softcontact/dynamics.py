@@ -254,10 +254,13 @@ def mass_matrix(scene: Scene, state: SceneState) -> np.ndarray:
 def bias_force(scene: Scene, state: SceneState) -> np.ndarray:
     """Gravity and gyroscopic bias, with signs such that free fall gives
     vdot = g when tau and contact are zero."""
-    m, Iw = _free_inertia(scene, state.q)
-    w = state.v.reshape(-1, 6)[:, 3:]
-    gravity = -m[:, None] * scene.gravity
-    return np.concatenate([gravity, np.cross(w, (Iw @ w[..., None])[..., 0])], axis=1).reshape(-1)
+    return _bias(scene, state.v, *_free_inertia(scene, state.q)).reshape(-1)
+
+
+def _bias(scene: Scene, v: np.ndarray, m: np.ndarray, Iw: np.ndarray) -> np.ndarray:
+    """bias_force as (nf, 6) blocks, given the free-body inertia m, Iw."""
+    w = v.reshape(-1, 6)[:, 3:]
+    return np.concatenate([-m[:, None] * scene.gravity, np.cross(w, (Iw @ w[..., None])[..., 0])], axis=1)
 
 
 def total_contact_force(scene: Scene, state: SceneState) -> np.ndarray:
@@ -314,7 +317,10 @@ def inverse_dynamics(scene: Scene, state: SceneState, vdot: np.ndarray) -> np.nd
     vdot = np.asarray(vdot)
     if vdot.shape != (scene.n,):
         raise ValueError("vdot length must match the scene's free DOFs")
-    return mass_matrix(scene, state) @ vdot + bias_force(scene, state) - total_contact_force(scene, state)
+    m, Iw = _free_inertia(scene, state.q)
+    a = vdot.reshape(-1, 6)
+    inertial = np.concatenate([m[:, None] * a[:, :3], (Iw @ a[:, 3:, None])[..., 0]], axis=1)
+    return (inertial + _bias(scene, state.v, m, Iw)).reshape(-1) - total_contact_force(scene, state)
 
 
 def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = None, *, _with_separation: bool = False):
@@ -327,8 +333,8 @@ def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = N
     if tau.shape != (scene.n,):
         raise ValueError("tau length must match the scene's free DOFs")
     contact, min_sep = _contact_force(scene, state)
-    rhs = (tau - bias_force(scene, state) + contact).reshape(-1, 6)
     m, Iw = _free_inertia(scene, state.q)
+    rhs = (tau - _bias(scene, state.v, m, Iw).reshape(-1) + contact).reshape(-1, 6)
     try:
         angular = np.linalg.solve(Iw, rhs[:, 3:, None])[..., 0]
     except np.linalg.LinAlgError:

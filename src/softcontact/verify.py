@@ -184,6 +184,8 @@ def check_pipeline_gradients(scene: Scene, state: SceneState, h: float = 1e-6, t
     rates near 0 or 2 v_d) and softmin ties; `sample_nondegenerate_state`
     produces such states.
     """
+    if not (np.isfinite(h) and h > 0 and np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"need a finite h > 0 and a finite tol >= 0, got h={h!r}, tol={tol!r}")
     report = GradCheckReport(0.0, ("", 0, 0), h, 1, tol, True)
     for name, (fn, theta) in pipeline_functions(scene, state).items():
         hs = h * (1.0 + np.abs(theta))

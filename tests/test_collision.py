@@ -37,8 +37,8 @@ def test_separated_boxes_gap():
     assert abs(fld.values.min() - 1.0) < box.spacing()
     assert abs(fld.distribution.sum() - 1.0) < 1e-12
     # concatenation order: b's points first, then a's
-    assert (fld.owner[: box.num_points] == 2).all()
-    assert (fld.owner[box.num_points :] == 1).all()
+    rows = [r.split(",")[:2] for r in collision_report_csv(fld, 1.0, 1.0).splitlines()[1:-1]]
+    assert rows == [["2", str(j)] for j in range(box.num_points)] + [["1", str(j)] for j in range(box.num_points)]
 
 
 def test_swap_is_a_block_permutation():

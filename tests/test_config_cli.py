@@ -1,10 +1,11 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from softcontact.cli import main
+from softcontact.cli import _COMMANDS, build_parser, main
 from softcontact.config import ConfigError, load_config, parse_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -75,10 +76,11 @@ def test_out_of_range_values_rejected(tmp_path):
     with pytest.raises(ConfigError, match="eps2"):
         load_config(write(tmp_path, doc))
 
-    doc = minimal_doc()
-    doc["bodies"][0]["aopc"]["resolution"] = float("inf")  # json writes Infinity
-    with pytest.raises(ConfigError, match=r"bodies\[0\]\.aopc: cannot convert float infinity"):
-        load_config(write(tmp_path, doc))
+    for resolution in (float("inf"), 54.7, 54.0, "96", True):  # json writes inf as Infinity
+        doc = minimal_doc()
+        doc["bodies"][0]["aopc"]["resolution"] = resolution
+        with pytest.raises(ConfigError, match=r"bodies\[0\]\.aopc\.resolution: expected an integer"):
+            load_config(write(tmp_path, doc))
 
 
 def test_kinematic_free_field_mixing_rejected(tmp_path):
@@ -326,3 +328,68 @@ def test_cli_bench_resolutions(tmp_path):
         ["contact", "24", "84"], ["separated", "24", "84"], ["contact", "54", "128"], ["separated", "54", "128"]]
     assert main(["bench", "--config", os.path.join(CONFIG_DIR, "stacked_boxes.json"), "--out", str(tmp_path),
                  "--resolutions", "24,x", "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sdf-grid", "--config", "box_slice.json", "--eps1-list", "abc"],
+    ["sdf-grid", "--config", "box_slice.json", "--eps1-list=-1"],
+    ["sdf-grid", "--config", "box_slice.json", "--resolution", "nan,2,2"],
+    ["sdf-grid", "--config", "box_slice.json", "--resolution", "1,1,1"],
+    ["sdf-grid", "--config", "box_slice.json", "--bounds", "1,0,0,1,0,1"],
+    ["force-sweep", "--config", "sphere_pair.json", "--range=nan,1"],
+    ["collide", "--config", "stacked_boxes.json", "--k", "0"],
+    ["collide", "--config", "stacked_boxes.json", "--k", "100000"],
+    ["collide", "--config", "stacked_boxes.json", "--k", "8", "--tau=-1"],
+    ["collide", "--config", "stacked_boxes.json", "--k", "8", "--tau", "nan"],
+    ["gradcheck", "--config", "sphere_pair.json", "--samples", "1", "--h", "nan"],
+    ["gradcheck", "--config", "sphere_pair.json", "--samples", "1", "--tol", "nan"],
+])
+def test_cli_rejected_value_ends_in_one_error_line(tmp_path, capsys, argv):
+    argv = [os.path.join(CONFIG_DIR, a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert "Traceback" not in err and lines[-1].startswith("error: "), err
+    assert sum(line.startswith("error:") for line in lines) == 1, err
+    assert not list(tmp_path.iterdir())  # rejected before anything is written
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--seed"),
+    *[("sdf-grid", f) for f in ("--seed", "--dt", "--integrator", "--eps1", "--eps2", "--eps3")],
+    *[(c, f) for c in ("force-sweep", "collide") for f in ("--seed", "--dt", "--integrator")],
+    ("gradcheck", "--dt"), ("gradcheck", "--integrator"),
+    ("bench", "--seed"),
+])
+def test_cli_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    value = "rk4" if flag == "--integrator" else "0.5"
+    argv = [command, "--config", os.path.join(CONFIG_DIR, "sphere_pair.json"), "--out", str(tmp_path), "--quiet"]
+    assert main(argv + [flag, value]) == 1
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--duration", "0.004"]),
+    ("sdf-grid", ["--resolution", "5,5,1", "--slice", "z=0", "--eps1-list", "0.01"]),
+    ("force-sweep", ["--body", "a", "--samples", "2"]),
+    ("collide", ["--k", "2"]),
+    ("gradcheck", ["--samples", "1", "--tol", "1e9"]),
+    ("bench", ["--repetitions", "10"]),
+])
+def test_cli_every_flag_of_a_subcommand_is_read(tmp_path, command, flags):
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    parser = build_parser()
+    argv = [command, "--config", write(tmp_path, minimal_doc()), "--out", str(tmp_path / "out"), "--quiet"]
+    args = parser.parse_args(argv + flags, namespace=Recording())
+    read.clear()
+    assert _COMMANDS[command](args) == 0
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+    assert dests <= read, sorted(dests - read)
