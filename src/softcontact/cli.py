@@ -71,6 +71,20 @@ def _comma_list(convert, n=None):
     return parse
 
 
+def _slice_spec(text):
+    """argparse type: AXIS=VALUE with AXIS one of x, y, z and VALUE a finite
+    number, as (axis index, value)."""
+    axis, _, value = text.partition("=")
+    axis = _AXES.get(axis.strip())
+    try:
+        number = float(value)
+    except ValueError:
+        number = np.nan
+    if axis is None or not np.isfinite(number):
+        raise argparse.ArgumentTypeError(f"expected AXIS=VALUE with AXIS x, y or z and a finite VALUE, got {text!r}")
+    return axis, number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="softcontact", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -100,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_comma_list(int, 3), default="41,41,41", help="nx,ny,nz lattice nodes")
     p.add_argument("--eps1-list", type=_comma_list(float), default="0.01,0.25,0.5,10.0",
                    help="comma list of temperatures; one CSV per value")
-    p.add_argument("--slice", dest="slice_spec", default=None, help="pin one axis, e.g. z=0")
+    p.add_argument("--slice", type=_slice_spec, default=(None, 0.0), help="pin one axis, e.g. z=0")
 
     p = sub.add_parser("force-sweep", parents=[contact], help="contact force on a body swept along an axis")
     p.add_argument("--body", default=None, help="moving body (default: second body)")
@@ -213,6 +227,9 @@ def _body_or_default(cfg, name, default_index, what):
 
 def cmd_sdf_grid(args) -> int:
     if args.primitive is not None:
+        clash = [flag for flag, value in (("--config", args.config), ("--body", args.body)) if value is not None]
+        if clash:
+            raise ConfigError(f"--primitive cannot be combined with {' or '.join(clash)}")
         try:
             doc = json.loads(args.primitive)
         except json.JSONDecodeError as e:
@@ -233,17 +250,8 @@ def cmd_sdf_grid(args) -> int:
         center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
         half = 0.8 * (pts.max(axis=0) - pts.min(axis=0)) + 0.5
         lo, hi = center - half, center + half
-    slice_axis = slice_value = None
-    if args.slice_spec is not None:
-        try:
-            axis_name, val = args.slice_spec.split("=")
-            slice_axis = _AXES[axis_name.strip()]
-            slice_value = float(val)
-        except (ValueError, KeyError):
-            raise ConfigError("--slice must look like z=0") from None
     # Every grid is sampled before any is written, so a rejected value writes nothing.
-    grids = [sample_sdf_grid(aopc, (lo, hi), args.resolution, eps1, slice_axis, slice_value or 0.0)
-             for eps1 in args.eps1_list]
+    grids = [sample_sdf_grid(aopc, (lo, hi), args.resolution, eps1, *args.slice) for eps1 in args.eps1_list]
     written = [_write(args, f"sdf_{body_name}_eps{eps1:g}.csv", grid_to_csv(*grid))
                for eps1, grid in zip(args.eps1_list, grids)]
     _say(args, "wrote " + ", ".join(written))

@@ -3,8 +3,10 @@
 Every function here is written to be complex-step safe: passing inputs with a
 tiny imaginary perturbation propagates exact first derivatives through the
 whole pipeline (branch decisions are taken on real parts only, norms are
-computed as sqrt(sum(x*x)) rather than via abs). All functions are pure and
-safe to call from any number of concurrent workers.
+computed as sqrt(sum(x*x)) rather than via abs); exp and softplus apply the
+first-order rule f(a + ib) = f(a) + i b f'(a) to such inputs at the cost of
+one real evaluation. All functions are pure and safe to call from any number
+of concurrent workers.
 """
 from __future__ import annotations
 
@@ -32,6 +34,28 @@ def _reject_nonfinite(x: np.ndarray, name: str, error: type = ValueError) -> Non
 # exp(x) is a normal float64 for x >= -708, subnormal below, 0 below -745.
 _EXP_TAIL = -708.0
 
+# Complex-step inputs carry an imaginary part b this small, so f(a + ib) =
+# f(a) + i b f'(a) holds exactly in float64 (cos b rounds to 1 and sin b to
+# b); larger parts, which no derivative of this package produces, raise.
+_STEP_BOUND = 1e-8
+
+
+def _check_step(b: np.ndarray) -> None:
+    # Written as not (m >= bound) so a NaN imaginary part propagates.
+    m = np.max(np.abs(b), initial=0.0)
+    if m >= _STEP_BOUND:
+        raise ValueError(f"complex-step perturbation {m:.3g} is not below {_STEP_BOUND:g}")
+
+
+def _first_order(z: np.ndarray, value: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """f(a + ib) = value + i b slope, with value = f(a) and slope = f'(a).
+    Set part by part: complex arithmetic would carry a NaN in b into the
+    real part."""
+    out = np.empty_like(z)
+    out.real = value
+    out.imag = z.imag * slope
+    return out
+
 
 def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL) -> np.ndarray:
     # np.exp is tens of times slower on its subnormal and underflow range.
@@ -39,7 +63,11 @@ def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL) -> np.ndarray:
     # taken at the cutoff rather than skipped: the cost stays the same however
     # many entries are far, which is the contact-count independence.
     live = z.real >= cutoff
-    return np.exp(np.where(live, z, cutoff)) * live
+    e = np.exp(np.where(live, z.real, cutoff)) * live
+    if not np.iscomplexobj(z):
+        return e
+    _check_step(z.imag)
+    return _first_order(z, e, e)
 
 
 def softmax(x: np.ndarray, eps: float, axis: int = -1, check: bool = True) -> np.ndarray:
@@ -70,36 +98,29 @@ def softmax(x: np.ndarray, eps: float, axis: int = -1, check: bool = True) -> np
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def _log1p(x: np.ndarray) -> np.ndarray:
-    # Complex x. np.log1p handles complex, but loses the tail for |x| far
-    # below machine epsilon of the real part; the series keeps tiny imaginary
-    # parts exact.
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 0.0, x)
-    return np.where(small, x * (1.0 - x * (0.5 - x / 3.0)), np.log(1.0 + safe))
-
-
 def softplus(x: np.ndarray, eps: float, check: bool = True) -> np.ndarray:
     """Smooth ReLU, eps*log(1 + exp(x/eps)), in the overflow-safe branch form.
 
     Equals max(x, 0) + eps*log1p(exp(-|x|/eps)); monotone increasing, and
     strictly positive for x > -708 eps. Further out the exp term, under
-    1e-307 eps, is an exact 0.
+    1e-307 eps, is an exact 0. A complex-step input a + ib (|b|/eps below
+    1e-8, else ValueError) gives softplus(a) + i b sigmoid(a/eps), both from
+    the one real tail exp(-|a|/eps).
     """
     eps = check_temperature(eps)
     x = np.asarray(x)
     if check:
         _reject_nonfinite(x, "softplus input")
-    if not np.iscomplexobj(x):
-        tail = _exp(-np.abs(x) / eps)
-        # log1p(y) rounds to y below 2^-54, where np.log1p is slow: keep y.
-        tail = np.where(tail < 2.0**-54, tail, np.log1p(np.maximum(tail, 2.0**-54)))
-        return np.maximum(x, 0.0) + eps * tail
-    pos = x.real > 0.0
-    # |x| with a branch on the real part keeps the imaginary perturbation
-    # analytic; the exponent then has non-positive real part, so no overflow.
-    ax = np.where(pos, x, -x)
-    return np.where(pos, x, 0.0) + eps * _log1p(_exp(-ax / eps))
+    step = np.iscomplexobj(x)
+    if step:
+        _check_step(x.imag / eps)
+    a = x.real
+    tail = _exp(-np.abs(a) / eps)
+    # log1p(y) rounds to y below 2^-54, where np.log1p is slow: keep y.
+    out = np.maximum(a, 0.0) + eps * np.where(tail < 2.0**-54, tail, np.log1p(np.maximum(tail, 2.0**-54)))
+    if not step:
+        return out
+    return _first_order(x, out, np.where(a > 0.0, 1.0, tail) / (1.0 + tail))
 
 
 def dot(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .collision import separation_field
+from .collision import separation_field, soft_separation_distance
 from .contact import ContactParams, ssdf_ssdf_force
 from .core import _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
 from .geometry import LocalAopc, Pose, WorldAopc, pose_aopc
@@ -162,6 +162,7 @@ class Scene:
         self._dof_start = {}
         for k, i in enumerate(self.free_indices):
             self._dof_start[i] = 6 * k
+        self._pair_chunks = _group_pairs(self.bodies, self.pair_indices)
 
     @property
     def n(self) -> int:
@@ -273,15 +274,18 @@ def total_contact_force(scene: Scene, state: SceneState) -> np.ndarray:
 _CHUNK_ENTRIES = 16384
 
 
-def _pair_chunks(scene: Scene):
-    """The pairs grouped by (I_a, I_b), in (P, 2) chunks of body indices."""
+def _group_pairs(bodies, pair_indices) -> list:
+    """The pairs grouped by (I_a, I_b), as (positions in pair_indices (P,),
+    body indices (P, 2)) chunks; a Scene builds them once."""
     groups = {}
-    for ia, ib in scene.pair_indices:
-        key = (scene.bodies[ia].aopc.num_points, scene.bodies[ib].aopc.num_points)
-        groups.setdefault(key, []).append((ia, ib))
-    for (Ia, Ib), pairs in groups.items():
+    for pos, (ia, ib) in enumerate(pair_indices):
+        groups.setdefault((bodies[ia].aopc.num_points, bodies[ib].aopc.num_points), []).append(pos)
+    pairs = np.array(pair_indices, dtype=int).reshape(-1, 2)
+    chunks = []
+    for (Ia, Ib), positions in groups.items():
         per_chunk = max(1, _CHUNK_ENTRIES // (2 * Ia * Ib))
-        yield from np.array_split(np.array(pairs), -(-len(pairs) // per_chunk))
+        chunks += [(pos, pairs[pos]) for pos in np.array_split(np.array(positions), -(-len(positions) // per_chunk))]
+    return chunks
 
 
 def _stack(world: list[WorldAopc], idx) -> WorldAopc:
@@ -294,21 +298,24 @@ def _stack(world: list[WorldAopc], idx) -> WorldAopc:
                      num_dofs=ws[0].num_dofs)
 
 
-def _contact_force(scene: Scene, state: SceneState):
-    """Sum of pair forces plus the minimum separation seen (diagnostics).
-    Every pair is evaluated, same-shape pairs as stacks (_pair_chunks)."""
+def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):
+    """Sum of pair forces plus the minimum separation seen (diagnostics);
+    per_pair also returns each pair's soft separation distance, in
+    pair_indices order, read off the same fields. Every pair is evaluated,
+    same-shape pairs as stacks (Scene._pair_chunks)."""
     dtype = np.result_type(state.q.dtype, state.v.dtype)
     out = np.zeros(scene.n, dtype=dtype)
+    seps = np.zeros(len(scene.pair_indices), dtype=dtype)
     min_sep = np.inf
-    if not scene.pair_indices:
-        return out, min_sep
-    world = pose_all(scene, state)
-    for chunk in _pair_chunks(scene):
+    world = pose_all(scene, state) if scene.pair_indices else []
+    for pos, chunk in scene._pair_chunks:
         a, b = _stack(world, chunk[:, 0]), _stack(world, chunk[:, 1])
         fld = separation_field(a, b, scene.params.eps1, scene.params.eps2)
         out = out + ssdf_ssdf_force(a, b, fld, scene.params)
         min_sep = min(min_sep, float(np.min(fld.values.real)))
-    return out, min_sep
+        if per_pair:
+            seps[pos] = soft_separation_distance(fld)
+    return (out, min_sep, seps) if per_pair else (out, min_sep)
 
 
 def inverse_dynamics(scene: Scene, state: SceneState, vdot: np.ndarray) -> np.ndarray:
@@ -333,6 +340,12 @@ def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = N
     if tau.shape != (scene.n,):
         raise ValueError("tau length must match the scene's free DOFs")
     contact, min_sep = _contact_force(scene, state)
+    vdot = _accelerate(scene, state, tau, contact)
+    return (vdot, min_sep) if _with_separation else vdot
+
+
+def _accelerate(scene: Scene, state: SceneState, tau: np.ndarray, contact: np.ndarray) -> np.ndarray:
+    """forward_dynamics' solve, given the controls and the contact force."""
     m, Iw = _free_inertia(scene, state.q)
     rhs = (tau - _bias(scene, state.v, m, Iw).reshape(-1) + contact).reshape(-1, 6)
     try:
@@ -340,8 +353,14 @@ def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = N
     except np.linalg.LinAlgError:
         k = int(np.argmin(np.abs(np.linalg.det(Iw))))
         raise ValueError(f"body {scene.bodies[scene.free_indices[k]].name}: rotational inertia is singular") from None
-    vdot = np.concatenate([rhs[:, :3] / m[:, None], angular], axis=1).reshape(-1)
-    return (vdot, min_sep) if _with_separation else vdot
+    return np.concatenate([rhs[:, :3] / m[:, None], angular], axis=1).reshape(-1)
+
+
+def _separation_force_acceleration(scene: Scene, state: SceneState):
+    """(soft separation per pair, total contact force, forward dynamics under
+    scene.tau) from one contact evaluation: the gradient check's map."""
+    contact, _, seps = _contact_force(scene, state, per_pair=True)
+    return seps, contact, _accelerate(scene, state, scene.tau(state.time), contact)
 
 
 def _advance_q(q: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:

@@ -171,6 +171,8 @@ def sample_sdf_grid(aopc, bounds, resolution, eps1: float, slice_axis: int | Non
     hi = np.asarray(bounds[1], dtype=float)
     if lo.shape != (3,) or hi.shape != (3,) or np.any(hi <= lo):
         raise ValueError("bounds must be (lo, hi) with hi > lo on every axis")
+    if not np.isfinite(slice_value):
+        raise ValueError(f"slice_value must be finite, got {slice_value!r}")
     res = [int(r) for r in np.broadcast_to(np.asarray(resolution), (3,))]
     axes = []
     for ax in range(3):

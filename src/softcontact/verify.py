@@ -5,8 +5,10 @@ differences (the independent oracle, never used by the library itself) and
 complex-step differentiation (the implementation-provided algorithmic
 derivative; every kernel in this package is written to be analytic under a
 tiny imaginary perturbation, so the complex step is exact to machine
-precision). The hard pipeline oracle realizes the zero-temperature limit of
-collision detection and contact by brute force.
+precision, and exp and softplus take it through the first-order rule at real
+cost). The pipeline check differentiates one map that evaluates contact once
+per perturbed state. The hard pipeline oracle realizes the zero-temperature
+limit of collision detection and contact by brute force.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ import numpy as np
 
 from .collision import soft_separation_distance, separation_field
 from .contact import point_plane_force
-from .dynamics import Scene, SceneState, forward_dynamics, pose_all, total_contact_force
+from .dynamics import (Scene, SceneState, _separation_force_acceleration, forward_dynamics, pose_all,
+                       total_contact_force)
 from .ssdf import hard_sdf
 
 
@@ -106,12 +109,13 @@ def unflatten_state(scene: Scene, state: SceneState, theta: np.ndarray) -> Scene
 
 
 def pipeline_functions(scene: Scene, state: SceneState):
-    """The three smooth maps checked for differentiability.
+    """The three smooth maps the gradient check covers, one by one.
 
     Each entry maps a slice of the flattened free-body state to its output:
     the separation distance depends on poses only (its velocity gradient is
-    identically zero), while contact force and forward dynamics are checked
-    over poses and velocities together.
+    identically zero), while contact force and forward dynamics depend on
+    poses and velocities together. check_pipeline_gradients evaluates all
+    three at once, from one contact evaluation per state.
     """
     nf = len(scene.free_indices)
     n_pose = 7 * nf
@@ -180,17 +184,32 @@ def check_pipeline_gradients(scene: Scene, state: SceneState, h: float = 1e-6, t
     separation distance, total contact force, and forward dynamics with
     respect to the free-body poses and velocities.
 
-    The state should sit away from the dissipation-factor kinks (normal
-    rates near 0 or 2 v_d) and softmin ties; `sample_nondegenerate_state`
-    produces such states.
+    All three come from one map of the flattened state that evaluates contact
+    once per state, differentiated once by each route with the steps
+    h (1 + |theta_i|); its rows are then split into the three functions, the
+    separation keeping its pose columns only. The state should sit away from
+    the dissipation-factor kinks (normal rates near 0 or 2 v_d) and softmin
+    ties; `sample_nondegenerate_state` produces such states.
     """
     if not (np.isfinite(h) and h > 0 and np.isfinite(tol) and tol >= 0):
         raise ValueError(f"need a finite h > 0 and a finite tol >= 0, got h={h!r}, tol={tol!r}")
+    theta = flatten_state(state)
+
+    def joint(th):
+        return np.concatenate(_separation_force_acceleration(scene, unflatten_state(scene, state, th)))
+
+    hs = h * (1.0 + np.abs(theta))
+    jac_cs = cs_gradient(joint, theta)
+    jac_fd = fd_gradient(joint, theta, hs)
+    n_pairs, n_pose = len(scene.pair_indices), 7 * len(scene.free_indices)
+    blocks = {
+        "soft_separation_distance": (slice(0, n_pairs), slice(0, n_pose)),
+        "total_contact_force": (slice(n_pairs, n_pairs + scene.n), slice(None)),
+        "forward_dynamics": (slice(n_pairs + scene.n, None), slice(None)),
+    }
     report = GradCheckReport(0.0, ("", 0, 0), h, 1, tol, True)
-    for name, (fn, theta) in pipeline_functions(scene, state).items():
-        hs = h * (1.0 + np.abs(theta))
-        provided = np.atleast_2d(cs_gradient(fn, theta))
-        oracle = np.atleast_2d(fd_gradient(fn, theta, hs))
+    for name, block in blocks.items():
+        provided, oracle = jac_cs[block], jac_fd[block]
         rel = relative_error(provided, oracle)
         report.per_function[name] = float(rel.max())
         for (oi, ii), r in np.ndenumerate(rel):

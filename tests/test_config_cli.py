@@ -354,6 +354,27 @@ def test_cli_rejected_value_ends_in_one_error_line(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())  # rejected before anything is written
 
 
+_SPHERE = '{"kind": "sphere", "radius": 0.5, "resolution": 54}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "box_slice.json", "--slice", "z=nan"], "argument --slice: expected AXIS=VALUE"),
+    (["--config", "box_slice.json", "--slice", "z=inf"], "argument --slice: expected AXIS=VALUE"),
+    (["--config", "box_slice.json", "--slice", "q=0"], "argument --slice: expected AXIS=VALUE"),
+    (["--primitive", _SPHERE, "--config", "box_slice.json", "--body", "nosuch"],
+     "--primitive cannot be combined with --config or --body"),
+    (["--primitive", _SPHERE, "--config", "box_slice.json"], "--primitive cannot be combined with --config"),
+    (["--primitive", _SPHERE, "--body", "box"], "--primitive cannot be combined with --body"),
+])
+def test_cli_sdf_grid_bad_slice_or_primitive_with_config_names_the_flags(tmp_path, capsys, argv, message):
+    argv = [os.path.join(CONFIG_DIR, a) if a.endswith(".json") else a for a in argv]
+    assert main(["sdf-grid", *argv, "--resolution", "5,5,5", "--eps1-list", "0.01", "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    errors = [line for line in lines if line.startswith("error:")]
+    assert errors == lines[-1:] and errors[0].startswith(f"error: {message}"), lines
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command, flag", [
     ("simulate", "--seed"),
     *[("sdf-grid", f) for f in ("--seed", "--dt", "--integrator", "--eps1", "--eps2", "--eps3")],

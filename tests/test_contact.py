@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softcontact.collision import separation_field
 from softcontact.contact import (
@@ -53,6 +54,17 @@ def test_params_validation():
 def test_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be finite"):
         ContactParams(**{field: value})
+
+
+@given(st.sampled_from(["k", "mu", "v_d", "v_s", "eps1", "eps2", "eps3"]), st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.floats(1e-3, 1e3))
+@settings(max_examples=60, deadline=None)
+def test_params_name_any_one_non_finite_field(field, value, other):
+    # One field non-finite, the others at drawn valid values.
+    fields = {name: other for name in ("k", "mu", "v_d", "v_s", "eps1", "eps2", "eps3")}
+    fields[field] = value
+    with pytest.raises(ValueError, match=rf"^{field} must be (finite|a positive finite real), got -?(nan|inf)$"):
+        ContactParams(**fields)
 
 
 def _dissipation_factor_boolean(x):

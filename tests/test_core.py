@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from softcontact.core import (
-    _log1p,
+    _exp,
     quat_from_rotvec,
     quat_multiply,
     quat_normalize,
@@ -173,14 +173,21 @@ def test_softmax_tail_is_exact_zero_never_subnormal():
     tail = z < -708.0 + np.log(x.size)
     assert tail.sum() > 100 and (w[tail] == 0).all()
     # The entries kept match the plain formula, whose sum the dropped tail
-    # cannot change, and so do their complex-step derivatives.
+    # cannot change, and so do their complex-step derivatives: exactly the
+    # first-order rule exp(a + ib) = exp(a) + i b exp(a) with the tail at 0,
+    # and within 2 ulp numpy's complex exp.
     e = np.exp(z)
     np.testing.assert_array_equal(w[~tail], (e / e.sum())[~tail])
     xc = x.astype(complex)
     xc[np.argmax(x)] += 1e-30j
     zc = (xc - x.max()) / eps
+    first_order = np.where(tail, 0.0, np.exp(zc.real)) * (1.0 + 0j)
+    first_order.imag = zc.imag * first_order.real
+    got = softmax(xc, eps)
+    np.testing.assert_array_equal(got[~tail], (first_order / first_order.sum())[~tail])
+    assert (got[tail] == 0).all()
     ec = np.exp(zc)
-    np.testing.assert_array_equal(softmax(xc, eps).imag[~tail], (ec / ec.sum()).imag[~tail])
+    assert_within_ulps(got.imag[~tail], (ec / ec.sum()).imag[~tail], 2)
 
 
 def test_softmax_minus_infinity_gives_zero_weight():
@@ -201,7 +208,80 @@ def test_softplus_tail_is_exact_and_body_unchanged():
     np.testing.assert_array_equal(got[tail], np.maximum(x[tail], 0.0))
     plain = np.maximum(x, 0.0) + eps * np.log1p(np.exp(-np.abs(x) / eps))
     np.testing.assert_array_equal(got[~tail], plain[~tail])
-    xc = x + 1e-30j
+    # Complex step: the real part is the real softplus everywhere and the
+    # imaginary part b sigmoid(x/eps) from the real tail, exactly; within
+    # 2 ulp it is the imaginary part of numpy's complex log1p(exp) too. (Its
+    # argument is assembled by parts: numpy's complex division by eps rounds
+    # the real part differently from the real division.)
+    b = 1e-30
+    xc = x + 1j * b
     pos = x > 0
-    plain_c = np.where(pos, xc, 0.0) + eps * _log1p(np.exp(-np.where(pos, xc, -xc) / eps))
-    np.testing.assert_array_equal(softplus(xc, eps)[~tail], plain_c[~tail])
+    got = softplus(xc, eps)
+    np.testing.assert_array_equal(got.real, softplus(x, eps))
+    e = np.where(tail, 0.0, np.exp(-np.abs(x) / eps))
+    np.testing.assert_array_equal(got.imag, b * (np.where(pos, 1.0, e) / (1.0 + e)))
+    arg = -np.abs(x) / eps + 1j * np.where(pos, -b, b) / eps
+    full = np.where(pos, xc, 0.0) + eps * np.log1p(np.exp(arg))
+    assert_within_ulps(got.imag[~tail], full.imag[~tail], 2)
+
+
+def assert_within_ulps(got, want, n):
+    ulps = np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    assert ulps.max() <= n, ulps.max()
+
+
+def _first_order_exp(z, cutoff=-708.0):
+    e = np.where(z.real >= cutoff, np.exp(z.real), 0.0)
+    return e, z.imag * e
+
+
+def test_exp_complex_step_is_the_first_order_rule():
+    rng = np.random.default_rng(11)
+    a = np.concatenate([rng.uniform(-760.0, 30.0, 4000), [-708.0, -707.99, -708.01, 0.0, -0.0]])
+    for b in (np.full(a.size, 1e-30), 1e-30 * rng.standard_normal(a.size), 9.9e-9 * rng.uniform(-1, 1, a.size)):
+        z = a + 1j * b
+        got = _exp(z)
+        re, im = _first_order_exp(z)
+        assert got.dtype == complex
+        np.testing.assert_array_equal(got.real, re)
+        np.testing.assert_array_equal(got.imag, im)
+        live = a >= -708.0
+        full = np.exp(z[live])
+        assert_within_ulps(got.real[live], full.real, 2)
+        assert_within_ulps(got.imag[live], full.imag, 2)
+
+
+@given(st.floats(-40.0, 40.0), st.floats(1e-4, 10.0), st.floats(-1.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_softplus_complex_step_is_the_first_order_rule(t, eps, s):
+    x = np.array([t * eps])
+    b = s * 1e-30
+    got = softplus(x + 1j * b, eps)
+    e = np.exp(-np.abs(x) / eps)
+    assert got.real[0] == (np.maximum(x, 0.0) + eps * np.log1p(e))[0] == softplus(x, eps)[0]
+    assert got.imag[0] == b * ((1.0 if x[0] > 0 else e[0]) / (1.0 + e[0]))
+
+
+def test_complex_step_at_the_bound_raises():
+    with pytest.raises(ValueError, match="complex-step perturbation"):
+        _exp(np.array([0.5, 0.5 + 1e-8j]))
+    with pytest.raises(ValueError, match="complex-step perturbation"):
+        _exp(np.array([-1e3 - 1e-8j]))  # in the zero tail too
+    assert np.isfinite(_exp(np.array([0.5 + 0.99e-8j]))).all()
+    eps = 0.25  # a power of two, so Im x / eps lands on the bound exactly
+    with pytest.raises(ValueError, match="complex-step perturbation"):
+        softplus(np.array([0.1 + 1e-8j * eps]), eps)
+    assert np.isfinite(softplus(np.array([0.1 + 0.99e-8j * eps]), eps)).all()
+    with pytest.raises(ValueError, match="complex-step perturbation"):
+        softmax(np.array([0.0, 1.0 + 1e-8j * eps]), eps)
+
+
+def test_complex_step_nan_imaginary_part_propagates():
+    z = np.array([0.3, complex(0.3, np.nan), complex(-800.0, np.nan)])
+    got = _exp(z)
+    assert np.isnan(got.imag[1]) and got.real[1] == np.exp(0.3)
+    assert got[0] == np.exp(0.3) and got.real[2] == 0.0
+    x = np.array([0.3, complex(0.3, np.nan), complex(-0.3, np.nan)])
+    got = softplus(x, 0.1, check=False)
+    assert np.isnan(got.imag[1:]).all()
+    np.testing.assert_array_equal(got.real, softplus(np.array([0.3, 0.3, -0.3]), 0.1))

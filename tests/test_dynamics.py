@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from softcontact.core import quat_normalize, quat_to_matrix, softplus
@@ -56,6 +57,24 @@ def test_body_validation():
 def test_body_rejects_non_finite_mass_and_inertia(mass, inertia, message):
     with pytest.raises(ValueError, match=rf"body x: .*{message}"):
         Body("x", sphere_aopc(0.5, 24), "free", mass, inertia)
+
+
+_BALL = sphere_aopc(0.5, 24)
+
+
+@given(st.integers(-1, 8), st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(0.1, 10.0))
+@settings(max_examples=60, deadline=None)
+def test_body_names_any_one_non_finite_entry(flat_index, value, scale):
+    # flat_index -1 is the mass, 0..8 an inertia entry.
+    mass, inertia = scale, scale * np.eye(3)
+    if flat_index < 0:
+        mass, message = value, "free bodies need a finite mass > 0"
+    else:
+        i, j = divmod(flat_index, 3)
+        inertia[i, j] = value
+        message = rf"inertia contains a non-finite entry at index \({i}, {j}\)"
+    with pytest.raises(ValueError, match=rf"^body x: {message}"):
+        Body("x", _BALL, "free", mass, inertia)
 
 
 def test_scene_pair_validation():
@@ -360,7 +379,7 @@ def test_stacked_pairs_match_pair_by_pair_forces():
     from softcontact.verify import cs_gradient, flatten_state, unflatten_state
 
     scene, st = _batching_scene()
-    assert [len(c) for c in dynamics._pair_chunks(scene)] == [2, 2, 2]
+    assert [len(pos) for pos, _ in scene._pair_chunks] == [2, 2, 2]
     got, sep = dynamics._contact_force(scene, st)
     want, want_sep = _pair_by_pair(scene, st)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softcontact.core import quat_from_rotvec, quat_multiply, quat_normalize
 from softcontact.geometry import (
@@ -195,6 +196,40 @@ def test_pose_rejects_non_finite_entries(field, index, value):
     if isinstance(value, float):
         arrays = {k: a.real.copy() for k, a in arrays.items()}
     with pytest.raises(ValueError, match=rf"Pose {field} contains a non-finite entry at index {index}\b"):
+        Pose(arrays["translation"], arrays["quaternion"])
+
+
+_CUBE = box_aopc([1, 1, 1], 6)
+
+
+@given(st.sampled_from(["points", "normals", "vertices"]), st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+@settings(max_examples=60, deadline=None)
+def test_local_aopc_names_any_one_non_finite_entry(field, data, value):
+    arrays = {"points": _CUBE.points.copy(), "normals": _CUBE.normals.copy(), "vertices": _CUBE.vertices.copy()}
+    i = data.draw(st.integers(0, arrays[field].shape[0] - 1))
+    j = data.draw(st.integers(0, 2))
+    arrays[field][i, j] = value
+    with pytest.raises(AopcError, match=rf"^{field} contains a non-finite entry at index \({i}, {j}\)$"):
+        LocalAopc(arrays["points"], arrays["normals"], arrays["vertices"], _CUBE.faces)
+
+
+_FINITE = st.floats(-1e6, 1e6)
+
+
+@given(st.sampled_from([("translation", 3), ("quaternion", 4)]), st.data(), st.booleans(),
+       st.sampled_from([np.nan, np.inf, -np.inf]))
+@settings(max_examples=60, deadline=None)
+def test_pose_names_any_one_non_finite_entry(field_size, data, in_imag, value):
+    field, size = field_size
+    arrays = {"translation": np.array(data.draw(st.lists(_FINITE, min_size=3, max_size=3))),
+              "quaternion": np.array(data.draw(st.lists(_FINITE, min_size=4, max_size=4)))}
+    index = data.draw(st.integers(0, size - 1))
+    if in_imag:  # a complex-step input with a non-finite imaginary part
+        arrays = {k: a + 0j for k, a in arrays.items()}
+        arrays[field][index] += complex(0.0, value)
+    else:
+        arrays[field][index] = value
+    with pytest.raises(ValueError, match=rf"^Pose {field} contains a non-finite entry at index {index}$"):
         Pose(arrays["translation"], arrays["quaternion"])
 
 

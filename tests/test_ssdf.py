@@ -216,6 +216,9 @@ def test_grid_slice_and_validation():
     assert (pts[:, 2] == 0.25).all()
     with pytest.raises(ValueError, match="bounds"):
         sample_sdf_grid(cube, ([1, -1, -1], [-1, 1, 1]), (4, 4, 4), 0.1)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="slice_value must be finite"):
+            sample_sdf_grid(cube, ([-1, -1, -1], [1, 1, 1]), (4, 4, 9), 0.1, slice_axis=2, slice_value=value)
     with pytest.raises(ValueError, match="resolution"):
         sample_sdf_grid(cube, ([-1, -1, -1], [1, 1, 1]), (1, 4, 4), 0.1)
 

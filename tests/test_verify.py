@@ -1,6 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
+from softcontact import collision, dynamics, verify
+from softcontact.config import load_config
 from softcontact.contact import ContactParams
 from softcontact.dynamics import Body, Scene, SceneState, make_state, sphere_inertia, box_inertia
 from softcontact.geometry import LocalAopc, Pose, box_aopc, sphere_aopc
@@ -10,10 +14,15 @@ from softcontact.verify import (
     check_pipeline_gradients,
     cs_gradient,
     fd_gradient,
+    flatten_state,
     hard_pipeline_oracle,
+    pipeline_functions,
     relative_error,
     sample_nondegenerate_state,
+    unflatten_state,
 )
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def test_fd_gradient_quadratic():
@@ -167,3 +176,70 @@ def test_hard_oracle_tie_prefers_lowest_joint_index():
 def test_relative_error_floor():
     assert relative_error(np.array(0.0), np.array(1e-12)) < 1e-3
     assert relative_error(np.array(2.0), np.array(1.0)) == 0.5
+
+
+def test_check_pipeline_gradients_evaluates_contact_once_per_perturbation(monkeypatch):
+    # One shared map per perturbed state: 26 complex steps and 2 x 26 central
+    # differences on the two spheres, and every separation field is built
+    # inside those contact evaluations.
+    cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
+    st = sample_nondegenerate_state(cfg.scene, np.random.default_rng(0), cfg.state, vel_scale=cfg.scene.params.v_d)
+    calls = {"contact": 0, "inside": 0, "outside": 0}
+    depth = [0]
+    contact_force = dynamics._contact_force
+
+    def counted_contact(*args, **kwargs):
+        calls["contact"] += 1
+        depth[0] += 1
+        try:
+            return contact_force(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_field(*args, **kwargs):
+        calls["inside" if depth[0] else "outside"] += 1
+        return collision.separation_field(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_contact_force", counted_contact)
+    monkeypatch.setattr(dynamics, "separation_field", counted_field)
+    monkeypatch.setattr(verify, "separation_field", counted_field)
+    report = check_pipeline_gradients(cfg.scene, st)
+    assert report.passed
+    assert flatten_state(st).size == 26
+    assert calls == {"contact": 78, "inside": 78, "outside": 0}
+
+
+def _mixed_pair_scene():
+    ball = sphere_aopc(0.1, 24)
+    box = box_aopc([0.2, 0.2, 0.2], 54)
+    bodies = [Body("ball1", ball, "free", 0.5, sphere_inertia(0.5, 0.1)),
+              Body("box1", box, "free", 1.0, box_inertia(1.0, [0.2, 0.2, 0.2])),
+              Body("ball2", ball, "free", 0.5, sphere_inertia(0.5, 0.1)),
+              Body("box2", box, "kinematic")]
+    scene = Scene(bodies, [("ball1", "box1"), ("ball1", "ball2"), ("ball2", "box2")],
+                  params=ContactParams(k=2e3, v_s=0.02))
+    rng = np.random.default_rng(3)
+    poses = {name: Pose(np.array(t), np.array([1.0, 0, 0, 0]))
+             for name, t in (("box1", [0.0, 0.0, -0.195]), ("ball2", [0.19, 0.01, 0.0]))}
+    velocities = {name: 0.05 * rng.standard_normal(6) for name in ("ball1", "box1", "ball2")}
+    return scene, make_state(scene, poses, velocities)
+
+
+def test_shared_map_matches_the_three_pipeline_maps():
+    # Pairs 0 and 2 share a shape and are stacked ahead of pair 1, so the
+    # separations must be put back in pair order.
+    scene, st = _mixed_pair_scene()
+    assert [pos.tolist() for pos, _ in scene._pair_chunks] == [[0, 2], [1]]
+    maps = pipeline_functions(scene, st)
+    seps_fn, theta_pose = maps["soft_separation_distance"]
+    seps, force, vdot = dynamics._separation_force_acceleration(scene, st)
+    want = seps_fn(theta_pose)
+    assert np.abs(seps - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.all(want < 0.05)  # all three pairs near contact
+    np.testing.assert_array_equal(force, dynamics.total_contact_force(scene, st))
+    np.testing.assert_array_equal(vdot, dynamics.forward_dynamics(scene, st))
+    theta = flatten_state(st)
+    jac = cs_gradient(lambda th: dynamics._separation_force_acceleration(scene, unflatten_state(scene, st, th))[0], theta)
+    jac_want = cs_gradient(seps_fn, theta_pose)
+    assert np.abs(jac[:, : theta_pose.size] - jac_want).max() <= 1e-12 * np.abs(jac_want).max()
+    assert not jac[:, theta_pose.size :].any()  # separation does not depend on velocities
