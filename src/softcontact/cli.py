@@ -319,9 +319,11 @@ def cmd_collide(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _load(args)
     if args.samples < 1:
         raise ConfigError("--samples must be at least 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
+    cfg = _load(args)
     rng = np.random.default_rng(args.seed)
     worst = None
     texts = []

@@ -70,32 +70,44 @@ def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL) -> np.ndarray:
     return _first_order(z, e, e)
 
 
-def softmax(x: np.ndarray, eps: float, axis: int = -1, check: bool = True) -> np.ndarray:
+def softmax(x: np.ndarray, eps: float, axis: int = -1) -> np.ndarray:
     """Temperature-scaled softmax, exp(x_i/eps) / sum_j exp(x_j/eps).
 
     Max-subtraction makes the computation overflow-free for any finite input,
     and makes the shift invariance softmax(x + c) == softmax(x) exact whenever
     the additions x + c are themselves exact. Ties produce equal weights.
-    check=False skips input validation (for hot loops whose inputs were
-    validated upstream).
+    A complex-step input is carried part by part, so its real part is the
+    real softmax bit for bit.
     """
     eps = check_temperature(eps)
     x = np.asarray(x)
     if x.shape[axis] < 1:
         raise ValueError("softmax needs at least one entry")
-    if check:
-        _reject_nonfinite(x, "softmax input")
+    _reject_nonfinite(x, "softmax input")
     # Shift by the (real-part) max so the largest exponent is exactly 0. For
     # astronomically spread inputs the shifted tail saturates to -inf, which
     # lands in the zero tail below, so the overflow is benign.
     shift = np.max(x.real, axis=axis, keepdims=True)
     with np.errstate(over="ignore"):
-        z = (x - shift) / eps
+        z = (x.real - shift) / eps
     # The log(N) margin on the exp cutoff keeps the normalized weights normal
     # too, as the sum is at most N; products of subnormals are slow as well.
     # The entries dropped weigh under 1e-305 of the largest.
     e = _exp(z, _EXP_TAIL + math.log(x.shape[axis]))
-    return e / np.sum(e, axis=axis, keepdims=True)
+    s = np.sum(e, axis=axis, keepdims=True)
+    w = e / s
+    if not np.iscomplexobj(x):
+        return w
+    # Numpy's complex division (by eps, or by the sum) rounds the real part
+    # differently from the real one, so the imaginary part of the first-order
+    # rule is carried beside the real path: d(e/s) = (de - w ds)/s.
+    dz = x.imag / eps
+    _check_step(dz)
+    de = dz * e
+    out = np.empty_like(x)
+    out.real = w
+    out.imag = (de - w * np.sum(de, axis=axis, keepdims=True)) / s
+    return out
 
 
 def softplus(x: np.ndarray, eps: float, check: bool = True) -> np.ndarray:

@@ -228,6 +228,10 @@ def test_criterion_4_force_profile():
         assert abs(F[i0]) < 1e-6 * np.abs(F).max()
         assert F[i0 - 3] * F[i0 + 3] < 0
 
+        # (d) force at a distance: every out-of-contact sample feels a nonzero
+        # force that pushes the small sphere away from the big one
+        assert (np.sign(F[out]) == np.sign(ys[out])).all(), "a separated sample lost its repulsion"
+
 
 def test_criterion_5_mechanics_invariants():
     with budget(5, "mechanics invariants", 120):

@@ -343,6 +343,7 @@ def test_cli_bench_resolutions(tmp_path):
     ["collide", "--config", "stacked_boxes.json", "--k", "8", "--tau", "nan"],
     ["gradcheck", "--config", "sphere_pair.json", "--samples", "1", "--h", "nan"],
     ["gradcheck", "--config", "sphere_pair.json", "--samples", "1", "--tol", "nan"],
+    ["gradcheck", "--config", "sphere_pair.json", "--samples", "1", "--seed", "-1"],
 ])
 def test_cli_rejected_value_ends_in_one_error_line(tmp_path, capsys, argv):
     argv = [os.path.join(CONFIG_DIR, a) if a.endswith(".json") else a for a in argv]
@@ -352,6 +353,8 @@ def test_cli_rejected_value_ends_in_one_error_line(tmp_path, capsys, argv):
     assert "Traceback" not in err and lines[-1].startswith("error: "), err
     assert sum(line.startswith("error:") for line in lines) == 1, err
     assert not list(tmp_path.iterdir())  # rejected before anything is written
+    if "--seed" in argv:  # not numpy's "expected non-negative integer"
+        assert lines[-1] == "error: --seed must be non-negative"
 
 
 _SPHERE = '{"kind": "sphere", "radius": 0.5, "resolution": 54}'

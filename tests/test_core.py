@@ -173,27 +173,63 @@ def test_softmax_tail_is_exact_zero_never_subnormal():
     tail = z < -708.0 + np.log(x.size)
     assert tail.sum() > 100 and (w[tail] == 0).all()
     # The entries kept match the plain formula, whose sum the dropped tail
-    # cannot change, and so do their complex-step derivatives: exactly the
-    # first-order rule exp(a + ib) = exp(a) + i b exp(a) with the tail at 0,
-    # and within 2 ulp numpy's complex exp.
+    # cannot change, and so do their complex-step derivatives: the real part
+    # exactly, the imaginary part within 2 ulp of the first-order rule
+    # exp(a + ib) = exp(a) + i b exp(a) with the tail at 0, and of numpy's
+    # complex exp.
     e = np.exp(z)
     np.testing.assert_array_equal(w[~tail], (e / e.sum())[~tail])
     xc = x.astype(complex)
     xc[np.argmax(x)] += 1e-30j
-    zc = (xc - x.max()) / eps
-    first_order = np.where(tail, 0.0, np.exp(zc.real)) * (1.0 + 0j)
-    first_order.imag = zc.imag * first_order.real
     got = softmax(xc, eps)
-    np.testing.assert_array_equal(got[~tail], (first_order / first_order.sum())[~tail])
+    np.testing.assert_array_equal(got.real, w)
+    assert_within_ulps(got.imag[~tail], _first_order_softmax(xc, eps).imag[~tail], 2)
     assert (got[tail] == 0).all()
+    zc = (xc - x.max()) / eps
     ec = np.exp(zc)
     assert_within_ulps(got.imag[~tail], (ec / ec.sum()).imag[~tail], 2)
 
 
 def test_softmax_minus_infinity_gives_zero_weight():
-    w = softmax(np.array([0.0, -np.inf, np.log(3.0)]), 1.0, check=False)
+    # The shifted entry -1.5e308 - max is finite, but divided by 0.5 it
+    # overflows to -inf, which lands in the zero tail. A -inf input is
+    # rejected like NaN.
+    w = softmax(np.array([0.0, -1.5e308, 0.5 * np.log(3.0)]), 0.5)
     assert w[1] == 0.0
     np.testing.assert_allclose(w, [0.25, 0.0, 0.75], rtol=1e-15)
+    with pytest.raises(ValueError, match="index 1"):
+        softmax(np.array([0.0, -np.inf, np.log(3.0)]), 1.0)
+
+
+def _first_order_softmax(x, eps):
+    # Complex division of the first-order exp by its sum; its argument is
+    # assembled by parts, as numpy's complex division rounds the real part.
+    z = (x.real - np.max(x.real)) / eps + 1j * (x.imag / eps)
+    e, de = _first_order_exp(z, -708.0 + np.log(x.size))
+    f = e + 1j * de
+    return f / f.sum()
+
+
+def test_softmax_complex_step_real_part_exact_imaginary_first_order():
+    # Numpy's complex division by eps rounds the real part differently from
+    # the real division; the real part must not depend on the perturbation.
+    eps = 0.02
+    x = np.linspace(-800.0, 40.0, 2001) * eps
+    real = softmax(x, eps)
+    rng = np.random.default_rng(4)
+    for b in (np.full(x.size, 1e-30), 1e-30 * rng.standard_normal(x.size), 9e-9 * eps * rng.uniform(-1, 1, x.size)):
+        np.testing.assert_array_equal(softmax(x + 1j * b, eps).real, real)
+    d2 = rng.uniform(0.0, 1.0, (50, 80)) ** 2
+    np.testing.assert_array_equal(softmax(-d2 + 1e-30j * rng.standard_normal(d2.shape), 1e-4).real, softmax(-d2, 1e-4))
+    # One coordinate perturbed, as a complex-step derivative does it.
+    live = real > 0
+    for k in (2000, 1990, 1500, 300):
+        for bk in (1e-30, -3.7e-30, 9e-9 * eps):
+            xc = x.astype(complex)
+            xc[k] += 1j * bk
+            got = softmax(xc, eps)
+            assert_within_ulps(got.imag[live], _first_order_softmax(xc, eps).imag[live], 2)
+            assert (got.imag[~live] == 0).all()
 
 
 def test_softplus_tail_is_exact_and_body_unchanged():
