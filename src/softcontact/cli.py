@@ -54,21 +54,51 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _comma_list(convert, n=None):
+def _comma_list(convert, n=None, positive=False):
     """argparse type: a comma list of finite values of type convert, exactly
-    n of them when n is given."""
-    what = f"{n or 'one or more'} comma-separated {'integers' if convert is int else 'finite numbers'}"
+    n of them when n is given, each > 0 when positive."""
+    kind = "integers" if convert is int else "positive finite numbers" if positive else "finite numbers"
+    what = f"{n or 'one or more'} comma-separated {kind}"
+    low = 0 if positive else -np.inf
 
     def parse(text):
         try:
             vals = [convert(v) for v in text.split(",")]
         except ValueError:
             vals = []
-        if not vals or (n and len(vals) != n) or not all(-np.inf < v < np.inf for v in vals):
+        if not vals or (n and len(vals) != n) or not all(low < v < np.inf for v in vals):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return vals
 
     return parse
+
+
+def _number(convert, what, ok):
+    """argparse type: one value of type convert for which ok holds."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive = _number(float, "a positive finite number", lambda v: 0 < v < np.inf)
+_nonnegative = _number(float, "a finite number >= 0", lambda v: 0 <= v < np.inf)
+_count = _number(int, "an integer >= 1", lambda v: v >= 1)
+
+
+def _bounds(text):
+    """argparse type: x0,x1,y0,y1,z0,z1 with each lower bound below its upper."""
+    vals = _comma_list(float, 6)(text)
+    if not all(lo < hi for lo, hi in zip(vals[0::2], vals[1::2])):
+        raise argparse.ArgumentTypeError(f"expected x0 < x1, y0 < y1 and z0 < z1, got {text!r}")
+    return vals
 
 
 def _slice_spec(text):
@@ -109,10 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primitive", default=None, metavar="JSON",
                    help="inline primitive instead of a config body, e.g. "
                         '\'{"kind": "box", "size": [1, 1, 1], "resolution": 150}\'')
-    p.add_argument("--bounds", type=_comma_list(float, 6), default=None,
+    p.add_argument("--bounds", type=_bounds, default=None,
                    help="x0,x1,y0,y1,z0,z1 (default: 1.6x the body bbox)")
     p.add_argument("--resolution", type=_comma_list(int, 3), default="41,41,41", help="nx,ny,nz lattice nodes")
-    p.add_argument("--eps1-list", type=_comma_list(float), default="0.01,0.25,0.5,10.0",
+    p.add_argument("--eps1-list", type=_comma_list(float, positive=True), default="0.01,0.25,0.5,10.0",
                    help="comma list of temperatures; one CSV per value")
     p.add_argument("--slice", type=_slice_spec, default=(None, 0.0), help="pin one axis, e.g. z=0")
 
@@ -125,15 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("collide", parents=[contact], help="separation field report for the configured pairs")
     p.add_argument("--pose", action="append", default=[], metavar="NAME:tx,ty,tz[,qw,qx,qy,qz]",
                    help="override a free body pose (repeatable)")
-    p.add_argument("--k", type=int, default=None, help="also emit K soft contact points")
-    p.add_argument("--tau", type=float, default=1e-2, help="top-K selection temperature")
+    p.add_argument("--k", type=_count, default=None, help="also emit K soft contact points")
+    p.add_argument("--tau", type=_positive, default=None, help="top-K selection temperature (default 0.01; needs --k)")
     p.add_argument("--swap", action="store_true", help="swap the order of every pair")
 
     p = sub.add_parser("gradcheck", parents=[contact], help="derivative checks on randomized states")
     p.add_argument("--seed", type=int, default=0, help="seed of the sampled states")
     p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--h", type=float, default=1e-6, help="finite-difference step scale")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--h", type=_positive, default=1e-6, help="finite-difference step scale")
+    p.add_argument("--tol", type=_nonnegative, default=1e-3)
 
     p = sub.add_parser("bench", parents=[world], help="step timing: contact vs separated variants")
     p.add_argument("--repetitions", type=int, default=100, help="timed steps per variant (>= 10)")
@@ -250,6 +280,9 @@ def cmd_sdf_grid(args) -> int:
         center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
         half = 0.8 * (pts.max(axis=0) - pts.min(axis=0)) + 0.5
         lo, hi = center - half, center + half
+    sampled = [r for axis, r in enumerate(args.resolution) if axis != args.slice[0]]
+    if min(sampled) < 2:
+        raise ConfigError("--resolution must be at least 2 on every axis --slice does not pin")
     # Every grid is sampled before any is written, so a rejected value writes nothing.
     grids = [sample_sdf_grid(aopc, (lo, hi), args.resolution, eps1, *args.slice) for eps1 in args.eps1_list]
     written = [_write(args, f"sdf_{body_name}_eps{eps1:g}.csv", grid_to_csv(*grid))
@@ -295,9 +328,15 @@ def cmd_force_sweep(args) -> int:
 
 
 def cmd_collide(args) -> int:
+    if args.tau is not None and args.k is None:
+        raise ConfigError("--tau is the temperature of the --k contact points: give --k too")
     cfg = _load(args)
     if not cfg.scene.pair_indices:
         raise ConfigError("collide needs at least one collision pair")
+    if args.k is not None:
+        most = min(sum(cfg.scene.bodies[i].aopc.num_vertices for i in pair) for pair in cfg.scene.pair_indices)
+        if args.k > most:
+            raise ConfigError(f"--k must be at most {most}, the fewest vertices of a pair, got {args.k}")
     world = pose_all(cfg.scene, cfg.state)
     oracle = hard_pipeline_oracle(cfg.scene, cfg.state)
     # Every pair is evaluated before any file is written, so a rejected --k or --tau writes nothing.
@@ -310,7 +349,7 @@ def cmd_collide(args) -> int:
         files.append((f"collision_{a.body_id}_{b.body_id}.csv", collision_report_csv(fld, soft, hard)))
         lines.append(f"pair ({a.body_id}, {b.body_id}): soft separation {soft:.6g} m, hard {hard:.6g} m")
         if args.k is not None:
-            cps = contact_points(a, b, fld, args.k, args.tau)
+            cps = contact_points(a, b, fld, args.k, **({} if args.tau is None else {"tau": args.tau}))
             rows = ["k,cx,cy,cz"] + ["%d,%.17g,%.17g,%.17g" % (j, *c) for j, c in enumerate(cps.points)]
             files.append((f"contact_points_{a.body_id}_{b.body_id}.csv", "\n".join(rows) + "\n"))
     written = [_write(args, name, text) for name, text in files]

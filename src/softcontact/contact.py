@@ -74,8 +74,8 @@ def dissipation_factor(x):
     d = np.asarray(x - 2.0)
     np.square(d, out=d)
     d /= 4.0
-    np.subtract(1.0, x, out=d, where=xr <= 0.0)
     # A NaN fails both tests and stays NaN.
+    d = np.where(xr <= 0.0, 1.0 - x, d)
     d[xr > 2.0] = 0.0
     return d
 
@@ -110,25 +110,43 @@ def _point_forces(cloud, q_velocities, battery: SsdfResult, coeff, params: Conta
 
     Only (Q, I) arrays are built. The relative velocity is resolved in each
     plane's frame (n_i, t1_i, t2_i) into v_n, a and b, so |v_t|^2 = a^2 + b^2
-    has no cancellation, and with W = coeff w the sums over i are the matmuls
-    (W lambda_n) @ n + (W scale a) @ t1 + (W scale b) @ t2; the sums over q
+    has no cancellation, and with W = coeff w, C = W lambda_n and
+    B = W scale, scale = -mu lambda_n / sqrt(v_s^2 + a^2 + b^2), the sums
+    over i are the matmuls C @ n + (B a) @ t1 + (B b) @ t2; the sums over q
     are the column sums of the same matrices.
     """
     nrm = cloud.normals
     t1, t2 = cloud.tangents
     vel = cloud.velocities
+    # Every (Q, I) array takes the common dtype, so the passes below can
+    # write in place.
+    dtype = np.result_type(q_velocities, vel, nrm, battery.plane_distances, battery.weights, coeff)
+    q_velocities = q_velocities.astype(dtype, copy=False)
 
     def component(axes):
-        return q_velocities @ np.swapaxes(axes, -1, -2) - np.sum(vel * axes, axis=-1)[..., None, :]
+        out = q_velocities @ np.swapaxes(axes, -1, -2)
+        out -= np.sum(vel * axes, axis=-1)[..., None, :]
+        return out
 
     v_n, a, b = component(nrm), component(t1), component(t2)
-    lam_n = params.k * softplus(-battery.plane_distances, params.eps3, check=False) * dissipation_factor(v_n / params.v_d)
-    scale = -params.mu * lam_n / np.sqrt(params.v_s**2 + (a * a + b * b))
+    v_n /= params.v_d
+    lam_n = softplus(-battery.plane_distances.astype(dtype, copy=False), params.eps3, check=False)
+    # Complex products keep their operand order: numpy's complex x * y and
+    # y * x can round the imaginary part differently.
+    np.multiply(params.k, lam_n, out=lam_n)
+    lam_n *= dissipation_factor(v_n)
+    # B = W scale with scale = -mu lambda_n / r, r = sqrt(v_s^2 + a^2 + b^2),
+    # in r's buffer; C = W lambda_n in lambda_n's; B a and B b in a's and b's.
+    B = np.multiply(a, a)
+    B += np.multiply(b, b, out=v_n)
+    B += params.v_s**2
+    np.sqrt(B, out=B)
+    np.divide(np.multiply(-params.mu, lam_n, out=v_n), B, out=B)
     W = coeff[..., None] * battery.weights
-    C = W * lam_n
-    B = W * scale
-    Ba = B * a
-    Bb = B * b
+    np.multiply(W, B, out=B)
+    C = np.multiply(W, lam_n, out=lam_n)
+    Ba = np.multiply(B, a, out=a)
+    Bb = np.multiply(B, b, out=b)
     f_query = C @ nrm + Ba @ t1 + Bb @ t2
     f_cloud = -(C.sum(axis=-2)[..., None] * nrm + Ba.sum(axis=-2)[..., None] * t1 + Bb.sum(axis=-2)[..., None] * t2)
     return f_query, f_cloud

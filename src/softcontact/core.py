@@ -24,9 +24,9 @@ def check_temperature(eps: float, name: str = "eps") -> float:
 
 
 def _reject_nonfinite(x: np.ndarray, name: str, error: type = ValueError) -> None:
-    bad = ~np.isfinite(x)
-    if bad.any():
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), x.shape))
+    ok = np.isfinite(x)
+    if not ok.all():
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), x.shape))
         pos = idx[0] if len(idx) == 1 else idx
         raise error(f"{name} contains a non-finite entry at index {pos}")
 
@@ -57,13 +57,19 @@ def _first_order(z: np.ndarray, value: np.ndarray, slope: np.ndarray) -> np.ndar
     return out
 
 
-def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL) -> np.ndarray:
+def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(z) with an exact 0 wherever Re z < cutoff; a real result may be
+    written into out (z itself allowed)."""
     # np.exp is tens of times slower on its subnormal and underflow range.
     # Entries whose real part is below the cutoff become an exact 0, with exp
     # taken at the cutoff rather than skipped: the cost stays the same however
-    # many entries are far, which is the contact-count independence.
-    live = z.real >= cutoff
-    e = np.exp(np.where(live, z.real, cutoff)) * live
+    # many entries are far, which is the contact-count independence. A NaN
+    # passes np.maximum and the mask (NaN * 0 is NaN).
+    a = z.real
+    live = a >= cutoff
+    e = np.maximum(a, cutoff, out=np.empty(a.shape) if out is None else out)
+    np.exp(e, out=e)
+    e *= live
     if not np.iscomplexobj(z):
         return e
     _check_step(z.imag)
@@ -89,24 +95,26 @@ def softmax(x: np.ndarray, eps: float, axis: int = -1) -> np.ndarray:
     # lands in the zero tail below, so the overflow is benign.
     shift = np.max(x.real, axis=axis, keepdims=True)
     with np.errstate(over="ignore"):
-        z = (x.real - shift) / eps
+        e = np.subtract(x.real, shift, dtype=float)
+        e /= eps
     # The log(N) margin on the exp cutoff keeps the normalized weights normal
     # too, as the sum is at most N; products of subnormals are slow as well.
     # The entries dropped weigh under 1e-305 of the largest.
-    e = _exp(z, _EXP_TAIL + math.log(x.shape[axis]))
+    _exp(e, _EXP_TAIL + math.log(x.shape[axis]), out=e)
     s = np.sum(e, axis=axis, keepdims=True)
-    w = e / s
     if not np.iscomplexobj(x):
-        return w
+        e /= s
+        return e
     # Numpy's complex division (by eps, or by the sum) rounds the real part
     # differently from the real one, so the imaginary part of the first-order
     # rule is carried beside the real path: d(e/s) = (de - w ds)/s.
-    dz = x.imag / eps
-    _check_step(dz)
-    de = dz * e
+    de = x.imag / eps
+    _check_step(de)
+    de *= e
+    e /= s
     out = np.empty_like(x)
-    out.real = w
-    out.imag = (de - w * np.sum(de, axis=axis, keepdims=True)) / s
+    out.real = e
+    out.imag = (de - e * np.sum(de, axis=axis, keepdims=True)) / s
     return out
 
 
@@ -121,17 +129,27 @@ def softplus(x: np.ndarray, eps: float, check: bool = True) -> np.ndarray:
     """
     eps = check_temperature(eps)
     x = np.asarray(x)
+    if x.ndim == 0:
+        return softplus(x.reshape(1), eps, check)[0]
     if check:
         _reject_nonfinite(x, "softplus input")
     step = np.iscomplexobj(x)
     if step:
         _check_step(x.imag / eps)
     a = x.real
-    tail = _exp(-np.abs(a) / eps)
-    # log1p(y) rounds to y below 2^-54, where np.log1p is slow: keep y.
-    out = np.maximum(a, 0.0) + eps * np.where(tail < 2.0**-54, tail, np.log1p(np.maximum(tail, 2.0**-54)))
+    tail = np.abs(a, dtype=float)
+    tail /= -eps
+    _exp(tail, out=tail)
+    # log1p(y) rounds to y below 2^-54, where np.log1p is slow: keep y. As
+    # log1p(y) <= y, that is the minimum of y and log1p(max(y, 2^-54)).
+    out = np.maximum(tail, 2.0**-54)
+    np.log1p(out, out=out)
+    np.minimum(out, tail, out=out)
+    out *= eps
     if not step:
+        out += np.maximum(a, 0.0, out=tail)
         return out
+    out += np.maximum(a, 0.0)
     return _first_order(x, out, np.where(a > 0.0, 1.0, tail) / (1.0 + tail))
 
 

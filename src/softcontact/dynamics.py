@@ -19,7 +19,7 @@ from scipy.interpolate import CubicSpline
 from .collision import separation_field, soft_separation_distance
 from .contact import ContactParams, ssdf_ssdf_force
 from .core import _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
-from .geometry import LocalAopc, Pose, WorldAopc, pose_aopc
+from .geometry import LocalAopc, Pose, WorldAopc, pose_aopc, posed_arrays
 
 
 class DivergenceError(RuntimeError):
@@ -163,6 +163,7 @@ class Scene:
         for k, i in enumerate(self.free_indices):
             self._dof_start[i] = 6 * k
         self._pair_chunks = _group_pairs(self.bodies, self.pair_indices)
+        self._groups, self._chunk_sides = _posing_plan(self.bodies, self._dof_start, self._pair_chunks)
 
     @property
     def n(self) -> int:
@@ -288,28 +289,71 @@ def _group_pairs(bodies, pair_indices) -> list:
     return chunks
 
 
-def _stack(world: list[WorldAopc], idx) -> WorldAopc:
-    """The posed bodies idx with a leading pair axis; one body stays as is."""
-    if len(idx) == 1:
-        return world[idx[0]]
-    ws = [world[i] for i in idx]
-    return WorldAopc(**{name: np.stack([getattr(w, name) for w in ws], axis=int(name == "tangents"))
-                        for name in ("points", "normals", "tangents", "velocities", "origin", "dof_start")},
-                     num_dofs=ws[0].num_dofs)
+def _posing_plan(bodies, dof_start, chunks):
+    """The bodies in some pair grouped by point count, as (body indices (G,),
+    their DOF block starts (G,), -1 if kinematic, stacked local points
+    (G, I, 3), normals (G, I, 3), tangents (2, G, I, 3)) with one cloud per
+    body; and for each chunk its two sides as (group, rows in the group
+    (P,)). A Scene builds them once."""
+    members = {}
+    for i in sorted({int(i) for _, chunk in chunks for i in chunk.ravel()}):
+        members.setdefault(bodies[i].aopc.num_points, []).append(i)
+    groups, where = [], {}
+    for g, idx in enumerate(members.values()):
+        where.update((i, (g, r)) for r, i in enumerate(idx))
+        clouds = [bodies[i].aopc for i in idx]
+        groups.append((np.array(idx), np.array([dof_start.get(i, -1) for i in idx]), np.stack([c.points for c in clouds]),
+                       np.stack([c.normals for c in clouds]), np.stack([c.tangents for c in clouds], axis=1)))
+    sides = [tuple((where[side[0]][0], np.array([where[i][1] for i in side])) for side in chunk.T)
+             for _, chunk in chunks]
+    return groups, sides
+
+
+def _pose_groups(scene: Scene, state: SceneState) -> list[WorldAopc]:
+    """Every group of Scene._groups posed at state as one stack, with one
+    rotation matrix per body from a single quat_to_matrix call. Free bodies
+    take pose and twist from q and v, kinematic ones from their motion."""
+    t = state.time
+    dtype = np.result_type(state.q.dtype, state.v.dtype)
+    nb = len(scene.bodies)
+    trans, quat, twist = np.zeros((nb, 3), dtype), np.zeros((nb, 4), dtype), np.zeros((nb, 6), dtype)
+    free = scene.free_indices
+    trans[free], quat[free], twist[free] = state.q[:, :3], quat_normalize(state.q[:, 3:]), state.v.reshape(-1, 6)
+    for i, body in enumerate(scene.bodies):
+        if body.kind == "kinematic":
+            pose = body.motion.pose(t)
+            trans[i], quat[i], twist[i] = pose.translation, pose.quaternion, body.motion.velocity(t)
+    R = quat_to_matrix(quat)
+    posed = []
+    for idx, dof_start, points, normals, tangents in scene._groups:
+        arrays = posed_arrays(R[idx], trans[idx], twist[idx], points, normals, tangents)
+        posed.append(WorldAopc(*arrays, trans[idx], dof_start, scene.n))
+    return posed
+
+
+def _rows(stack: WorldAopc, rows) -> WorldAopc:
+    """The bodies at rows of a posed group, as a stack of len(rows)."""
+    return WorldAopc(stack.points[rows], stack.normals[rows], stack.tangents[:, rows], stack.velocities[rows],
+                     stack.origin[rows], stack.dof_start[rows], stack.num_dofs)
 
 
 def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):
     """Sum of pair forces plus the minimum separation seen (diagnostics);
     per_pair also returns each pair's soft separation distance, in
     pair_indices order, read off the same fields. Every pair is evaluated,
-    same-shape pairs as stacks (Scene._pair_chunks)."""
+    same-shape pairs as stacks (Scene._pair_chunks) cut by row out of the
+    posed groups (Scene._groups). A non-finite q or v entry raises
+    ValueError naming its body and coordinate."""
+    bad = _bad_coordinate(state, scene)
+    if bad:
+        raise ValueError(f"state has a non-finite {bad}")
     dtype = np.result_type(state.q.dtype, state.v.dtype)
     out = np.zeros(scene.n, dtype=dtype)
     seps = np.zeros(len(scene.pair_indices), dtype=dtype)
     min_sep = np.inf
-    world = pose_all(scene, state) if scene.pair_indices else []
-    for pos, chunk in scene._pair_chunks:
-        a, b = _stack(world, chunk[:, 0]), _stack(world, chunk[:, 1])
+    posed = _pose_groups(scene, state) if scene.pair_indices else []
+    for (pos, _), ((ga, rows_a), (gb, rows_b)) in zip(scene._pair_chunks, scene._chunk_sides):
+        a, b = _rows(posed[ga], rows_a), _rows(posed[gb], rows_b)
         fld = separation_field(a, b, scene.params.eps1, scene.params.eps2)
         out = out + ssdf_ssdf_force(a, b, fld, scene.params)
         min_sep = min(min_sep, float(np.min(fld.values.real)))
@@ -324,10 +368,11 @@ def inverse_dynamics(scene: Scene, state: SceneState, vdot: np.ndarray) -> np.nd
     vdot = np.asarray(vdot)
     if vdot.shape != (scene.n,):
         raise ValueError("vdot length must match the scene's free DOFs")
+    contact = total_contact_force(scene, state)
     m, Iw = _free_inertia(scene, state.q)
     a = vdot.reshape(-1, 6)
     inertial = np.concatenate([m[:, None] * a[:, :3], (Iw @ a[:, 3:, None])[..., 0]], axis=1)
-    return (inertial + _bias(scene, state.v, m, Iw)).reshape(-1) - total_contact_force(scene, state)
+    return (inertial + _bias(scene, state.v, m, Iw)).reshape(-1) - contact
 
 
 def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = None, *, _with_separation: bool = False):
@@ -375,19 +420,25 @@ def _advance_q(q: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
 _DIVERGENCE_LIMIT = 1e150
 
 
+def _bad_coordinate(state: SceneState, scene: Scene, limit: float = np.inf) -> str | None:
+    """'pose coordinate tz of body b' (or 'velocity coordinate wy ...') for
+    the first entry of q, then v, that is non-finite or not below limit in
+    magnitude; None when there is none."""
+    for kind, arr, coords in (("pose", state.q, ("tx", "ty", "tz", "qw", "qx", "qy", "qz")),
+                              ("velocity", state.v.reshape(-1, 6), ("vx", "vy", "vz", "wx", "wy", "wz"))):
+        ok = np.isfinite(arr) & (np.abs(arr) < limit)
+        if not ok.all():
+            k, j = np.unravel_index(int(np.argmin(ok)), arr.shape)
+            return f"{kind} coordinate {coords[j]} of body {scene.bodies[scene.free_indices[k]].name}"
+    return None
+
+
 def _check_finite(state: SceneState, scene: Scene):
-    ok_q = np.isfinite(state.q) & (np.abs(state.q) < _DIVERGENCE_LIMIT)
-    if not ok_q.all():
-        k, j = np.unravel_index(int(np.argmin(ok_q)), state.q.shape)
-        name = scene.bodies[scene.free_indices[k]].name
-        coord = ["tx", "ty", "tz", "qw", "qx", "qy", "qz"][j]
-        raise DivergenceError(f"non-finite pose coordinate {coord} of body {name}")
-    ok_v = np.isfinite(state.v) & (np.abs(state.v) < _DIVERGENCE_LIMIT)
-    if not ok_v.all():
-        j = int(np.argmin(ok_v))
-        name = scene.bodies[scene.free_indices[j // 6]].name
-        coord = ["vx", "vy", "vz", "wx", "wy", "wz"][j % 6]
-        raise DivergenceError(f"non-finite velocity coordinate {coord} of body {name}")
+    """Stop an integration whose state left the finite range:
+    DivergenceError."""
+    bad = _bad_coordinate(state, scene, _DIVERGENCE_LIMIT)
+    if bad:
+        raise DivergenceError(f"non-finite {bad}")
 
 
 def step(scene: Scene, state: SceneState, dt: float, integrator: str = "rk4", *, _with_separation: bool = False):

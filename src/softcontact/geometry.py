@@ -175,6 +175,22 @@ class WorldAopc:
         return out[:n]
 
 
+def posed_arrays(R, t, twist, points, normals, tangents):
+    """The posing arithmetic, for one body or a group of bodies with a
+    leading axis: world points p = R x + t, normals and tangents rotated by R,
+    and point velocities v + w x (p - t) of the world twist [v; w] at t.
+
+    R (..., 3, 3), t (..., 3), twist (..., 6); points and normals
+    (..., I, 3), tangents (2, ..., I, 3). Returns (points, normals, tangents,
+    velocities).
+    """
+    Rt = np.swapaxes(R, -1, -2)
+    t = t[..., None, :]
+    pts = points @ Rt + t
+    vel = twist[..., None, :3] + np.cross(twist[..., None, 3:], pts - t)
+    return pts, normals @ Rt, tangents @ Rt, vel
+
+
 def pose_aopc(
     aopc: LocalAopc,
     pose: Pose,
@@ -194,10 +210,6 @@ def pose_aopc(
     n = v.shape[0]
     R = quat_to_matrix(pose.quaternion)
     t = pose.translation
-    pts = aopc.points @ R.T + t
-    nrm = aopc.normals @ R.T
-    tan = aopc.tangents @ R.T
-    verts = aopc.vertices @ R.T + t
     if dof_start is None:
         s, twist = -1, np.zeros(6) if prescribed_velocity is None else np.asarray(prescribed_velocity)
     else:
@@ -205,7 +217,9 @@ def pose_aopc(
         if s < 0 or s + 6 > n:
             raise ValueError("dof_start block exceeds generalized dimension")
         twist = v[s : s + 6]
-    vel = (twist[:3] + np.cross(twist[3:6], pts - t)).astype(np.result_type(pts.dtype, v.dtype), copy=False)
+    twist = twist.astype(np.result_type(twist, v), copy=False)
+    pts, nrm, tan, vel = posed_arrays(R, t, twist, aopc.points, aopc.normals, aopc.tangents)
+    verts = aopc.vertices @ R.T + t
     return WorldAopc(pts, nrm, tan, vel, np.asarray(t), np.asarray(s), n, verts, aopc.faces, body_id)
 
 

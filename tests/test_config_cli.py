@@ -344,6 +344,12 @@ def test_cli_bench_resolutions(tmp_path):
     ["gradcheck", "--config", "sphere_pair.json", "--samples", "1", "--h", "nan"],
     ["gradcheck", "--config", "sphere_pair.json", "--samples", "1", "--tol", "nan"],
     ["gradcheck", "--config", "sphere_pair.json", "--samples", "1", "--seed", "-1"],
+    ["collide", "--config", "stacked_boxes.json", "--tau", "0.5"],
+    ["collide", "--config", "stacked_boxes.json", "--tau", "nan"],
+    ["collide", "--config", "stacked_boxes.json", "--k", "-2"],
+    ["gradcheck", "--config", "sphere_pair.json", "--samples", "1", "--h", "0"],
+    ["gradcheck", "--config", "sphere_pair.json", "--samples", "1", "--tol=-1"],
+    ["sdf-grid", "--config", "box_slice.json", "--eps1-list", "0.01,0"],
 ])
 def test_cli_rejected_value_ends_in_one_error_line(tmp_path, capsys, argv):
     argv = [os.path.join(CONFIG_DIR, a) if a.endswith(".json") else a for a in argv]
@@ -355,6 +361,12 @@ def test_cli_rejected_value_ends_in_one_error_line(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())  # rejected before anything is written
     if "--seed" in argv:  # not numpy's "expected non-negative integer"
         assert lines[-1] == "error: --seed must be non-negative"
+    # The line names the flag that carried the value, not the library
+    # parameter it became; a valid --tau without --k names both.
+    flag = [a for a in argv if a.startswith("--")][-1].split("=")[0]
+    assert flag in lines[-1], lines[-1]
+    if argv[-2:] == ["--tau", "0.5"]:
+        assert lines[-1] == "error: --tau is the temperature of the --k contact points: give --k too"
 
 
 _SPHERE = '{"kind": "sphere", "radius": 0.5, "resolution": 54}'

@@ -11,7 +11,7 @@ from softcontact.contact import (
     ssdf_ssdf_force,
 )
 from softcontact.core import quat_normalize, softplus
-from softcontact.geometry import Pose, box_aopc, pose_aopc, sphere_aopc
+from softcontact.geometry import Pose, WorldAopc, box_aopc, pose_aopc, sphere_aopc
 from softcontact.verify import cs_gradient, fd_gradient
 
 
@@ -350,11 +350,17 @@ def test_pair_force_matches_broadcast_oracle(slip, approach):
     assert np.abs(g_got - g_want).max() <= 1e-12 * np.abs(g_want).max()
 
 
+def _stack(world, idx):
+    """The posed bodies idx as one stack with a leading pair axis."""
+    ws = [world[i] for i in idx]
+    return WorldAopc(**{name: np.stack([getattr(w, name) for w in ws], axis=int(name == "tangents"))
+                        for name in ("points", "normals", "tangents", "velocities", "origin", "dof_start")},
+                     num_dofs=ws[0].num_dofs)
+
+
 def test_stacked_pair_force_matches_dense_jacobian_oracle():
     # One stack of three pairs: a kinematic body in two of them, and body 1
     # as b in the first pair and a in the last, so its wrenches add up.
-    from softcontact.dynamics import _stack
-
     rng = np.random.default_rng(6)
     box = box_aopc([0.3, 0.3, 0.3], 54)
     params = ContactParams(k=2e3, v_s=0.02)

@@ -312,6 +312,13 @@ def test_complex_step_at_the_bound_raises():
         softmax(np.array([0.0, 1.0 + 1e-8j * eps]), eps)
 
 
+def test_exp_propagates_nan_and_zeroes_the_tail():
+    got = _exp(np.array([np.nan, 0.0, -800.0, -np.inf, np.inf]))
+    assert np.isnan(got[0])
+    np.testing.assert_array_equal(got[1:], [1.0, 0.0, 0.0, np.inf])
+    assert np.isnan(softplus(np.array([np.nan]), 0.1, check=False)).all()
+
+
 def test_complex_step_nan_imaginary_part_propagates():
     z = np.array([0.3, complex(0.3, np.nan), complex(-800.0, np.nan)])
     got = _exp(z)

@@ -388,3 +388,85 @@ def test_stacked_pairs_match_pair_by_pair_forces():
     g_got = cs_gradient(lambda t: dynamics._contact_force(scene, unflatten_state(scene, st, t))[0], theta)
     g_want = cs_gradient(lambda t: _pair_by_pair(scene, unflatten_state(scene, st, t))[0], theta)
     assert np.abs(g_got - g_want).max() <= 1e-12 * np.abs(g_want).max()
+
+
+def _group_posing_scene():
+    # Two free cubes of different sizes and a kinematic one share the
+    # 24-point group, so each row must keep its own cloud; a 54-point ball is
+    # a group of its own. "small" is b in the first pair and a in the second.
+    from softcontact.contact import ContactParams
+
+    small, large = box_aopc([0.2, 0.2, 0.2], 24), box_aopc([0.3, 0.3, 0.3], 24)
+    assert small.num_points == large.num_points and not np.array_equal(small.points, large.points)
+    slider = Body("slider", box_aopc([0.25, 0.25, 0.25], 24), "kinematic",
+                  motion=LinearMotion(Pose(np.array([0.0, 0.0, -0.25]), np.array([1.0, 0, 0, 0])), [0.03, 0, 0], [0, 0, 0.2]))
+    bodies = [Body("large", large, "free", 2.0, box_inertia(2.0, [0.3] * 3)), slider,
+              Body("small", small, "free", 1.0, box_inertia(1.0, [0.2] * 3)),
+              Body("ball", sphere_aopc(0.1, 54), "free", 0.5, sphere_inertia(0.5, 0.1))]
+    scene = Scene(bodies, [("slider", "small"), ("small", "large"), ("ball", "large"), ("ball", "slider")],
+                  params=ContactParams(k=2e3, v_s=0.02))
+    rng = np.random.default_rng(10)
+    poses = {name: Pose(np.array(t), quat_normalize(np.array([1.0, 0, 0, 0]) + 0.03 * rng.standard_normal(4)))
+             for name, t in (("small", [0.0, 0.0, -0.03]), ("large", [0.245, 0.01, 0.0]), ("ball", [0.1, 0.3, 0.05]))}
+    velocities = {name: 0.05 * rng.standard_normal(6) for name in poses}
+    return scene, make_state(scene, poses, velocities, time=0.3)
+
+
+def test_group_posing_matches_pose_all_bit_for_bit():
+    from softcontact import dynamics
+    from softcontact.verify import flatten_state, unflatten_state
+
+    scene, st = _group_posing_scene()
+    assert sorted(len(group[0]) for group in scene._groups) == [1, 3]
+    theta = flatten_state(st).astype(complex)
+    theta[11] += 1e-30j  # qx of "small"
+    theta[-2] += 1e-30j  # an angular velocity of "ball"
+    for state in (st, unflatten_state(scene, st, theta)):
+        world = dynamics.pose_all(scene, state)
+        posed = dynamics._pose_groups(scene, state)
+        for (idx, *_), stack in zip(scene._groups, posed):
+            for r, i in enumerate(idx):
+                w = world[i]
+                for got, want in ((stack.points[r], w.points), (stack.normals[r], w.normals),
+                                  (stack.tangents[:, r], w.tangents), (stack.velocities[r], w.velocities),
+                                  (stack.origin[r], w.origin), (stack.dof_start[r], w.dof_start)):
+                    np.testing.assert_array_equal(got, want)
+
+
+def test_contact_force_poses_by_group_only(monkeypatch):
+    from softcontact import dynamics, geometry
+
+    scene, st = _group_posing_scene()
+    want, want_sep = _pair_by_pair(scene, st)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the contact path posed a body on its own")
+
+    for mod, name in ((dynamics, "pose_all"), (dynamics, "pose_aopc"), (geometry, "pose_aopc")):
+        monkeypatch.setattr(mod, name, refuse)
+    got, sep = dynamics._contact_force(scene, st)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert sep == want_sep < 0
+    assert np.abs(got).max() > 1.0
+
+
+@pytest.mark.parametrize("array, index, message", [
+    ("q", (1, 2), "pose coordinate tz of body middle"),
+    ("q", (2, 4), "pose coordinate qx of body upper"),
+    ("v", 3, "velocity coordinate wx of body lower"),
+    ("v", 23, "velocity coordinate wz of body ball"),
+])
+@pytest.mark.parametrize("imaginary", [False, True])
+def test_nonfinite_state_names_body_and_coordinate(array, index, message, imaginary):
+    import warnings
+
+    scene, st = _batching_scene()
+    if imaginary:
+        st = SceneState(st.time, st.q.astype(complex), st.v.astype(complex))
+    getattr(st, array)[index] = complex(0.1, np.nan) if imaginary else np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: forward_dynamics(scene, st), lambda: inverse_dynamics(scene, st, np.zeros(scene.n)),
+                     lambda: total_contact_force(scene, st)):
+            with pytest.raises(ValueError, match=f"^state has a non-finite {message}$"):
+                call()
