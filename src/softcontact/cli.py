@@ -13,6 +13,11 @@ import os
 import sys
 import time
 
+try:
+    import resource
+except ImportError:  # not on every platform: bench then reports no fault counts
+    resource = None
+
 import numpy as np
 
 from .collision import (
@@ -388,6 +393,11 @@ def cmd_gradcheck(args) -> int:
     return 0 if worst.passed else 1
 
 
+def _minor_faults() -> float:
+    """Minor page faults of this process so far; NaN without `resource`."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else float("nan")
+
+
 def cmd_bench(args) -> int:
     doc, base_dir = _document(args)
     cfg = parse_config(doc, base_dir)
@@ -395,7 +405,7 @@ def cmd_bench(args) -> int:
         raise ConfigError("--repetitions must be at least 10")
     if not cfg.scene.pair_indices:
         raise ConfigError("bench needs at least one collision pair")
-    rows = ["variant,resolution,total_points,median_ms,p10_ms,p90_ms"]
+    rows = ["variant,resolution,total_points,median_ms,p10_ms,p90_ms,minflt_per_step"]
     summaries = []
     for res in args.resolutions or [None]:
         if res is not None:
@@ -412,22 +422,28 @@ def cmd_bench(args) -> int:
         for k in range(apart.q.shape[0]):
             apart.q[k, 0] += 40.0 * (k + 1) * max(span, 1.0)
         times = {"contact": [], "separated": []}
+        faults = {"contact": 0, "separated": 0}
         # One warm-up round, then the variants alternate step by step, so the
         # machine's speed swings reach both alike and cancel in each pair.
         for rep in range(args.repetitions + 1):
             for variant, st in (("contact", contact_state), ("separated", apart)):
+                f0 = _minor_faults()
                 t0 = time.perf_counter()
                 step(scene, st, cfg.world.dt, cfg.world.integrator)
                 if rep:
                     times[variant].append(time.perf_counter() - t0)
+                    faults[variant] += _minor_faults() - f0
+        minflt = {variant: n / args.repetitions for variant, n in faults.items()}
         for variant, t in times.items():
             ms = np.sort(t) * 1e3
-            rows.append("%s,%s,%d,%.4f,%.4f,%.4f" % (variant, label, total_points, np.median(ms),
-                                                      ms[int(0.1 * len(ms))], ms[int(0.9 * len(ms))]))
+            rows.append("%s,%s,%d,%.4f,%.4f,%.4f,%.1f" % (variant, label, total_points, np.median(ms),
+                                                          ms[int(0.1 * len(ms))], ms[int(0.9 * len(ms))], minflt[variant]))
         contact, separated = np.asarray(times["contact"]), np.asarray(times["separated"])
         summaries.append(
-            "resolution %s (%d points): median contact %.3f ms, separated %.3f ms, paired ratio %.3f"
-            % (label, total_points, 1e3 * np.median(contact), 1e3 * np.median(separated), np.median(separated / contact))
+            "resolution %s (%d points): median contact %.3f ms, separated %.3f ms, paired ratio %.3f, "
+            "minor faults per step contact %.1f, separated %.1f"
+            % (label, total_points, 1e3 * np.median(contact), 1e3 * np.median(separated), np.median(separated / contact),
+               minflt["contact"], minflt["separated"])
         )
     path = _write(args, "bench.csv", "\n".join(rows) + "\n")
     text = "\n".join(summaries)

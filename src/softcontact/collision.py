@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_temperature, softmax
+from .core import FRESH, check_temperature, softmax
 from .ssdf import SsdfResult, ssdf
 
 
@@ -39,21 +39,31 @@ class SeparationField:
         return self.values.shape[-1]
 
 
-def separation_field(a, b, eps1: float, eps2: float) -> SeparationField:
+def separation_field(a, b, eps1: float, eps2: float, *, _scratch=FRESH) -> SeparationField:
     """Evaluate both directional SSDF batteries and the softmin distribution.
 
     a and b are posed WorldAopc's (LocalAopc works for purely geometric
     queries), or two stacks of P posed clouds for P pairs at once. The
     batteries' (..., Q, I) weight and plane-distance matrices stay on the
     field, so the contact model evaluates no softmin or plane distance again.
+    _scratch (private) supplies those matrices and the temporaries; the
+    field is then valid until the caller's scratch block exits.
     """
     check_temperature(eps1, "eps1")
     check_temperature(eps2, "eps2")
-    r_ba = ssdf(a, b.points, eps1)  # points of b in a's field
-    r_ab = ssdf(b, a.points, eps1)  # points of a in b's field
+    r_ba = ssdf(a, b.points, eps1, _battery(_scratch, a, b), _scratch=_scratch)  # points of b in a's field
+    r_ab = ssdf(b, a.points, eps1, _battery(_scratch, b, a), _scratch=_scratch)  # points of a in b's field
     values = np.concatenate([r_ba.value, r_ab.value], axis=-1)
     distribution = softmax(-values, eps2)
     return SeparationField(values, distribution, float(eps1), float(eps2), r_ba, r_ab)
+
+
+def _battery(scratch, cloud, query):
+    """(weights, plane distances) arrays for the SSDF of query's points
+    against cloud."""
+    shape = query.points.shape[:-1] + cloud.points.shape[-2:-1]
+    dtype = np.result_type(cloud.points, cloud.normals, query.points)
+    return scratch.empty(shape, dtype), scratch.empty(shape, dtype)
 
 
 def soft_separation_distance(field: SeparationField):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .collision import SeparationField
 # softmax stays bound here: perfbench/tracer.py wraps contact.softmax.
-from .core import check_temperature, dot, softmax, softplus, squared_norm  # noqa: F401
+from .core import FRESH, check_temperature, dot, softmax, softplus, squared_norm  # noqa: F401
 from .ssdf import SsdfResult, ssdf
 
 
@@ -63,20 +63,28 @@ class ContactParams:
             check_temperature(getattr(self, name), name)
 
 
-def dissipation_factor(x):
+def dissipation_factor(x, out=None, *, _scratch=FRESH):
     """Velocity modulation of the normal force, x = v_n / v_d.
 
     1 - x for x <= 0, (x - 2)^2 / 4 on (0, 2], and 0 beyond: continuous and
-    C1 at both joints, nonnegative everywhere.
+    C1 at both joints, nonnegative everywhere. The result is written into
+    out when given (x itself allowed); _scratch (private) supplies the
+    temporaries.
     """
     x = np.asarray(x)
     xr = x.real
-    d = np.asarray(x - 2.0)
-    np.square(d, out=d)
-    d /= 4.0
-    # A NaN fails both tests and stays NaN.
-    d = np.where(xr <= 0.0, 1.0 - x, d)
-    d[xr > 2.0] = 0.0
+    dtype = np.result_type(x, 2.0)
+    with _scratch:
+        # Both selections and 1 - x are taken before out may overwrite x. A
+        # NaN fails both tests and stays NaN.
+        low = np.less_equal(xr, 0.0, out=_scratch.empty(x.shape, bool))
+        high = np.greater(xr, 2.0, out=_scratch.empty(x.shape, bool))
+        linear = np.subtract(1.0, x, out=_scratch.empty(x.shape, dtype))
+        d = np.subtract(x, 2.0, out=np.empty(x.shape, dtype) if out is None else out)
+        np.square(d, out=d)
+        d /= 4.0
+        np.putmask(d, low, linear)
+        np.putmask(d, high, 0.0)
     return d
 
 
@@ -99,7 +107,7 @@ def point_plane_force(p, v, plane_p, plane_n, params: ContactParams):
     return lam_n[..., None] * plane_n + scale[..., None] * v_t
 
 
-def _point_forces(cloud, q_velocities, battery: SsdfResult, coeff, params: ContactParams):
+def _point_forces(cloud, q_velocities, battery: SsdfResult, coeff, params: ContactParams, scratch=FRESH):
     """Softly selected point-plane forces between query points and a cloud.
 
     Query point q feels coeff_q sum_i w_qi lambda_qi, lambda_qi being
@@ -113,7 +121,8 @@ def _point_forces(cloud, q_velocities, battery: SsdfResult, coeff, params: Conta
     has no cancellation, and with W = coeff w, C = W lambda_n and
     B = W scale, scale = -mu lambda_n / sqrt(v_s^2 + a^2 + b^2), the sums
     over i are the matmuls C @ n + (B a) @ t1 + (B b) @ t2; the sums over q
-    are the column sums of the same matrices.
+    are the column sums of the same matrices. The (Q, I) temporaries come
+    from scratch.
     """
     nrm = cloud.normals
     t1, t2 = cloud.tangents
@@ -122,33 +131,37 @@ def _point_forces(cloud, q_velocities, battery: SsdfResult, coeff, params: Conta
     # write in place.
     dtype = np.result_type(q_velocities, vel, nrm, battery.plane_distances, battery.weights, coeff)
     q_velocities = q_velocities.astype(dtype, copy=False)
+    shape = battery.weights.shape
 
     def component(axes):
-        out = q_velocities @ np.swapaxes(axes, -1, -2)
+        out = np.matmul(q_velocities, np.swapaxes(axes, -1, -2), out=scratch.empty(shape, dtype))
         out -= np.sum(vel * axes, axis=-1)[..., None, :]
         return out
 
-    v_n, a, b = component(nrm), component(t1), component(t2)
-    v_n /= params.v_d
-    lam_n = softplus(-battery.plane_distances.astype(dtype, copy=False), params.eps3, check=False)
-    # Complex products keep their operand order: numpy's complex x * y and
-    # y * x can round the imaginary part differently.
-    np.multiply(params.k, lam_n, out=lam_n)
-    lam_n *= dissipation_factor(v_n)
-    # B = W scale with scale = -mu lambda_n / r, r = sqrt(v_s^2 + a^2 + b^2),
-    # in r's buffer; C = W lambda_n in lambda_n's; B a and B b in a's and b's.
-    B = np.multiply(a, a)
-    B += np.multiply(b, b, out=v_n)
-    B += params.v_s**2
-    np.sqrt(B, out=B)
-    np.divide(np.multiply(-params.mu, lam_n, out=v_n), B, out=B)
-    W = coeff[..., None] * battery.weights
-    np.multiply(W, B, out=B)
-    C = np.multiply(W, lam_n, out=lam_n)
-    Ba = np.multiply(B, a, out=a)
-    Bb = np.multiply(B, b, out=b)
-    f_query = C @ nrm + Ba @ t1 + Bb @ t2
-    f_cloud = -(C.sum(axis=-2)[..., None] * nrm + Ba.sum(axis=-2)[..., None] * t1 + Bb.sum(axis=-2)[..., None] * t2)
+    with scratch:
+        v_n, a, b = component(nrm), component(t1), component(t2)
+        v_n /= params.v_d
+        lam_n = np.negative(battery.plane_distances, out=scratch.empty(shape, dtype), dtype=dtype)
+        softplus(lam_n, params.eps3, check=False, out=lam_n, _scratch=scratch)
+        # Complex products keep their operand order: numpy's complex x * y and
+        # y * x can round the imaginary part differently.
+        np.multiply(params.k, lam_n, out=lam_n)
+        lam_n *= dissipation_factor(v_n, out=v_n, _scratch=scratch)
+        # B = W scale with scale = -mu lambda_n / r, r = sqrt(v_s^2 + a^2 + b^2);
+        # W goes into v_n's buffer, C = W lambda_n into lambda_n's, B a and B b
+        # into a's and b's.
+        B = np.multiply(a, a, out=scratch.empty(shape, dtype))
+        B += np.multiply(b, b, out=v_n)
+        B += params.v_s**2
+        np.sqrt(B, out=B)
+        np.divide(np.multiply(-params.mu, lam_n, out=v_n), B, out=B)
+        W = np.multiply(coeff[..., None], battery.weights, out=v_n)
+        np.multiply(W, B, out=B)
+        C = np.multiply(W, lam_n, out=lam_n)
+        Ba = np.multiply(B, a, out=a)
+        Bb = np.multiply(B, b, out=b)
+        f_query = C @ nrm + Ba @ t1 + Bb @ t2
+        f_cloud = -(C.sum(axis=-2)[..., None] * nrm + Ba.sum(axis=-2)[..., None] * t1 + Bb.sum(axis=-2)[..., None] * t2)
     return f_query, f_cloud
 
 
@@ -166,7 +179,7 @@ def point_ssdf_force(aopc, p, v, J, params: ContactParams) -> np.ndarray:
     return np.asarray(J).T @ f_point[0] + aopc.generalized_force(f_cloud)
 
 
-def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.ndarray:
+def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams, _scratch=FRESH) -> np.ndarray:
     """Total generalized contact force of a collision pair.
 
     The point-against-cloud forces of b's points in a's field and a's points
@@ -176,6 +189,7 @@ def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.n
     translation blocks as an equal-and-opposite (+lambda, -lambda) couple, so
     linear momentum is conserved by construction. For stacks of P pairs each
     body's wrench enters once per pair it is in; the result is the (n,) sum.
+    _scratch (private) supplies the (Q, I) temporaries.
     """
     Ia, Ib = a.num_points, b.num_points
     if len(field) != Ia + Ib:
@@ -185,6 +199,6 @@ def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.n
     if field.eps1 != params.eps1 or field.eps2 != params.eps2:
         raise ValueError("separation field temperatures do not match the contact parameters")
     coeff = field.distribution
-    f_b, f_a = _point_forces(a, b.velocities, field.b_in_a, coeff[..., :Ib], params)
-    g_a, g_b = _point_forces(b, a.velocities, field.a_in_b, coeff[..., Ib:], params)
+    f_b, f_a = _point_forces(a, b.velocities, field.b_in_a, coeff[..., :Ib], params, _scratch)
+    g_a, g_b = _point_forces(b, a.velocities, field.a_in_b, coeff[..., Ib:], params, _scratch)
     return a.generalized_force(f_a + g_a) + b.generalized_force(f_b + g_b)

@@ -6,13 +6,85 @@ whole pipeline (branch decisions are taken on real parts only, norms are
 computed as sqrt(sum(x*x)) rather than via abs); exp and softplus apply the
 first-order rule f(a + ib) = f(a) + i b f'(a) to such inputs at the cost of
 one real evaluation. All functions are pure and safe to call from any number
-of concurrent workers.
+of concurrent workers; a Scratch, the only mutable state here, serves one
+thread.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+
+class Scratch:
+    """Working memory reused from call to call: one byte buffer handed out
+    as arrays in stack order.
+
+    empty(shape, dtype) takes the next bytes of the buffer as an array, and
+    a `with scratch:` block gives back on exit every array taken inside it,
+    so an array taken from a scratch is valid until the block around it
+    exits. A take the buffer cannot hold is a fresh array; once a block
+    exits with nothing left taken, the buffer grows to the most bytes ever
+    taken at once, so later calls of the same sizes allocate nothing. Views
+    are cached by (offset, shape, dtype), and the buffer is viewed as
+    whatever dtype a call needs. One scratch serves one thread at a time.
+    """
+
+    __slots__ = ("_buf", "_size", "_top", "_high", "_marks", "_views")
+
+    def __init__(self):
+        self._buf = np.empty(0, np.uint8)
+        self._size = 0
+        self._top = 0
+        self._high = 0
+        self._marks: list[int] = []
+        self._views: dict = {}
+
+    def empty(self, shape: tuple, dtype=float) -> np.ndarray:
+        key = (self._top, shape, dtype)
+        hit = self._views.get(key)
+        if hit is not None:
+            view, self._top = hit
+            return view
+        dt = np.dtype(dtype)
+        nbytes = math.prod(shape) * dt.itemsize
+        start = self._top
+        # 64-byte offsets keep every view aligned for any dtype.
+        self._top = start + -(-nbytes // 64) * 64
+        if self._top > self._size:
+            self._high = max(self._high, self._top)
+            return np.empty(shape, dt)
+        view = self._buf[start:start + nbytes].view(dt).reshape(shape)
+        self._views[key] = (view, self._top)
+        return view
+
+    def __enter__(self) -> "Scratch":
+        self._marks.append(self._top)
+        return self
+
+    def __exit__(self, typ, value, tb) -> None:
+        self._top = top = self._marks.pop()
+        # Nothing taken is live at top 0, so the buffer can be replaced.
+        if not top and self._high > self._size:
+            self._buf = np.empty(self._high, np.uint8)
+            self._size = self._high
+            self._views.clear()
+
+
+class _Fresh:
+    """The scratch of a call given none: every array is a fresh one."""
+
+    __slots__ = ()
+    empty = staticmethod(np.empty)
+
+    def __enter__(self) -> "_Fresh":
+        return self
+
+    def __exit__(self, typ, value, tb) -> None:
+        return None
+
+
+FRESH = _Fresh()
 
 
 def check_temperature(eps: float, name: str = "eps") -> float:
@@ -23,8 +95,10 @@ def check_temperature(eps: float, name: str = "eps") -> float:
     return eps
 
 
-def _reject_nonfinite(x: np.ndarray, name: str, error: type = ValueError) -> None:
-    ok = np.isfinite(x)
+def _reject_nonfinite(x: np.ndarray, name: str, error: type = ValueError, scratch=FRESH) -> None:
+    """Raise error naming the first non-finite entry of x; the mask is taken
+    from scratch in the caller's block."""
+    ok = np.isfinite(x, out=scratch.empty(x.shape, bool))
     if not ok.all():
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), x.shape))
         pos = idx[0] if len(idx) == 1 else idx
@@ -40,33 +114,38 @@ _EXP_TAIL = -708.0
 _STEP_BOUND = 1e-8
 
 
-def _check_step(b: np.ndarray) -> None:
+def _check_step(b: np.ndarray, scale: float = 1.0) -> None:
+    """Raise unless max |b| / scale is below the bound. Two reductions give
+    max |b| without an |b| array; dividing by a positive scale commutes with
+    the max."""
     # Written as not (m >= bound) so a NaN imaginary part propagates.
-    m = np.max(np.abs(b), initial=0.0)
+    m = np.maximum(np.max(b, initial=0.0), -np.min(b, initial=0.0)) / scale
     if m >= _STEP_BOUND:
         raise ValueError(f"complex-step perturbation {m:.3g} is not below {_STEP_BOUND:g}")
 
 
-def _first_order(z: np.ndarray, value: np.ndarray, slope: np.ndarray) -> np.ndarray:
+def _first_order(z: np.ndarray, value: np.ndarray, slope: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """f(a + ib) = value + i b slope, with value = f(a) and slope = f'(a).
     Set part by part: complex arithmetic would carry a NaN in b into the
     real part."""
-    out = np.empty_like(z)
+    if out is None:
+        out = np.empty_like(z)
     out.real = value
-    out.imag = z.imag * slope
+    np.multiply(z.imag, slope, out=out.imag)
     return out
 
 
-def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL, out: np.ndarray | None = None) -> np.ndarray:
+def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL, out: np.ndarray | None = None, scratch=FRESH) -> np.ndarray:
     """exp(z) with an exact 0 wherever Re z < cutoff; a real result may be
-    written into out (z itself allowed)."""
+    written into out (z itself allowed). Its mask is taken from scratch in
+    the caller's block."""
     # np.exp is tens of times slower on its subnormal and underflow range.
     # Entries whose real part is below the cutoff become an exact 0, with exp
     # taken at the cutoff rather than skipped: the cost stays the same however
     # many entries are far, which is the contact-count independence. A NaN
     # passes np.maximum and the mask (NaN * 0 is NaN).
     a = z.real
-    live = a >= cutoff
+    live = np.greater_equal(a, cutoff, out=scratch.empty(a.shape, bool))
     e = np.maximum(a, cutoff, out=np.empty(a.shape) if out is None else out)
     np.exp(e, out=e)
     e *= live
@@ -76,81 +155,91 @@ def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL, out: np.ndarray | None = None
     return _first_order(z, e, e)
 
 
-def softmax(x: np.ndarray, eps: float, axis: int = -1) -> np.ndarray:
+def softmax(x: np.ndarray, eps: float, axis: int = -1, out: np.ndarray | None = None, *, _scratch=FRESH) -> np.ndarray:
     """Temperature-scaled softmax, exp(x_i/eps) / sum_j exp(x_j/eps).
 
     Max-subtraction makes the computation overflow-free for any finite input,
     and makes the shift invariance softmax(x + c) == softmax(x) exact whenever
     the additions x + c are themselves exact. Ties produce equal weights.
     A complex-step input is carried part by part, so its real part is the
-    real softmax bit for bit.
+    real softmax bit for bit. The result is written into out when given
+    (x itself allowed).
     """
     eps = check_temperature(eps)
     x = np.asarray(x)
     if x.shape[axis] < 1:
         raise ValueError("softmax needs at least one entry")
-    _reject_nonfinite(x, "softmax input")
-    # Shift by the (real-part) max so the largest exponent is exactly 0. For
-    # astronomically spread inputs the shifted tail saturates to -inf, which
-    # lands in the zero tail below, so the overflow is benign.
-    shift = np.max(x.real, axis=axis, keepdims=True)
-    with np.errstate(over="ignore"):
-        e = np.subtract(x.real, shift, dtype=float)
-        e /= eps
-    # The log(N) margin on the exp cutoff keeps the normalized weights normal
-    # too, as the sum is at most N; products of subnormals are slow as well.
-    # The entries dropped weigh under 1e-305 of the largest.
-    _exp(e, _EXP_TAIL + math.log(x.shape[axis]), out=e)
-    s = np.sum(e, axis=axis, keepdims=True)
-    if not np.iscomplexobj(x):
+    step = np.iscomplexobj(x)
+    with _scratch:
+        _reject_nonfinite(x, "softmax input", scratch=_scratch)
+        # Shift by the (real-part) max so the largest exponent is exactly 0. For
+        # astronomically spread inputs the shifted tail saturates to -inf, which
+        # lands in the zero tail below, so the overflow is benign.
+        shift = np.max(x.real, axis=axis, keepdims=True)
+        with np.errstate(over="ignore"):
+            e = np.subtract(x.real, shift, dtype=float, out=_scratch.empty(x.shape) if step else out)
+            e /= eps
+        # The log(N) margin on the exp cutoff keeps the normalized weights normal
+        # too, as the sum is at most N; products of subnormals are slow as well.
+        # The entries dropped weigh under 1e-305 of the largest.
+        _exp(e, _EXP_TAIL + math.log(x.shape[axis]), out=e, scratch=_scratch)
+        s = np.sum(e, axis=axis, keepdims=True)
+        if not step:
+            e /= s
+            return e
+        # Numpy's complex division (by eps, or by the sum) rounds the real part
+        # differently from the real one, so the imaginary part of the first-order
+        # rule is carried beside the real path: d(e/s) = (de - w ds)/s.
+        de = np.divide(x.imag, eps, out=_scratch.empty(x.shape))
+        _check_step(de)
+        de *= e
         e /= s
-        return e
-    # Numpy's complex division (by eps, or by the sum) rounds the real part
-    # differently from the real one, so the imaginary part of the first-order
-    # rule is carried beside the real path: d(e/s) = (de - w ds)/s.
-    de = x.imag / eps
-    _check_step(de)
-    de *= e
-    e /= s
-    out = np.empty_like(x)
-    out.real = e
-    out.imag = (de - e * np.sum(de, axis=axis, keepdims=True)) / s
-    return out
+        if out is None:
+            out = np.empty_like(x)
+        out.real = e
+        de -= np.multiply(e, np.sum(de, axis=axis, keepdims=True), out=e)
+        np.divide(de, s, out=out.imag)
+        return out
 
 
-def softplus(x: np.ndarray, eps: float, check: bool = True) -> np.ndarray:
+def softplus(x: np.ndarray, eps: float, check: bool = True, out: np.ndarray | None = None, *, _scratch=FRESH) -> np.ndarray:
     """Smooth ReLU, eps*log(1 + exp(x/eps)), in the overflow-safe branch form.
 
     Equals max(x, 0) + eps*log1p(exp(-|x|/eps)); monotone increasing, and
     strictly positive for x > -708 eps. Further out the exp term, under
     1e-307 eps, is an exact 0. A complex-step input a + ib (|b|/eps below
     1e-8, else ValueError) gives softplus(a) + i b sigmoid(a/eps), both from
-    the one real tail exp(-|a|/eps).
+    the one real tail exp(-|a|/eps). The result is written into out when
+    given (x itself allowed).
     """
     eps = check_temperature(eps)
     x = np.asarray(x)
     if x.ndim == 0:
-        return softplus(x.reshape(1), eps, check)[0]
-    if check:
-        _reject_nonfinite(x, "softplus input")
+        return softplus(x.reshape(1), eps, check, None if out is None else out.reshape(1), _scratch=_scratch)[0]
     step = np.iscomplexobj(x)
-    if step:
-        _check_step(x.imag / eps)
     a = x.real
-    tail = np.abs(a, dtype=float)
-    tail /= -eps
-    _exp(tail, out=tail)
-    # log1p(y) rounds to y below 2^-54, where np.log1p is slow: keep y. As
-    # log1p(y) <= y, that is the minimum of y and log1p(max(y, 2^-54)).
-    out = np.maximum(tail, 2.0**-54)
-    np.log1p(out, out=out)
-    np.minimum(out, tail, out=out)
-    out *= eps
-    if not step:
-        out += np.maximum(a, 0.0, out=tail)
-        return out
-    out += np.maximum(a, 0.0)
-    return _first_order(x, out, np.where(a > 0.0, 1.0, tail) / (1.0 + tail))
+    with _scratch:
+        if check:
+            _reject_nonfinite(x, "softplus input", scratch=_scratch)
+        if step:
+            _check_step(x.imag, eps)
+        tail = np.abs(a, dtype=float, out=_scratch.empty(a.shape))
+        tail /= -eps
+        _exp(tail, out=tail, scratch=_scratch)
+        pos = np.maximum(a, 0.0, out=_scratch.empty(a.shape))
+        # log1p(y) rounds to y below 2^-54, where np.log1p is slow: keep y. As
+        # log1p(y) <= y, that is the minimum of y and log1p(max(y, 2^-54)).
+        v = np.maximum(tail, 2.0**-54, out=_scratch.empty(a.shape) if step else out)
+        np.log1p(v, out=v)
+        np.minimum(v, tail, out=v)
+        v *= eps
+        v += pos
+        if not step:
+            return v
+        # The slope sigmoid(a/eps): 1 / (1 + tail) for a > 0, else tail / (1 + tail).
+        den = np.add(1.0, tail, out=pos)
+        np.putmask(tail, np.greater(a, 0.0, out=_scratch.empty(a.shape, bool)), 1.0)
+        return _first_order(x, v, np.divide(tail, den, out=tail), out)
 
 
 def dot(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:

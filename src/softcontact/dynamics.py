@@ -9,6 +9,7 @@ are single closed-form expressions with no iterative solve.
 """
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
@@ -18,7 +19,7 @@ from scipy.interpolate import CubicSpline
 
 from .collision import separation_field, soft_separation_distance
 from .contact import ContactParams, ssdf_ssdf_force
-from .core import _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
+from .core import Scratch, _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
 from .geometry import LocalAopc, Pose, WorldAopc, pose_aopc, posed_arrays
 
 
@@ -337,13 +338,25 @@ def _rows(stack: WorldAopc, rows) -> WorldAopc:
                      stack.origin[rows], stack.dof_start[rows], stack.num_dofs)
 
 
+class _ThreadScratch(threading.local):
+    """One Scratch per thread for _contact_force, held outside any Scene."""
+
+    def __init__(self):
+        self.scratch = Scratch()
+
+
+_ARENA = _ThreadScratch()
+
+
 def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):
     """Sum of pair forces plus the minimum separation seen (diagnostics);
     per_pair also returns each pair's soft separation distance, in
     pair_indices order, read off the same fields. Every pair is evaluated,
     same-shape pairs as stacks (Scene._pair_chunks) cut by row out of the
     posed groups (Scene._groups). A non-finite q or v entry raises
-    ValueError naming its body and coordinate."""
+    ValueError naming its body and coordinate. Each chunk's (P, Q, I)
+    arrays live in this thread's scratch, reused from chunk to chunk and
+    call to call; none of them is returned."""
     bad = _bad_coordinate(state, scene)
     if bad:
         raise ValueError(f"state has a non-finite {bad}")
@@ -352,13 +365,15 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):
     seps = np.zeros(len(scene.pair_indices), dtype=dtype)
     min_sep = np.inf
     posed = _pose_groups(scene, state) if scene.pair_indices else []
+    scratch = _ARENA.scratch
     for (pos, _), ((ga, rows_a), (gb, rows_b)) in zip(scene._pair_chunks, scene._chunk_sides):
         a, b = _rows(posed[ga], rows_a), _rows(posed[gb], rows_b)
-        fld = separation_field(a, b, scene.params.eps1, scene.params.eps2)
-        out = out + ssdf_ssdf_force(a, b, fld, scene.params)
-        min_sep = min(min_sep, float(np.min(fld.values.real)))
-        if per_pair:
-            seps[pos] = soft_separation_distance(fld)
+        with scratch:
+            fld = separation_field(a, b, scene.params.eps1, scene.params.eps2, _scratch=scratch)
+            out = out + ssdf_ssdf_force(a, b, fld, scene.params, scratch)
+            min_sep = min(min_sep, float(np.min(fld.values.real)))
+            if per_pair:
+                seps[pos] = soft_separation_distance(fld)
     return (out, min_sep, seps) if per_pair else (out, min_sep)
 
 
@@ -481,6 +496,10 @@ class RolloutResult:
 
     @property
     def max_penetration(self) -> float:
+        """Deepest penetration seen (0 if none); NaN when the rollout did
+        not record separations, as max(0, NaN) would read 0."""
+        if np.isnan(self.min_separation).any():
+            return float("nan")
         return float(max(0.0, -np.min(self.min_separation)))
 
 

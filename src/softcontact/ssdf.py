@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_temperature, softmax
+from .core import FRESH, check_temperature, softmax
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,19 @@ def _as_batch(p):
     return p, False
 
 
-def plane_distances(aopc, p: np.ndarray) -> np.ndarray:
-    """Per-plane signed distances n_i . (p - p_i), shape (..., Q, I)."""
+def plane_distances(aopc, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-plane signed distances n_i . (p - p_i), shape (..., Q, I), written
+    into out when given."""
     pts, nrm = _cloud(aopc)
     q, _ = _as_batch(p)
-    return q @ np.swapaxes(nrm, -1, -2) - np.sum(pts * nrm, axis=-1)[..., None, :]
+    s = np.matmul(q, np.swapaxes(nrm, -1, -2), out=out)
+    s -= np.sum(pts * nrm, axis=-1)[..., None, :]
+    return s
 
 
-def squared_distances(aopc, p: np.ndarray) -> np.ndarray:
-    """Squared distances |p - p_i|^2, shape (..., Q, I).
+def squared_distances(aopc, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances |p - p_i|^2, shape (..., Q, I), written into out
+    when given.
 
     Uses the expanded form (no (Q, I, 3) intermediate); written with x*x sums
     so complex-step perturbations stay analytic.
@@ -59,25 +63,36 @@ def squared_distances(aopc, p: np.ndarray) -> np.ndarray:
     q, _ = _as_batch(p)
     qq = np.sum(q * q, axis=-1)
     pp = np.sum(pts * pts, axis=-1)
-    return qq[..., :, None] - 2.0 * (q @ np.swapaxes(pts, -1, -2)) + pp[..., None, :]
+    d = np.matmul(q, np.swapaxes(pts, -1, -2), out=out)
+    np.multiply(2.0, d, out=d)
+    np.subtract(qq[..., :, None], d, out=d)
+    d += pp[..., None, :]
+    return d
 
 
-def ssdf(aopc, p, eps1: float) -> SsdfResult:
+def ssdf(aopc, p, eps1: float, out: tuple | None = None, *, _scratch=FRESH) -> SsdfResult:
     """Softmin-weighted average of per-plane signed distances.
 
     eps1 carries units of squared meters (it divides squared distances);
     1e-4 is a reasonable default for meter-scale geometry. A stack of clouds
-    (P, I, 3) takes a (P, Q, 3) query.
+    (P, I, 3) takes a (P, Q, 3) query. out, when given, is the (weights,
+    plane_distances) pair of (..., Q, I) arrays those fields are written
+    into.
     """
     check_temperature(eps1, "eps1")
     q, single = _as_batch(p)
-    return _weighted_average(aopc, q, softmax(-squared_distances(aopc, q), eps1, axis=-1), single)
+    w, s = (None, None) if out is None else out
+    d = squared_distances(aopc, q, out=w)
+    w = softmax(np.negative(d, out=d), eps1, axis=-1, out=d, _scratch=_scratch)
+    return _weighted_average(aopc, q, w, single, s, _scratch)
 
 
-def _weighted_average(aopc, q, w, single) -> SsdfResult:
-    """The SsdfResult of weights w (..., Q, I) over the plane distances of q."""
-    s = plane_distances(aopc, q)
-    value = np.sum(w * s, axis=-1)
+def _weighted_average(aopc, q, w, single, out=None, scratch=FRESH) -> SsdfResult:
+    """The SsdfResult of weights w (..., Q, I) over the plane distances of q,
+    which are written into out when given."""
+    s = plane_distances(aopc, q, out=out)
+    with scratch:
+        value = np.sum(np.multiply(w, s, out=scratch.empty(s.shape, np.result_type(w, s))), axis=-1)
     if single:
         return SsdfResult(value[0], w[0], s[0])
     return SsdfResult(value, w, s)
@@ -169,6 +184,8 @@ def sample_sdf_grid(aopc, bounds, resolution, eps1: float, slice_axis: int | Non
     """
     lo = np.asarray(bounds[0], dtype=float)
     hi = np.asarray(bounds[1], dtype=float)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError(f"bounds must be finite, got lo={lo.tolist()!r}, hi={hi.tolist()!r}")
     if lo.shape != (3,) or hi.shape != (3,) or np.any(hi <= lo):
         raise ValueError("bounds must be (lo, hi) with hi > lo on every axis")
     if not np.isfinite(slice_value):

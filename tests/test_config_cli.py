@@ -236,7 +236,7 @@ def test_cli_force_sweep_and_bench(tmp_path):
                "--repetitions", "10", "--quiet"])
     assert rc == 0
     text = (tmp_path / "bench" / "bench.csv").read_text()
-    assert text.splitlines()[0] == "variant,resolution,total_points,median_ms,p10_ms,p90_ms"
+    assert text.splitlines()[0] == "variant,resolution,total_points,median_ms,p10_ms,p90_ms,minflt_per_step"
     assert len(text.strip().splitlines()) == 3
     rc = main(["bench", "--config", bench_cfg, "--out", str(tmp_path / "bench"),
                "--repetitions", "5", "--quiet"])
@@ -326,6 +326,10 @@ def test_cli_bench_resolutions(tmp_path):
     # Two 0.5 x 0.5 x 0.2 boxes; the lattice rounds each face's cells up.
     assert [r.split(",")[:3] for r in rows[1:]] == [
         ["contact", "24", "84"], ["separated", "24", "84"], ["contact", "54", "128"], ["separated", "54", "128"]]
+    # Minor page faults per step: a count, or nan where the platform has none.
+    assert rows[0].split(",")[-1] == "minflt_per_step"
+    assert all(not float(r.split(",")[6]) < 0 for r in rows[1:])
+    assert (tmp_path / "bench.txt").read_text().count("minor faults per step contact") == 2
     assert main(["bench", "--config", os.path.join(CONFIG_DIR, "stacked_boxes.json"), "--out", str(tmp_path),
                  "--resolutions", "24,x", "--quiet"]) == 1
 

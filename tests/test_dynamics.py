@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +31,8 @@ from softcontact.dynamics import (
     trajectory_csv,
 )
 from softcontact.geometry import Pose, box_aopc, sphere_aopc
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def free_sphere_scene(gravity=(0, 0, -9.81)):
@@ -336,6 +343,9 @@ def test_rollout_reads_separation_off_the_first_stage(monkeypatch, integrator, s
     res_off = rollout(scene, st, 2e-3, n, integrator, record_separation=False)
     assert len(calls) == stages * n * len(scene.pairs)
     assert np.isnan(res_off.min_separation).all() and res_off.min_separation.shape == (n + 1,)
+    # Penetration is reported only where it was measured.
+    assert res.max_penetration == -res.min_separation.min() > 0
+    assert np.isnan(res_off.max_penetration)
     np.testing.assert_array_equal(res_off.states[-1].q, res.states[-1].q)
 
 
@@ -470,3 +480,122 @@ def test_nonfinite_state_names_body_and_coordinate(array, index, message, imagin
                      lambda: total_contact_force(scene, st)):
             with pytest.raises(ValueError, match=f"^state has a non-finite {message}$"):
                 call()
+
+
+def _config_state(name, complex_v=False):
+    from softcontact.config import load_config
+
+    cfg = load_config(os.path.join(CONFIG_DIR, name))
+    st = cfg.state.copy()
+    if complex_v:
+        st.v = st.v.astype(complex)
+        st.v[1] += 1e-30j
+    return cfg.scene, st
+
+
+@pytest.mark.parametrize("name, complex_v", [("stacked_boxes.json", False), ("sphere_pair.json", True)])
+def test_warm_contact_force_allocates_no_pair_sized_array(name, complex_v):
+    # After one call has sized this thread's scratch, the (P, Q, I) arrays
+    # of a contact evaluation come from it: the traced peak stays below one
+    # direction's (Q, I) array.
+    from softcontact import dynamics
+
+    scene, st = _config_state(name, complex_v)
+    (ia, ib), = scene.pair_indices
+    qi_bytes = scene.bodies[ia].aopc.num_points * scene.bodies[ib].aopc.num_points * st.v.itemsize
+    dynamics._contact_force(scene, st)
+    tracemalloc.start()
+    try:
+        dynamics._contact_force(scene, st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < qi_bytes
+
+
+def _in_new_thread(fn):
+    """fn() run in a thread of its own, so with an empty scratch."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn()))
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive() and len(out) == 1
+    return out[0]
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert np.asarray(g).dtype == np.asarray(w).dtype
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_contact_scratch_reuse_keeps_results_bit_for_bit():
+    # One 144 x 144 chunk and three chunks of 54 x 54 and 24 x 54 pairs,
+    # real and complex-step, interleaved so every evaluation finds buffers
+    # and cached views the one before left in a different shape or dtype.
+    from softcontact import dynamics
+    from softcontact.collision import separation_field
+
+    cases = []
+    for scene, st in (_config_state("stacked_boxes.json"), _batching_scene()):
+        cs = st.copy()
+        cs.v = cs.v.astype(complex)
+        cs.v[2] += 1e-30j
+        cases += [(scene, st), (scene, cs)]
+    scene, st = cases[2]
+    world = dynamics.pose_all(scene, st)
+    ia, ib = scene.pair_indices[0]
+    kept = separation_field(world[ia], world[ib], scene.params.eps1, scene.params.eps2)
+    kept_arrays = (kept.values, kept.distribution, kept.b_in_a.weights, kept.b_in_a.plane_distances,
+                   kept.a_in_b.weights, kept.a_in_b.plane_distances)
+    snapshot = [a.copy() for a in kept_arrays]
+    first = [_in_new_thread(lambda c=c: dynamics._contact_force(*c, per_pair=True)) for c in cases]
+    for k in (0, 3, 1, 2, 2, 0, 3, 1):
+        scene, st = cases[k]
+        got = dynamics._contact_force(scene, st, per_pair=True)
+        _assert_same_bits(got, first[k])
+        want, want_sep = _pair_by_pair(scene, st)
+        assert np.abs(got[0] - want).max() <= 1e-12 * np.abs(want).max()
+        assert got[1] == want_sep
+    for a, b in zip(kept_arrays, snapshot):
+        _assert_same_bits((a,), (b,))
+
+
+def test_threads_share_one_scene_with_their_own_scratch():
+    # More threads than cores, each at its own state of one shared Scene,
+    # with frequent switches: a scratch shared between threads would mix
+    # their (P, Q, I) arrays.
+    from softcontact import dynamics
+
+    scene, base = _config_state("stacked_boxes.json")
+    states = []
+    for k in range(4):
+        st = base.copy()
+        st.q[1, 0] += 0.01 * k
+        st.v[2] -= 0.1 * k
+        if k % 2:
+            st.v = st.v.astype(complex)
+            st.v[0] += 1e-30j
+        states.append(st)
+    serial = [dynamics._contact_force(scene, st, per_pair=True) for st in states]
+    results = [[] for _ in states]
+
+    def work(k):
+        for _ in range(4):
+            results[k].append(dynamics._contact_force(scene, states[k], per_pair=True))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(states))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for runs, want in zip(results, serial):
+        assert len(runs) == 4
+        for got in runs:
+            _assert_same_bits(got, want)

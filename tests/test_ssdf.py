@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,13 @@ def test_grid_slice_and_validation():
             sample_sdf_grid(cube, ([-1, -1, -1], [1, 1, 1]), (4, 4, 9), 0.1, slice_axis=2, slice_value=value)
     with pytest.raises(ValueError, match="resolution"):
         sample_sdf_grid(cube, ([-1, -1, -1], [1, 1, 1]), (1, 4, 4), 0.1)
+    # Non-finite bounds are refused before any lattice or softmax work, with
+    # no RuntimeWarning on the way.
+    for lo, hi in (([np.nan, -1, -1], [1, 1, 1]), ([-1, -1, -1], [1, np.inf, 1]), ([-1, -1, -np.inf], [1, 1, 1])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="bounds must be finite"):
+                sample_sdf_grid(cube, (lo, hi), (4, 4, 4), 0.1, slice_axis=2)
 
 
 def test_grid_csv_format():
@@ -232,3 +241,25 @@ def test_grid_csv_format():
     assert len(lines) == 9
     first = [float(v) for v in lines[1].split(",")]
     assert first[:3] == [-1.0, -1.0, -1.0]
+
+
+def test_out_arguments_write_in_place_and_match_fresh_results():
+    # ssdf, softmax and softplus given out= write their result there (x
+    # itself allowed for softmax and softplus) and return the same bits as
+    # a call that allocates.
+    from softcontact.core import softmax, softplus
+
+    cube = transform_aopc(box_aopc([0.4, 0.3, 0.2], 24), Pose(np.array([0.01, 0.02, 0.0]), quat_normalize(np.array([1.0, 0.1, 0.0, 0.05]))))
+    q = np.random.default_rng(3).uniform(-0.3, 0.3, (7, 3))
+    for query in (q, q + 1e-30j):
+        want = ssdf(cube, query, 1e-3)
+        w, s = np.empty_like(want.weights), np.empty_like(want.plane_distances)
+        got = ssdf(cube, query, 1e-3, out=(w, s))
+        assert got.weights is w and got.plane_distances is s
+        for g, x in ((got.value, want.value), (w, want.weights), (s, want.plane_distances)):
+            assert g.tobytes() == x.tobytes()
+        x = -want.plane_distances
+        for f in (lambda y, out=None: softmax(y, 1e-2, out=out), lambda y, out=None: softplus(y, 1e-2, out=out)):
+            fresh = f(x)
+            buf = x.copy()
+            assert f(buf, out=buf) is buf and buf.tobytes() == fresh.tobytes()
