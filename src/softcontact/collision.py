@@ -7,6 +7,11 @@ penetrating points and acts as the soft selection operator for both the
 smooth separation distance and the contact force model. All point-against-
 cloud interactions are always evaluated (no culling); this is what keeps the
 pipeline smooth and its cost independent of how many contacts are active.
+
+The simulation's contact path computes the same values and distribution in
+its one pass per pair direction (contact._pair_contact) and builds no field;
+separation_field serves collide, the contact points, the oracles and the
+public ssdf_ssdf_force.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FRESH, check_temperature, softmax
+from .core import check_temperature, softmax
 from .ssdf import SsdfResult, ssdf
 
 
@@ -23,9 +28,8 @@ class SeparationField:
     """values: stacked soft signed distances, points of body b against body a
     first (I_b entries) and points of a against b second (I_a entries);
     distribution: softmin weights over those entries; b_in_a and a_in_b: the
-    two SSDF batteries the values came from, whose weights and plane
-    distances the contact model reuses. For a stack of P pairs values and
-    distribution are (P, I_b + I_a).
+    two directional SSDF results the values came from. For a stack of P
+    pairs values and distribution are (P, I_b + I_a).
     """
 
     values: np.ndarray
@@ -39,31 +43,19 @@ class SeparationField:
         return self.values.shape[-1]
 
 
-def separation_field(a, b, eps1: float, eps2: float, *, _scratch=FRESH) -> SeparationField:
-    """Evaluate both directional SSDF batteries and the softmin distribution.
+def separation_field(a, b, eps1: float, eps2: float) -> SeparationField:
+    """Evaluate both directional SSDFs and the softmin distribution.
 
     a and b are posed WorldAopc's (LocalAopc works for purely geometric
-    queries), or two stacks of P posed clouds for P pairs at once. The
-    batteries' (..., Q, I) weight and plane-distance matrices stay on the
-    field, so the contact model evaluates no softmin or plane distance again.
-    _scratch (private) supplies those matrices and the temporaries; the
-    field is then valid until the caller's scratch block exits.
+    queries), or two stacks of P posed clouds for P pairs at once.
     """
     check_temperature(eps1, "eps1")
     check_temperature(eps2, "eps2")
-    r_ba = ssdf(a, b.points, eps1, _battery(_scratch, a, b), _scratch=_scratch)  # points of b in a's field
-    r_ab = ssdf(b, a.points, eps1, _battery(_scratch, b, a), _scratch=_scratch)  # points of a in b's field
+    r_ba = ssdf(a, b.points, eps1)  # points of b in a's field
+    r_ab = ssdf(b, a.points, eps1)  # points of a in b's field
     values = np.concatenate([r_ba.value, r_ab.value], axis=-1)
     distribution = softmax(-values, eps2)
     return SeparationField(values, distribution, float(eps1), float(eps2), r_ba, r_ab)
-
-
-def _battery(scratch, cloud, query):
-    """(weights, plane distances) arrays for the SSDF of query's points
-    against cloud."""
-    shape = query.points.shape[:-1] + cloud.points.shape[-2:-1]
-    dtype = np.result_type(cloud.points, cloud.normals, query.points)
-    return scratch.empty(shape, dtype), scratch.empty(shape, dtype)
 
 
 def soft_separation_distance(field: SeparationField):

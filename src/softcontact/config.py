@@ -290,7 +290,7 @@ def parse_config(doc: dict, base_dir: str = ".") -> SceneConfig:
         raise ConfigError("$.world.integrator: expected 'euler' or 'rk4'")
 
     outputs = doc.get("outputs", {})
-    _check_keys(outputs, "$.outputs", (), ("trajectory", "summary", "report", "grid", "sweep"))
+    _check_keys(outputs, "$.outputs", (), ("trajectory", "summary", "report", "sweep"))
     for key, val in outputs.items():
         if not isinstance(val, str):
             raise ConfigError(f"$.outputs.{key}: expected a path string")

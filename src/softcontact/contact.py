@@ -8,24 +8,27 @@ Because the penalty never reaches exactly zero, bodies exert exponentially
 small forces at a distance, which is what gives the dynamics informative
 gradients before contact is made.
 
-The pair force evaluates every point-plane entry of both directions with
-(Q, I) matrices only: the softmin weights and plane distances come from the
-separation field, velocities are resolved in each plane's (n, t1, t2) frame,
-and the per-point forces are matmuls against the cloud's frame vectors. Each
-body takes its per-point forces as one wrench (sum f, sum (p - t) x f) in its
-6-DOF block, which is J^T f without the Jacobian. Stacks of P pairs (a
-leading pair axis on every array) run through the same code.
+The pair force makes one pass per pair direction over blocks of query
+points, each block computing its SSDF and its point-plane forces together
+from (Q_block, I) matrices: velocities are resolved in each plane's
+(n, t1, t2) frame, and the softmin-weighted forces and their torques about
+the cloud's origin are summed per query by matmuls. The pair's force is
+linear in the separation distribution, so once both directions' values are
+in and their softmax is taken, each body's wrench (sum f, sum (p - t) x f)
+enters its 6-DOF block, which is J^T f without the Jacobian. Stacks of P
+pairs (a leading pair axis on every array) run through the same code.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collision import SeparationField
-# softmax stays bound here: perfbench/tracer.py wraps contact.softmax.
-from .core import FRESH, check_temperature, dot, softmax, softplus, squared_norm  # noqa: F401
-from .ssdf import SsdfResult, ssdf
+from .core import FRESH, check_temperature, dot, softmax, softplus, squared_norm
+from .geometry import moment
+from .ssdf import plane_distances, squared_distances
 
 
 @dataclass(frozen=True)
@@ -107,62 +110,80 @@ def point_plane_force(p, v, plane_p, plane_n, params: ContactParams):
     return lam_n[..., None] * plane_n + scale[..., None] * v_t
 
 
-def _point_forces(cloud, q_velocities, battery: SsdfResult, coeff, params: ContactParams, scratch=FRESH):
-    """Softly selected point-plane forces between query points and a cloud.
+# Point-plane entries (P * Q_block * I) per query block of one pair
+# direction: the bound on each block's (P, Q_block, I) arrays, so the working
+# memory of a contact evaluation does not grow with the point counts.
+_CHUNK_ENTRIES = 32768
 
-    Query point q feels coeff_q sum_i w_qi lambda_qi, lambda_qi being
-    point_plane_force against plane i of the posed cloud, with w and phi
-    taken from the battery (the SSDF of the query points against the cloud);
-    the cloud points take the reactions. Returns (f_query (Q, 3), f_cloud
-    (I, 3)), which sum to zero (with a leading P axis for a stack).
 
-    Only (Q, I) arrays are built. The relative velocity is resolved in each
-    plane's frame (n_i, t1_i, t2_i) into v_n, a and b, so |v_t|^2 = a^2 + b^2
-    has no cancellation, and with W = coeff w, C = W lambda_n and
-    B = W scale, scale = -mu lambda_n / sqrt(v_s^2 + a^2 + b^2), the sums
-    over i are the matmuls C @ n + (B a) @ t1 + (B b) @ t2; the sums over q
-    are the column sums of the same matrices. The (Q, I) temporaries come
-    from scratch.
+def _query_sums(cloud, points, velocities, params: ContactParams, scratch=FRESH):
+    """SSDF values and softmin-weighted point-plane sums of query points
+    against a posed cloud, in one pass over blocks of queries.
+
+    Query q, at points[q] moving at velocities[q], has softmin weights w_qi
+    over the cloud's planes i and feels F_qi = point_plane_force against
+    plane i. Returns, taken from scratch in the caller's block, value
+    (..., Q), the SSDF sum_i w_qi phi_qi bit for bit as ssdf computes it,
+    and gt (..., Q, 6): g_q = sum_i w_qi F_qi beside
+    tau_q = sum_i w_qi (p_i - t) x F_qi about the cloud's origin t.
+
+    One matmul resolves the velocity of q against plane i in the plane's
+    frame (n_i, t1_i, t2_i) into v_n, a and b, so |v_t|^2 = a^2 + b^2 has no
+    cancellation; with scale = -mu lambda_n / sqrt(v_s^2 + a^2 + b^2), one
+    more turns [w lambda_n, w scale a, w scale b] into (g, tau). Each block's
+    (..., Q_block, I) arrays hold at most _CHUNK_ENTRIES entries.
     """
-    nrm = cloud.normals
-    t1, t2 = cloud.tangents
-    vel = cloud.velocities
-    # Every (Q, I) array takes the common dtype, so the passes below can
-    # write in place.
-    dtype = np.result_type(q_velocities, vel, nrm, battery.plane_distances, battery.weights, coeff)
-    q_velocities = q_velocities.astype(dtype, copy=False)
-    shape = battery.weights.shape
-
-    def component(axes):
-        out = np.matmul(q_velocities, np.swapaxes(axes, -1, -2), out=scratch.empty(shape, dtype))
-        out -= np.sum(vel * axes, axis=-1)[..., None, :]
-        return out
-
+    I = cloud.num_points
+    lead, Q = points.shape[:-2], points.shape[-2]
+    # The SSDF takes the geometry's dtype, as ssdf does; the forces the
+    # common one.
+    geo = np.result_type(cloud.points, cloud.normals, points)
+    dtype = np.result_type(geo, cloud.tangents, cloud.velocities, velocities)
+    value = scratch.empty(lead + (Q,), geo)
+    gt = scratch.empty(lead + (Q, 6), dtype)
     with scratch:
-        v_n, a, b = component(nrm), component(t1), component(t2)
-        v_n /= params.v_d
-        lam_n = np.negative(battery.plane_distances, out=scratch.empty(shape, dtype), dtype=dtype)
-        softplus(lam_n, params.eps3, check=False, out=lam_n, _scratch=scratch)
-        # Complex products keep their operand order: numpy's complex x * y and
-        # y * x can round the imaginary part differently.
-        np.multiply(params.k, lam_n, out=lam_n)
-        lam_n *= dissipation_factor(v_n, out=v_n, _scratch=scratch)
-        # B = W scale with scale = -mu lambda_n / r, r = sqrt(v_s^2 + a^2 + b^2);
-        # W goes into v_n's buffer, C = W lambda_n into lambda_n's, B a and B b
-        # into a's and b's.
-        B = np.multiply(a, a, out=scratch.empty(shape, dtype))
-        B += np.multiply(b, b, out=v_n)
-        B += params.v_s**2
-        np.sqrt(B, out=B)
-        np.divide(np.multiply(-params.mu, lam_n, out=v_n), B, out=B)
-        W = np.multiply(coeff[..., None], battery.weights, out=v_n)
-        np.multiply(W, B, out=B)
-        C = np.multiply(W, lam_n, out=lam_n)
-        Ba = np.multiply(B, a, out=a)
-        Bb = np.multiply(B, b, out=b)
-        f_query = C @ nrm + Ba @ t1 + Bb @ t2
-        f_cloud = -(C.sum(axis=-2)[..., None] * nrm + Ba.sum(axis=-2)[..., None] * t1 + Bb.sum(axis=-2)[..., None] * t2)
-    return f_query, f_cloud
+        # Per plane and frame axis e in (n, t1, t2): [-v_i . e, e, r_i x e].
+        frame = scratch.empty((3,) + cloud.normals.shape[:-1] + (7,), dtype)
+        axes = frame[..., 1:4]
+        axes[0], axes[1:] = cloud.normals, cloud.tangents
+        np.negative(np.sum(cloud.velocities * axes, axis=-1), out=frame[..., 0])
+        frame[..., 4:] = np.cross(cloud.points - cloud.origin[..., None, :], axes)
+        rel, moments = np.swapaxes(frame[..., :4], -1, -2), frame[..., 1:]
+        query_vel = scratch.empty(velocities.shape[:-1] + (4,), dtype)
+        query_vel[..., 0], query_vel[..., 1:] = 1.0, velocities
+        step = max(1, _CHUNK_ENTRIES // (math.prod(lead) * I))
+        for start in range(0, Q, step):
+            blk = slice(start, start + step)
+            qp = points[..., blk, :]
+            shape = qp.shape[:-1] + (I,)
+            with scratch:
+                d = squared_distances(cloud, qp, out=scratch.empty(shape, geo))
+                w = softmax(np.negative(d, out=d), params.eps1, out=d, _scratch=scratch)
+                phi = plane_distances(cloud, qp, out=scratch.empty(shape, geo))
+                with scratch:
+                    np.sum(np.multiply(w, phi, out=scratch.empty(shape, geo)), axis=-1, out=value[..., blk])
+                vel = np.matmul(query_vel[..., blk, :], rel, out=scratch.empty((3,) + shape, dtype))
+                v_n, a, b = vel
+                v_n /= params.v_d
+                lam_n = np.negative(phi, out=scratch.empty(shape, dtype), dtype=dtype)
+                softplus(lam_n, params.eps3, check=False, out=lam_n, _scratch=scratch)
+                lam_n *= params.k
+                lam_n *= dissipation_factor(v_n, out=v_n, _scratch=scratch)
+                # scale = -mu lambda_n / sqrt(v_s^2 + a^2 + b^2) in B, with v_n's
+                # slot as the temporary; then v_n, a, b become w lambda_n,
+                # w scale a and w scale b.
+                B = np.multiply(a, a, out=scratch.empty(shape, dtype))
+                B += np.multiply(b, b, out=v_n)
+                B += params.v_s**2
+                np.sqrt(B, out=B)
+                np.divide(np.multiply(-params.mu, lam_n, out=v_n), B, out=B)
+                B *= w
+                np.multiply(w, lam_n, out=v_n)
+                a *= B
+                b *= B
+                np.sum(np.matmul(vel, moments, out=scratch.empty((3,) + shape[:-1] + (6,), dtype)), axis=0,
+                       out=gt[..., blk, :])
+    return value, gt
 
 
 def point_ssdf_force(aopc, p, v, J, params: ContactParams) -> np.ndarray:
@@ -174,22 +195,20 @@ def point_ssdf_force(aopc, p, v, J, params: ContactParams) -> np.ndarray:
     (3, n) Jacobian) plus the cloud body's wrench. Returns a vector over the
     scene's generalized coordinates.
     """
-    battery = ssdf(aopc, np.asarray(p)[None, :], params.eps1)
-    f_point, f_cloud = _point_forces(aopc, np.asarray(v)[None, :], battery, np.ones(1), params)
-    return np.asarray(J).T @ f_point[0] + aopc.generalized_force(f_cloud)
+    _, gt = _query_sums(aopc, np.asarray(p)[None, :], np.asarray(v)[None, :], params)
+    return np.asarray(J).T @ gt[0, :3] - aopc.wrench_force(gt[0])
 
 
-def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams, _scratch=FRESH) -> np.ndarray:
+def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.ndarray:
     """Total generalized contact force of a collision pair.
 
     The point-against-cloud forces of b's points in a's field and a's points
-    in b's field are combined with the separation distribution, matching the
-    field's concatenation order; the field's SSDF batteries supply the
-    softmin weights and plane distances. Every pair force enters the two
-    translation blocks as an equal-and-opposite (+lambda, -lambda) couple, so
-    linear momentum is conserved by construction. For stacks of P pairs each
-    body's wrench enters once per pair it is in; the result is the (n,) sum.
-    _scratch (private) supplies the (Q, I) temporaries.
+    in b's field are combined with the field's separation distribution,
+    matching its concatenation order; nothing else of the field is read.
+    Every pair force enters the two translation blocks as an
+    equal-and-opposite (+lambda, -lambda) couple, so linear momentum is
+    conserved by construction. For stacks of P pairs each body's wrench
+    enters once per pair it is in; the result is the (n,) sum.
     """
     Ia, Ib = a.num_points, b.num_points
     if len(field) != Ia + Ib:
@@ -198,7 +217,29 @@ def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams, _scratc
         )
     if field.eps1 != params.eps1 or field.eps2 != params.eps2:
         raise ValueError("separation field temperatures do not match the contact parameters")
-    coeff = field.distribution
-    f_b, f_a = _point_forces(a, b.velocities, field.b_in_a, coeff[..., :Ib], params, _scratch)
-    g_a, g_b = _point_forces(b, a.velocities, field.a_in_b, coeff[..., Ib:], params, _scratch)
-    return a.generalized_force(f_a + g_a) + b.generalized_force(f_b + g_b)
+    return _pair_contact(a, b, params, field.distribution)[0]
+
+
+def _pair_contact(a, b, params: ContactParams, coeff=None, scratch=FRESH):
+    """(generalized force, separation values (..., I_b + I_a), separation
+    distribution) of a pair or a stack of pairs, from one _query_sums pass
+    per direction; the distribution is the softmax of the values unless
+    coeff gives it. The values live in scratch's caller block.
+
+    The query body takes (sum coeff g, sum coeff (p_q - t_q) x g) and the
+    cloud body minus (sum coeff g, sum coeff tau): the spatial-force form of
+    J^T f, whose two linear parts are the same sum.
+    """
+    Ib = b.num_points
+    value_ba, gt_ba = _query_sums(a, b.points, b.velocities, params, scratch)
+    value_ab, gt_ab = _query_sums(b, a.points, a.velocities, params, scratch)
+    values = np.concatenate([value_ba, value_ab], axis=-1)
+    if coeff is None:
+        coeff = softmax(-values, params.eps2)
+    wrenches = []
+    for query, c, gt in ((b, coeff[..., :Ib], gt_ba), (a, coeff[..., Ib:], gt_ab)):
+        total = (c[..., None, :] @ gt)[..., 0, :]
+        torque = moment(query.points - query.origin[..., None, :], c[..., None] * gt[..., :3])
+        wrenches.append((np.concatenate([total[..., :3], torque], axis=-1), -total))
+    (on_b, from_b), (on_a, from_a) = wrenches
+    return a.wrench_force(on_a + from_b) + b.wrench_force(on_b + from_a), values, coeff

@@ -139,14 +139,16 @@ def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL, out: np.ndarray | None = None
     """exp(z) with an exact 0 wherever Re z < cutoff; a real result may be
     written into out (z itself allowed). Its mask is taken from scratch in
     the caller's block."""
-    # np.exp is tens of times slower on its subnormal and underflow range.
-    # Entries whose real part is below the cutoff become an exact 0, with exp
-    # taken at the cutoff rather than skipped: the cost stays the same however
-    # many entries are far, which is the contact-count independence. A NaN
-    # passes np.maximum and the mask (NaN * 0 is NaN).
+    # np.exp is tens of times slower on its subnormal and underflow range,
+    # and at the cutoff itself. Entries whose real part is below the cutoff
+    # are clamped and zeroed, so exp runs on 0 there, and zeroed again after:
+    # computed rather than skipped, the cost stays the same however many
+    # entries are far, which is the contact-count independence. A NaN passes
+    # np.maximum and the mask (NaN * 0 is NaN).
     a = z.real
     live = np.greater_equal(a, cutoff, out=scratch.empty(a.shape, bool))
     e = np.maximum(a, cutoff, out=np.empty(a.shape) if out is None else out)
+    e *= live
     np.exp(e, out=e)
     e *= live
     if not np.iscomplexobj(z):

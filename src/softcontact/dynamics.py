@@ -17,8 +17,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .collision import separation_field, soft_separation_distance
-from .contact import ContactParams, ssdf_ssdf_force
+# Bound here for perfbench/tracer.py, which wraps dynamics.separation_field.
+from .collision import separation_field  # noqa: F401
+from .contact import _CHUNK_ENTRIES, ContactParams, _pair_contact
+# Bound here for perfbench/tracer.py, which wraps dynamics.ssdf_ssdf_force.
+from .contact import ssdf_ssdf_force  # noqa: F401
 from .core import Scratch, _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
 from .geometry import LocalAopc, Pose, WorldAopc, pose_aopc, posed_arrays
 
@@ -182,6 +185,9 @@ class Scene:
         out = np.asarray(self.controls(t), dtype=float)
         if out.shape != (self.n,):
             raise ValueError("controls must return a vector over the free DOFs")
+        bad = _bad_entry(self, out, _DOF_COORDS)
+        if bad:
+            raise ValueError(f"controls at t={t!r} returned a non-finite {bad}")
         return out
 
 
@@ -270,12 +276,6 @@ def total_contact_force(scene: Scene, state: SceneState) -> np.ndarray:
     return _contact_force(scene, state)[0]
 
 
-# Point-plane entries (P * 2 * Q * I) per stack of same-shape pairs: keeps
-# each (P, Q, I) array cache-sized. Unchunked stacks were no faster on a
-# 16-box pile and raised its peak memory by 5%.
-_CHUNK_ENTRIES = 16384
-
-
 def _group_pairs(bodies, pair_indices) -> list:
     """The pairs grouped by (I_a, I_b), as (positions in pair_indices (P,),
     body indices (P, 2)) chunks; a Scene builds them once."""
@@ -285,7 +285,8 @@ def _group_pairs(bodies, pair_indices) -> list:
     pairs = np.array(pair_indices, dtype=int).reshape(-1, 2)
     chunks = []
     for (Ia, Ib), positions in groups.items():
-        per_chunk = max(1, _CHUNK_ENTRIES // (2 * Ia * Ib))
+        # As many pairs as one query block of contact._query_sums holds whole.
+        per_chunk = max(1, _CHUNK_ENTRIES // (Ia * Ib))
         chunks += [(pos, pairs[pos]) for pos in np.array_split(np.array(positions), -(-len(positions) // per_chunk))]
     return chunks
 
@@ -351,12 +352,12 @@ _ARENA = _ThreadScratch()
 def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):
     """Sum of pair forces plus the minimum separation seen (diagnostics);
     per_pair also returns each pair's soft separation distance, in
-    pair_indices order, read off the same fields. Every pair is evaluated,
-    same-shape pairs as stacks (Scene._pair_chunks) cut by row out of the
-    posed groups (Scene._groups). A non-finite q or v entry raises
-    ValueError naming its body and coordinate. Each chunk's (P, Q, I)
-    arrays live in this thread's scratch, reused from chunk to chunk and
-    call to call; none of them is returned."""
+    pair_indices order, read off the same evaluation. Every pair is
+    evaluated, same-shape pairs as stacks (Scene._pair_chunks) cut by row out
+    of the posed groups (Scene._groups). A non-finite q or v entry raises
+    ValueError naming its body and coordinate. Each chunk's block arrays
+    live in this thread's scratch, reused from block to block and call to
+    call; none of them is returned."""
     bad = _bad_coordinate(state, scene)
     if bad:
         raise ValueError(f"state has a non-finite {bad}")
@@ -369,11 +370,11 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):
     for (pos, _), ((ga, rows_a), (gb, rows_b)) in zip(scene._pair_chunks, scene._chunk_sides):
         a, b = _rows(posed[ga], rows_a), _rows(posed[gb], rows_b)
         with scratch:
-            fld = separation_field(a, b, scene.params.eps1, scene.params.eps2, _scratch=scratch)
-            out = out + ssdf_ssdf_force(a, b, fld, scene.params, scratch)
-            min_sep = min(min_sep, float(np.min(fld.values.real)))
+            force, values, coeff = _pair_contact(a, b, scene.params, scratch=scratch)
+            out += force
+            min_sep = min(min_sep, float(np.min(values.real)))
             if per_pair:
-                seps[pos] = soft_separation_distance(fld)
+                seps[pos] = np.sum(coeff * values, axis=-1)
     return (out, min_sep, seps) if per_pair else (out, min_sep)
 
 
@@ -383,6 +384,9 @@ def inverse_dynamics(scene: Scene, state: SceneState, vdot: np.ndarray) -> np.nd
     vdot = np.asarray(vdot)
     if vdot.shape != (scene.n,):
         raise ValueError("vdot length must match the scene's free DOFs")
+    bad = _bad_entry(scene, vdot, _DOF_COORDS)
+    if bad:
+        raise ValueError(f"vdot has a non-finite {bad}")
     contact = total_contact_force(scene, state)
     m, Iw = _free_inertia(scene, state.q)
     a = vdot.reshape(-1, 6)
@@ -399,6 +403,9 @@ def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = N
     tau = np.asarray(tau)
     if tau.shape != (scene.n,):
         raise ValueError("tau length must match the scene's free DOFs")
+    bad = _bad_entry(scene, tau, _DOF_COORDS)
+    if bad:
+        raise ValueError(f"tau has a non-finite {bad}")
     contact, min_sep = _contact_force(scene, state)
     vdot = _accelerate(scene, state, tau, contact)
     return (vdot, min_sep) if _with_separation else vdot
@@ -435,16 +442,30 @@ def _advance_q(q: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
 _DIVERGENCE_LIMIT = 1e150
 
 
+_POSE_COORDS = ("tx", "ty", "tz", "qw", "qx", "qy", "qz")
+_DOF_COORDS = ("vx", "vy", "vz", "wx", "wy", "wz")
+
+
+def _bad_entry(scene: Scene, arr: np.ndarray, coords: tuple, limit: float = np.inf) -> str | None:
+    """'coordinate c of body b' for the first entry of arr, one row of coords
+    per free body, that is non-finite or not below limit in magnitude; None
+    when there is none."""
+    arr = arr.reshape(-1, len(coords))
+    ok = np.isfinite(arr) & (np.abs(arr) < limit)
+    if ok.all():
+        return None
+    k, j = np.unravel_index(int(np.argmin(ok)), arr.shape)
+    return f"coordinate {coords[j]} of body {scene.bodies[scene.free_indices[k]].name}"
+
+
 def _bad_coordinate(state: SceneState, scene: Scene, limit: float = np.inf) -> str | None:
     """'pose coordinate tz of body b' (or 'velocity coordinate wy ...') for
     the first entry of q, then v, that is non-finite or not below limit in
     magnitude; None when there is none."""
-    for kind, arr, coords in (("pose", state.q, ("tx", "ty", "tz", "qw", "qx", "qy", "qz")),
-                              ("velocity", state.v.reshape(-1, 6), ("vx", "vy", "vz", "wx", "wy", "wz"))):
-        ok = np.isfinite(arr) & (np.abs(arr) < limit)
-        if not ok.all():
-            k, j = np.unravel_index(int(np.argmin(ok)), arr.shape)
-            return f"{kind} coordinate {coords[j]} of body {scene.bodies[scene.free_indices[k]].name}"
+    for kind, arr, coords in (("pose", state.q, _POSE_COORDS), ("velocity", state.v, _DOF_COORDS)):
+        bad = _bad_entry(scene, arr, coords, limit)
+        if bad:
+            return f"{kind} {bad}"
     return None
 
 
@@ -510,6 +531,8 @@ def rollout(scene: Scene, state: SceneState, dt: float, n_steps: int, integrator
     Each state's separation comes from the first stage of the step that
     starts from it, so only the final state needs an extra contact
     evaluation."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     states = [state.copy()]
     seps = []
     times = []

@@ -163,16 +163,25 @@ class WorldAopc:
 
     def generalized_force(self, forces: np.ndarray) -> np.ndarray:
         """J^T f, (n,), of world forces f (..., I, 3) on the points: each
-        body's wrench (sum f, sum (p - t) x f) is added into its 6-DOF block,
-        once per stack entry; kinematic bodies' go to a dump block past n."""
-        # sum (p - t) x f is the antisymmetric part of M = sum (p - t) f^T.
-        M = np.swapaxes(self.points - self.origin[..., None, :], -1, -2) @ forces
-        torque = M[..., [1, 2, 0], [2, 0, 1]] - M[..., [2, 0, 1], [1, 2, 0]]
-        wrench = np.concatenate([forces.sum(axis=-2), torque], axis=-1)
+        body's wrench (sum f, sum (p - t) x f)."""
+        torque = moment(self.points - self.origin[..., None, :], forces)
+        return self.wrench_force(np.concatenate([forces.sum(axis=-2), torque], axis=-1))
+
+    def wrench_force(self, wrench: np.ndarray) -> np.ndarray:
+        """The (n,) generalized force of wrenches (..., 6), [force; torque
+        about the origin t]: each is added into the body's 6-DOF block, once
+        per stack entry; kinematic bodies' go to a dump block past n."""
         n = self.num_dofs
         out = np.zeros(n + 6, dtype=wrench.dtype)
         np.add.at(out, np.where(self.dof_start < 0, n, self.dof_start)[..., None] + np.arange(6), wrench)
         return out[:n]
+
+
+def moment(r: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """sum r x f over the point axis of (..., I, 3) arrays: the antisymmetric
+    part of the 3 x 3 matrix sum r f^T."""
+    M = np.swapaxes(r, -1, -2) @ f
+    return M[..., [1, 2, 0], [2, 0, 1]] - M[..., [2, 0, 1], [1, 2, 0]]
 
 
 def posed_arrays(R, t, twist, points, normals, tangents):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FRESH, check_temperature, softmax
+from .core import check_temperature, softmax
 
 
 @dataclass(frozen=True)
@@ -70,29 +70,24 @@ def squared_distances(aopc, p: np.ndarray, out: np.ndarray | None = None) -> np.
     return d
 
 
-def ssdf(aopc, p, eps1: float, out: tuple | None = None, *, _scratch=FRESH) -> SsdfResult:
+def ssdf(aopc, p, eps1: float) -> SsdfResult:
     """Softmin-weighted average of per-plane signed distances.
 
     eps1 carries units of squared meters (it divides squared distances);
     1e-4 is a reasonable default for meter-scale geometry. A stack of clouds
-    (P, I, 3) takes a (P, Q, 3) query. out, when given, is the (weights,
-    plane_distances) pair of (..., Q, I) arrays those fields are written
-    into.
+    (P, I, 3) takes a (P, Q, 3) query.
     """
     check_temperature(eps1, "eps1")
     q, single = _as_batch(p)
-    w, s = (None, None) if out is None else out
-    d = squared_distances(aopc, q, out=w)
-    w = softmax(np.negative(d, out=d), eps1, axis=-1, out=d, _scratch=_scratch)
-    return _weighted_average(aopc, q, w, single, s, _scratch)
+    d = squared_distances(aopc, q)
+    w = softmax(np.negative(d, out=d), eps1, axis=-1, out=d)
+    return _weighted_average(aopc, q, w, single)
 
 
-def _weighted_average(aopc, q, w, single, out=None, scratch=FRESH) -> SsdfResult:
-    """The SsdfResult of weights w (..., Q, I) over the plane distances of q,
-    which are written into out when given."""
-    s = plane_distances(aopc, q, out=out)
-    with scratch:
-        value = np.sum(np.multiply(w, s, out=scratch.empty(s.shape, np.result_type(w, s))), axis=-1)
+def _weighted_average(aopc, q, w, single) -> SsdfResult:
+    """The SsdfResult of weights w (..., Q, I) over the plane distances of q."""
+    s = plane_distances(aopc, q)
+    value = np.sum(w * s, axis=-1)
     if single:
         return SsdfResult(value[0], w[0], s[0])
     return SsdfResult(value, w, s)

@@ -54,6 +54,12 @@ def test_unknown_keys_rejected(tmp_path):
     with pytest.raises(ConfigError, match=r"contact.*stiffness"):
         load_config(write(tmp_path, doc))
 
+    # No command reads a grid file name from the config: sdf-grid names its own.
+    doc = minimal_doc()
+    doc["outputs"] = {"grid": "grid.csv"}
+    with pytest.raises(ConfigError, match=r"\$\.outputs: unknown key.*grid"):
+        load_config(write(tmp_path, doc))
+
 
 def test_out_of_range_values_rejected(tmp_path):
     doc = minimal_doc()

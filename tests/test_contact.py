@@ -378,3 +378,28 @@ def test_stacked_pair_force_matches_dense_jacobian_oracle():
         want = want + _broadcast_pair_force(world[ia], world[ib], single, params)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert np.abs(want[:6]).max() > 1.0
+
+
+def test_query_blocks_match_the_broadcast_oracle(monkeypatch):
+    # A stack of two pairs cut into blocks of 5 query rows (2 in the other
+    # direction), the last block ragged: the separation values are
+    # separation_field's bit for bit and the force the broadcast oracle's.
+    from softcontact import contact
+
+    rng = np.random.default_rng(4)
+    box, ball = box_aopc([0.3, 0.3, 0.3], 54), sphere_aopc(0.2, 96)
+    params = ContactParams(k=2e3, v_s=0.02)
+    world = [posed(box, kinematic=True, velocity=np.array([0.01, 0, 0, 0, 0, 0.2]), n=12, name="k"),
+             posed(ball, (0.02, 0.0, 0.33), dof=0, n=12, name="0", velocity=0.1 * rng.standard_normal(6)),
+             posed(ball, (0.33, 0.01, 0.0), dof=6, n=12, name="1", velocity=0.1 * rng.standard_normal(6))]
+    a, b = _stack(world, [0, 0]), _stack(world, [1, 2])
+    monkeypatch.setattr(contact, "_CHUNK_ENTRIES", 2 * 5 * 54)
+    force, values, coeff = contact._pair_contact(a, b, params)
+    fld = separation_field(a, b, params.eps1, params.eps2)
+    assert values.tobytes() == fld.values.tobytes() and coeff.tobytes() == fld.distribution.tobytes()
+    want = 0.0
+    for ib in (1, 2):
+        single = separation_field(world[0], world[ib], params.eps1, params.eps2)
+        want = want + _broadcast_pair_force(world[0], world[ib], single, params)
+    assert np.abs(force - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(want).max() > 1.0

@@ -331,8 +331,8 @@ def test_rollout_reads_separation_off_the_first_stage(monkeypatch, integrator, s
                             "upper": Pose(np.array([0.01, 0, 0.147]), np.array([1.0, 0, 0, 0]))},
                     {"upper": [0.05, 0, -0.1, 0, 0, 0.3]})
     calls = []
-    pair_force = dynamics.ssdf_ssdf_force
-    monkeypatch.setattr(dynamics, "ssdf_ssdf_force", lambda *args: calls.append(1) or pair_force(*args))
+    pair_contact = dynamics._pair_contact
+    monkeypatch.setattr(dynamics, "_pair_contact", lambda *a, **kw: calls.append(1) or pair_contact(*a, **kw))
     n = 3
     res = rollout(scene, st, 2e-3, n, integrator, record_separation=True)
     assert len(calls) == (stages * n + 1) * len(scene.pairs)
@@ -384,10 +384,12 @@ def _pair_by_pair(scene, state):
     return force, min(float(np.min(f.values.real)) for f in fields)
 
 
-def test_stacked_pairs_match_pair_by_pair_forces():
+def test_stacked_pairs_match_pair_by_pair_forces(monkeypatch):
     from softcontact import dynamics
     from softcontact.verify import cs_gradient, flatten_state, unflatten_state
 
+    # A chunk bound of two 54 x 54 pairs splits that group into two chunks.
+    monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * 54 * 54)
     scene, st = _batching_scene()
     assert [len(pos) for pos, _ in scene._pair_chunks] == [2, 2, 2]
     got, sep = dynamics._contact_force(scene, st)
@@ -480,6 +482,31 @@ def test_nonfinite_state_names_body_and_coordinate(array, index, message, imagin
                      lambda: total_contact_force(scene, st)):
             with pytest.raises(ValueError, match=f"^state has a non-finite {message}$"):
                 call()
+
+
+@pytest.mark.parametrize("name", ["tau", "vdot"])
+def test_nonfinite_dynamics_input_names_body_and_coordinate(name):
+    scene, st = _batching_scene()
+    x = np.zeros(scene.n)
+    x[8] = np.nan
+    call = forward_dynamics if name == "tau" else inverse_dynamics
+    with pytest.raises(ValueError, match=f"^{name} has a non-finite coordinate vz of body middle$"):
+        call(scene, st, x)
+
+
+def test_nonfinite_controls_name_time_body_and_coordinate():
+    scene, st = _batching_scene()
+    # The controls turn NaN at the last stage of the first RK4 step.
+    scene.controls = lambda t: np.where(np.arange(scene.n) == 21, np.nan if t >= 2e-3 else 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^controls at t=0\.002 returned a non-finite coordinate wx of body ball$"):
+        rollout(scene, st, 2e-3, 2)
+
+
+def test_rollout_rejects_a_negative_step_count():
+    scene, st = _batching_scene()
+    with pytest.raises(ValueError, match="n_steps must be nonnegative, got -2"):
+        rollout(scene, st, 2e-3, -2)
+    assert len(rollout(scene, st, 2e-3, 0).states) == 1
 
 
 def _config_state(name, complex_v=False):
@@ -599,3 +626,29 @@ def test_threads_share_one_scene_with_their_own_scratch():
         assert len(runs) == 4
         for got in runs:
             _assert_same_bits(got, want)
+
+
+def test_contact_scratch_holds_one_block_whatever_the_cloud_size():
+    # Two 216-point spheres, then two 864-point ones, with a complex-step v:
+    # the arena holds one query block's arrays either way, and only the
+    # per-query and per-plane rows, O(Q + I), grow with the clouds.
+    from softcontact import dynamics
+    from softcontact.contact import ContactParams
+
+    def arena_bytes(resolution):
+        ball = sphere_aopc(0.3, resolution)
+        scene = Scene([Body(name, ball, "free", 1.0, sphere_inertia(1.0, 0.3)) for name in "ab"], [("a", "b")],
+                      gravity=np.zeros(3), params=ContactParams(eps1=1e-3, eps2=1e-2, eps3=1e-2))
+        st = make_state(scene, {"b": Pose(np.array([0.0, 0.0, 0.58]), np.array([1.0, 0, 0, 0]))})
+        st.v = st.v.astype(complex)
+        st.v[1] += 1e-30j
+
+        def warm():
+            dynamics._contact_force(scene, st)
+            dynamics._contact_force(scene, st)
+            return dynamics._ARENA.scratch._size
+
+        return _in_new_thread(warm)
+
+    small, large = arena_bytes(216), arena_bytes(864)
+    assert abs(large - small) <= dynamics._CHUNK_ENTRIES * np.dtype(complex).itemsize

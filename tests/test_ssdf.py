@@ -244,20 +244,19 @@ def test_grid_csv_format():
 
 
 def test_out_arguments_write_in_place_and_match_fresh_results():
-    # ssdf, softmax and softplus given out= write their result there (x
-    # itself allowed for softmax and softplus) and return the same bits as
-    # a call that allocates.
+    # squared_distances, plane_distances, softmax and softplus given out=
+    # write their result there (x itself allowed for softmax and softplus)
+    # and return the same bits as a call that allocates.
     from softcontact.core import softmax, softplus
+    from softcontact.ssdf import plane_distances, squared_distances
 
     cube = transform_aopc(box_aopc([0.4, 0.3, 0.2], 24), Pose(np.array([0.01, 0.02, 0.0]), quat_normalize(np.array([1.0, 0.1, 0.0, 0.05]))))
     q = np.random.default_rng(3).uniform(-0.3, 0.3, (7, 3))
     for query in (q, q + 1e-30j):
         want = ssdf(cube, query, 1e-3)
-        w, s = np.empty_like(want.weights), np.empty_like(want.plane_distances)
-        got = ssdf(cube, query, 1e-3, out=(w, s))
-        assert got.weights is w and got.plane_distances is s
-        for g, x in ((got.value, want.value), (w, want.weights), (s, want.plane_distances)):
-            assert g.tobytes() == x.tobytes()
+        for f in (squared_distances, plane_distances):
+            buf = np.empty_like(want.plane_distances)
+            assert f(cube, query, out=buf) is buf and buf.tobytes() == f(cube, query).tobytes()
         x = -want.plane_distances
         for f in (lambda y, out=None: softmax(y, 1e-2, out=out), lambda y, out=None: softplus(y, 1e-2, out=out)):
             fresh = f(x)

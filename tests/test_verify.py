@@ -180,13 +180,14 @@ def test_relative_error_floor():
 
 def test_check_pipeline_gradients_evaluates_contact_once_per_perturbation(monkeypatch):
     # One shared map per perturbed state: 26 complex steps and 2 x 26 central
-    # differences on the two spheres, and every separation field is built
-    # inside those contact evaluations.
+    # differences on the two spheres; every pair is evaluated inside those
+    # contact evaluations, and no separation field is built.
     cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
     st = sample_nondegenerate_state(cfg.scene, np.random.default_rng(0), cfg.state, vel_scale=cfg.scene.params.v_d)
-    calls = {"contact": 0, "inside": 0, "outside": 0}
+    calls = {"contact": 0, "inside": 0, "outside": 0, "field": 0}
     depth = [0]
     contact_force = dynamics._contact_force
+    pair_contact = dynamics._pair_contact
 
     def counted_contact(*args, **kwargs):
         calls["contact"] += 1
@@ -196,17 +197,22 @@ def test_check_pipeline_gradients_evaluates_contact_once_per_perturbation(monkey
         finally:
             depth[0] -= 1
 
-    def counted_field(*args, **kwargs):
+    def counted_pair(*args, **kwargs):
         calls["inside" if depth[0] else "outside"] += 1
+        return pair_contact(*args, **kwargs)
+
+    def counted_field(*args, **kwargs):
+        calls["field"] += 1
         return collision.separation_field(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_contact_force", counted_contact)
+    monkeypatch.setattr(dynamics, "_pair_contact", counted_pair)
     monkeypatch.setattr(dynamics, "separation_field", counted_field)
     monkeypatch.setattr(verify, "separation_field", counted_field)
     report = check_pipeline_gradients(cfg.scene, st)
     assert report.passed
     assert flatten_state(st).size == 26
-    assert calls == {"contact": 78, "inside": 78, "outside": 0}
+    assert calls == {"contact": 78, "inside": 78, "outside": 0, "field": 0}
 
 
 def _mixed_pair_scene():
