@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import SeparationField
-from .core import FRESH, check_temperature, dot, softmax, softplus, squared_norm
+from .core import _ARENA, check_temperature, dot, softmax, softplus, squared_norm
 from .geometry import moment
 from .ssdf import plane_distances, squared_distances
 
@@ -66,23 +66,22 @@ class ContactParams:
             check_temperature(getattr(self, name), name)
 
 
-def dissipation_factor(x, out=None, *, _scratch=FRESH):
+def dissipation_factor(x, out=None):
     """Velocity modulation of the normal force, x = v_n / v_d.
 
     1 - x for x <= 0, (x - 2)^2 / 4 on (0, 2], and 0 beyond: continuous and
     C1 at both joints, nonnegative everywhere. The result is written into
-    out when given (x itself allowed); _scratch (private) supplies the
-    temporaries.
+    out when given (x itself allowed).
     """
     x = np.asarray(x)
     xr = x.real
     dtype = np.result_type(x, 2.0)
-    with _scratch:
+    with _ARENA.scratch as arena:
         # Both selections and 1 - x are taken before out may overwrite x. A
         # NaN fails both tests and stays NaN.
-        low = np.less_equal(xr, 0.0, out=_scratch.empty(x.shape, bool))
-        high = np.greater(xr, 2.0, out=_scratch.empty(x.shape, bool))
-        linear = np.subtract(1.0, x, out=_scratch.empty(x.shape, dtype))
+        low = np.less_equal(xr, 0.0, out=arena.empty(x.shape, bool))
+        high = np.greater(xr, 2.0, out=arena.empty(x.shape, bool))
+        linear = np.subtract(1.0, x, out=arena.empty(x.shape, dtype))
         d = np.subtract(x, 2.0, out=np.empty(x.shape, dtype) if out is None else out)
         np.square(d, out=d)
         d /= 4.0
@@ -116,15 +115,15 @@ def point_plane_force(p, v, plane_p, plane_n, params: ContactParams):
 _CHUNK_ENTRIES = 32768
 
 
-def _query_sums(cloud, points, velocities, params: ContactParams, scratch=FRESH):
+def _query_sums(cloud, points, velocities, params: ContactParams):
     """SSDF values and softmin-weighted point-plane sums of query points
     against a posed cloud, in one pass over blocks of queries.
 
     Query q, at points[q] moving at velocities[q], has softmin weights w_qi
     over the cloud's planes i and feels F_qi = point_plane_force against
-    plane i. Returns, taken from scratch in the caller's block, value
-    (..., Q), the SSDF sum_i w_qi phi_qi bit for bit as ssdf computes it,
-    and gt (..., Q, 6): g_q = sum_i w_qi F_qi beside
+    plane i. Returns, taken from the thread's arena in the caller's block,
+    value (..., Q), the SSDF sum_i w_qi phi_qi bit for bit as ssdf computes
+    it, and gt (..., Q, 6): g_q = sum_i w_qi F_qi beside
     tau_q = sum_i w_qi (p_i - t) x F_qi about the cloud's origin t.
 
     One matmul resolves the velocity of q against plane i in the plane's
@@ -139,40 +138,41 @@ def _query_sums(cloud, points, velocities, params: ContactParams, scratch=FRESH)
     # common one.
     geo = np.result_type(cloud.points, cloud.normals, points)
     dtype = np.result_type(geo, cloud.tangents, cloud.velocities, velocities)
-    value = scratch.empty(lead + (Q,), geo)
-    gt = scratch.empty(lead + (Q, 6), dtype)
-    with scratch:
+    arena = _ARENA.scratch
+    value = arena.empty(lead + (Q,), geo)
+    gt = arena.empty(lead + (Q, 6), dtype)
+    with arena:
         # Per plane and frame axis e in (n, t1, t2): [-v_i . e, e, r_i x e].
-        frame = scratch.empty((3,) + cloud.normals.shape[:-1] + (7,), dtype)
+        frame = arena.empty((3,) + cloud.normals.shape[:-1] + (7,), dtype)
         axes = frame[..., 1:4]
         axes[0], axes[1:] = cloud.normals, cloud.tangents
         np.negative(np.sum(cloud.velocities * axes, axis=-1), out=frame[..., 0])
         frame[..., 4:] = np.cross(cloud.points - cloud.origin[..., None, :], axes)
         rel, moments = np.swapaxes(frame[..., :4], -1, -2), frame[..., 1:]
-        query_vel = scratch.empty(velocities.shape[:-1] + (4,), dtype)
+        query_vel = arena.empty(velocities.shape[:-1] + (4,), dtype)
         query_vel[..., 0], query_vel[..., 1:] = 1.0, velocities
         step = max(1, _CHUNK_ENTRIES // (math.prod(lead) * I))
         for start in range(0, Q, step):
             blk = slice(start, start + step)
             qp = points[..., blk, :]
             shape = qp.shape[:-1] + (I,)
-            with scratch:
-                d = squared_distances(cloud, qp, out=scratch.empty(shape, geo))
-                w = softmax(np.negative(d, out=d), params.eps1, out=d, _scratch=scratch)
-                phi = plane_distances(cloud, qp, out=scratch.empty(shape, geo))
-                with scratch:
-                    np.sum(np.multiply(w, phi, out=scratch.empty(shape, geo)), axis=-1, out=value[..., blk])
-                vel = np.matmul(query_vel[..., blk, :], rel, out=scratch.empty((3,) + shape, dtype))
+            with arena:
+                d = squared_distances(cloud, qp, out=arena.empty(shape, geo))
+                w = softmax(np.negative(d, out=d), params.eps1, out=d)
+                phi = plane_distances(cloud, qp, out=arena.empty(shape, geo))
+                with arena:
+                    np.sum(np.multiply(w, phi, out=arena.empty(shape, geo)), axis=-1, out=value[..., blk])
+                vel = np.matmul(query_vel[..., blk, :], rel, out=arena.empty((3,) + shape, dtype))
                 v_n, a, b = vel
                 v_n /= params.v_d
-                lam_n = np.negative(phi, out=scratch.empty(shape, dtype), dtype=dtype)
-                softplus(lam_n, params.eps3, check=False, out=lam_n, _scratch=scratch)
+                lam_n = np.negative(phi, out=arena.empty(shape, dtype), dtype=dtype)
+                softplus(lam_n, params.eps3, check=False, out=lam_n)
                 lam_n *= params.k
-                lam_n *= dissipation_factor(v_n, out=v_n, _scratch=scratch)
+                lam_n *= dissipation_factor(v_n, out=v_n)
                 # scale = -mu lambda_n / sqrt(v_s^2 + a^2 + b^2) in B, with v_n's
                 # slot as the temporary; then v_n, a, b become w lambda_n,
                 # w scale a and w scale b.
-                B = np.multiply(a, a, out=scratch.empty(shape, dtype))
+                B = np.multiply(a, a, out=arena.empty(shape, dtype))
                 B += np.multiply(b, b, out=v_n)
                 B += params.v_s**2
                 np.sqrt(B, out=B)
@@ -181,7 +181,7 @@ def _query_sums(cloud, points, velocities, params: ContactParams, scratch=FRESH)
                 np.multiply(w, lam_n, out=v_n)
                 a *= B
                 b *= B
-                np.sum(np.matmul(vel, moments, out=scratch.empty((3,) + shape[:-1] + (6,), dtype)), axis=0,
+                np.sum(np.matmul(vel, moments, out=arena.empty((3,) + shape[:-1] + (6,), dtype)), axis=0,
                        out=gt[..., blk, :])
     return value, gt
 
@@ -195,8 +195,9 @@ def point_ssdf_force(aopc, p, v, J, params: ContactParams) -> np.ndarray:
     (3, n) Jacobian) plus the cloud body's wrench. Returns a vector over the
     scene's generalized coordinates.
     """
-    _, gt = _query_sums(aopc, np.asarray(p)[None, :], np.asarray(v)[None, :], params)
-    return np.asarray(J).T @ gt[0, :3] - aopc.wrench_force(gt[0])
+    with _ARENA.scratch:
+        _, gt = _query_sums(aopc, np.asarray(p)[None, :], np.asarray(v)[None, :], params)
+        return np.asarray(J).T @ gt[0, :3] - aopc.wrench_force(gt[0])
 
 
 def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.ndarray:
@@ -220,26 +221,27 @@ def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.n
     return _pair_contact(a, b, params, field.distribution)[0]
 
 
-def _pair_contact(a, b, params: ContactParams, coeff=None, scratch=FRESH):
+def _pair_contact(a, b, params: ContactParams, coeff=None):
     """(generalized force, separation values (..., I_b + I_a), separation
     distribution) of a pair or a stack of pairs, from one _query_sums pass
-    per direction; the distribution is the softmax of the values unless
-    coeff gives it. The values live in scratch's caller block.
+    per direction, whose sums live in the thread's arena for the call; the
+    distribution is the softmax of the values unless coeff gives it.
 
     The query body takes (sum coeff g, sum coeff (p_q - t_q) x g) and the
     cloud body minus (sum coeff g, sum coeff tau): the spatial-force form of
     J^T f, whose two linear parts are the same sum.
     """
     Ib = b.num_points
-    value_ba, gt_ba = _query_sums(a, b.points, b.velocities, params, scratch)
-    value_ab, gt_ab = _query_sums(b, a.points, a.velocities, params, scratch)
-    values = np.concatenate([value_ba, value_ab], axis=-1)
-    if coeff is None:
-        coeff = softmax(-values, params.eps2)
-    wrenches = []
-    for query, c, gt in ((b, coeff[..., :Ib], gt_ba), (a, coeff[..., Ib:], gt_ab)):
-        total = (c[..., None, :] @ gt)[..., 0, :]
-        torque = moment(query.points - query.origin[..., None, :], c[..., None] * gt[..., :3])
-        wrenches.append((np.concatenate([total[..., :3], torque], axis=-1), -total))
+    with _ARENA.scratch:
+        value_ba, gt_ba = _query_sums(a, b.points, b.velocities, params)
+        value_ab, gt_ab = _query_sums(b, a.points, a.velocities, params)
+        values = np.concatenate([value_ba, value_ab], axis=-1)
+        if coeff is None:
+            coeff = softmax(-values, params.eps2)
+        wrenches = []
+        for query, c, gt in ((b, coeff[..., :Ib], gt_ba), (a, coeff[..., Ib:], gt_ab)):
+            total = (c[..., None, :] @ gt)[..., 0, :]
+            torque = moment(query.points - query.origin[..., None, :], c[..., None] * gt[..., :3])
+            wrenches.append((np.concatenate([total[..., :3], torque], axis=-1), -total))
     (on_b, from_b), (on_a, from_a) = wrenches
     return a.wrench_force(on_a + from_b) + b.wrench_force(on_b + from_a), values, coeff

@@ -6,12 +6,14 @@ whole pipeline (branch decisions are taken on real parts only, norms are
 computed as sqrt(sum(x*x)) rather than via abs); exp and softplus apply the
 first-order rule f(a + ib) = f(a) + i b f'(a) to such inputs at the cost of
 one real evaluation. All functions are pure and safe to call from any number
-of concurrent workers; a Scratch, the only mutable state here, serves one
-thread.
+of concurrent workers: the kernels take their temporaries from the calling
+thread's Scratch, the only mutable state here, and return fresh arrays or
+the caller's out.
 """
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -71,20 +73,14 @@ class Scratch:
             self._views.clear()
 
 
-class _Fresh:
-    """The scratch of a call given none: every array is a fresh one."""
+class _Arena(threading.local):
+    """One Scratch per thread, held outside any Scene: the kernels' memory."""
 
-    __slots__ = ()
-    empty = staticmethod(np.empty)
-
-    def __enter__(self) -> "_Fresh":
-        return self
-
-    def __exit__(self, typ, value, tb) -> None:
-        return None
+    def __init__(self):
+        self.scratch = Scratch()
 
 
-FRESH = _Fresh()
+_ARENA = _Arena()
 
 
 def check_temperature(eps: float, name: str = "eps") -> float:
@@ -95,14 +91,14 @@ def check_temperature(eps: float, name: str = "eps") -> float:
     return eps
 
 
-def _reject_nonfinite(x: np.ndarray, name: str, error: type = ValueError, scratch=FRESH) -> None:
-    """Raise error naming the first non-finite entry of x; the mask is taken
-    from scratch in the caller's block."""
-    ok = np.isfinite(x, out=scratch.empty(x.shape, bool))
-    if not ok.all():
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), x.shape))
-        pos = idx[0] if len(idx) == 1 else idx
-        raise error(f"{name} contains a non-finite entry at index {pos}")
+def _reject_nonfinite(x: np.ndarray, name: str, error: type = ValueError) -> None:
+    """Raise error naming the first non-finite entry of x."""
+    with _ARENA.scratch as arena:
+        ok = np.isfinite(x, out=arena.empty(x.shape, bool))
+        if not ok.all():
+            idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), x.shape))
+            pos = idx[0] if len(idx) == 1 else idx
+            raise error(f"{name} contains a non-finite entry at index {pos}")
 
 
 # exp(x) is a normal float64 for x >= -708, subnormal below, 0 below -745.
@@ -135,10 +131,9 @@ def _first_order(z: np.ndarray, value: np.ndarray, slope: np.ndarray, out: np.nd
     return out
 
 
-def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL, out: np.ndarray | None = None, scratch=FRESH) -> np.ndarray:
+def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL, out: np.ndarray | None = None) -> np.ndarray:
     """exp(z) with an exact 0 wherever Re z < cutoff; a real result may be
-    written into out (z itself allowed). Its mask is taken from scratch in
-    the caller's block."""
+    written into out (z itself allowed)."""
     # np.exp is tens of times slower on its subnormal and underflow range,
     # and at the cutoff itself. Entries whose real part is below the cutoff
     # are clamped and zeroed, so exp runs on 0 there, and zeroed again after:
@@ -146,18 +141,19 @@ def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL, out: np.ndarray | None = None
     # entries are far, which is the contact-count independence. A NaN passes
     # np.maximum and the mask (NaN * 0 is NaN).
     a = z.real
-    live = np.greater_equal(a, cutoff, out=scratch.empty(a.shape, bool))
-    e = np.maximum(a, cutoff, out=np.empty(a.shape) if out is None else out)
-    e *= live
-    np.exp(e, out=e)
-    e *= live
+    with _ARENA.scratch as arena:
+        live = np.greater_equal(a, cutoff, out=arena.empty(a.shape, bool))
+        e = np.maximum(a, cutoff, out=np.empty(a.shape) if out is None else out)
+        e *= live
+        np.exp(e, out=e)
+        e *= live
     if not np.iscomplexobj(z):
         return e
     _check_step(z.imag)
     return _first_order(z, e, e)
 
 
-def softmax(x: np.ndarray, eps: float, axis: int = -1, out: np.ndarray | None = None, *, _scratch=FRESH) -> np.ndarray:
+def softmax(x: np.ndarray, eps: float, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Temperature-scaled softmax, exp(x_i/eps) / sum_j exp(x_j/eps).
 
     Max-subtraction makes the computation overflow-free for any finite input,
@@ -172,19 +168,19 @@ def softmax(x: np.ndarray, eps: float, axis: int = -1, out: np.ndarray | None = 
     if x.shape[axis] < 1:
         raise ValueError("softmax needs at least one entry")
     step = np.iscomplexobj(x)
-    with _scratch:
-        _reject_nonfinite(x, "softmax input", scratch=_scratch)
+    with _ARENA.scratch as arena:
+        _reject_nonfinite(x, "softmax input")
         # Shift by the (real-part) max so the largest exponent is exactly 0. For
         # astronomically spread inputs the shifted tail saturates to -inf, which
         # lands in the zero tail below, so the overflow is benign.
         shift = np.max(x.real, axis=axis, keepdims=True)
         with np.errstate(over="ignore"):
-            e = np.subtract(x.real, shift, dtype=float, out=_scratch.empty(x.shape) if step else out)
+            e = np.subtract(x.real, shift, dtype=float, out=arena.empty(x.shape) if step else out)
             e /= eps
         # The log(N) margin on the exp cutoff keeps the normalized weights normal
         # too, as the sum is at most N; products of subnormals are slow as well.
         # The entries dropped weigh under 1e-305 of the largest.
-        _exp(e, _EXP_TAIL + math.log(x.shape[axis]), out=e, scratch=_scratch)
+        _exp(e, _EXP_TAIL + math.log(x.shape[axis]), out=e)
         s = np.sum(e, axis=axis, keepdims=True)
         if not step:
             e /= s
@@ -192,7 +188,7 @@ def softmax(x: np.ndarray, eps: float, axis: int = -1, out: np.ndarray | None = 
         # Numpy's complex division (by eps, or by the sum) rounds the real part
         # differently from the real one, so the imaginary part of the first-order
         # rule is carried beside the real path: d(e/s) = (de - w ds)/s.
-        de = np.divide(x.imag, eps, out=_scratch.empty(x.shape))
+        de = np.divide(x.imag, eps, out=arena.empty(x.shape))
         _check_step(de)
         de *= e
         e /= s
@@ -204,7 +200,7 @@ def softmax(x: np.ndarray, eps: float, axis: int = -1, out: np.ndarray | None = 
         return out
 
 
-def softplus(x: np.ndarray, eps: float, check: bool = True, out: np.ndarray | None = None, *, _scratch=FRESH) -> np.ndarray:
+def softplus(x: np.ndarray, eps: float, check: bool = True, out: np.ndarray | None = None) -> np.ndarray:
     """Smooth ReLU, eps*log(1 + exp(x/eps)), in the overflow-safe branch form.
 
     Equals max(x, 0) + eps*log1p(exp(-|x|/eps)); monotone increasing, and
@@ -217,21 +213,21 @@ def softplus(x: np.ndarray, eps: float, check: bool = True, out: np.ndarray | No
     eps = check_temperature(eps)
     x = np.asarray(x)
     if x.ndim == 0:
-        return softplus(x.reshape(1), eps, check, None if out is None else out.reshape(1), _scratch=_scratch)[0]
+        return softplus(x.reshape(1), eps, check, None if out is None else out.reshape(1))[0]
     step = np.iscomplexobj(x)
     a = x.real
-    with _scratch:
+    with _ARENA.scratch as arena:
         if check:
-            _reject_nonfinite(x, "softplus input", scratch=_scratch)
+            _reject_nonfinite(x, "softplus input")
         if step:
             _check_step(x.imag, eps)
-        tail = np.abs(a, dtype=float, out=_scratch.empty(a.shape))
+        tail = np.abs(a, dtype=float, out=arena.empty(a.shape))
         tail /= -eps
-        _exp(tail, out=tail, scratch=_scratch)
-        pos = np.maximum(a, 0.0, out=_scratch.empty(a.shape))
+        _exp(tail, out=tail)
+        pos = np.maximum(a, 0.0, out=arena.empty(a.shape))
         # log1p(y) rounds to y below 2^-54, where np.log1p is slow: keep y. As
         # log1p(y) <= y, that is the minimum of y and log1p(max(y, 2^-54)).
-        v = np.maximum(tail, 2.0**-54, out=_scratch.empty(a.shape) if step else out)
+        v = np.maximum(tail, 2.0**-54, out=arena.empty(a.shape) if step else out)
         np.log1p(v, out=v)
         np.minimum(v, tail, out=v)
         v *= eps
@@ -240,7 +236,7 @@ def softplus(x: np.ndarray, eps: float, check: bool = True, out: np.ndarray | No
             return v
         # The slope sigmoid(a/eps): 1 / (1 + tail) for a > 0, else tail / (1 + tail).
         den = np.add(1.0, tail, out=pos)
-        np.putmask(tail, np.greater(a, 0.0, out=_scratch.empty(a.shape, bool)), 1.0)
+        np.putmask(tail, np.greater(a, 0.0, out=arena.empty(a.shape, bool)), 1.0)
         return _first_order(x, v, np.divide(tail, den, out=tail), out)
 
 

@@ -9,7 +9,6 @@ are single closed-form expressions with no iterative solve.
 """
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
@@ -22,7 +21,7 @@ from .collision import separation_field  # noqa: F401
 from .contact import _CHUNK_ENTRIES, ContactParams, _pair_contact
 # Bound here for perfbench/tracer.py, which wraps dynamics.ssdf_ssdf_force.
 from .contact import ssdf_ssdf_force  # noqa: F401
-from .core import Scratch, _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
+from .core import _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
 from .geometry import LocalAopc, Pose, WorldAopc, pose_aopc, posed_arrays
 
 
@@ -54,6 +53,8 @@ class LinearMotion:
         self._start = start
         self._v = np.asarray(linear_velocity, dtype=float)
         self._w = np.asarray(angular_velocity, dtype=float)
+        _reject_nonfinite(self._v, "LinearMotion linear_velocity")
+        _reject_nonfinite(self._w, "LinearMotion angular_velocity")
 
     def pose(self, t: float) -> Pose:
         trans = self._start.translation + t * self._v
@@ -74,6 +75,11 @@ class SplineMotion:
     def __init__(self, times: Sequence[float], positions, quaternion=(1.0, 0.0, 0.0, 0.0)):
         times = np.asarray(times, dtype=float)
         positions = np.asarray(positions, dtype=float)
+        quaternion = np.asarray(quaternion, dtype=float)
+        for name, arr in (("times", times), ("positions", positions), ("quaternion", quaternion)):
+            _reject_nonfinite(arr, f"spline {name}")
+        if not np.sum(quaternion * quaternion) > 0:
+            raise ValueError("spline quaternion must be nonzero")
         if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
             raise ValueError("spline times must be strictly increasing, length >= 2")
         if positions.shape != (times.size, 3):
@@ -81,7 +87,7 @@ class SplineMotion:
         self._t0, self._t1 = float(times[0]), float(times[-1])
         self._spline = CubicSpline(times, positions, bc_type="clamped")
         self._dspline = self._spline.derivative()
-        self._quat = quat_normalize(np.asarray(quaternion, dtype=float))
+        self._quat = quat_normalize(quaternion)
 
     def pose(self, t: float) -> Pose:
         tc = min(max(t, self._t0), self._t1)
@@ -127,9 +133,8 @@ class Body:
             except np.linalg.LinAlgError:
                 raise ValueError(f"body {self.name}: inertia must be positive definite") from None
             self.inertia = inertia
-        else:
-            if self.motion is None:
-                self.motion = StaticMotion(Pose.identity())
+        elif self.motion is None:
+            self.motion = StaticMotion(Pose.identity())
 
 
 @dataclass
@@ -145,6 +150,7 @@ class Scene:
 
     def __post_init__(self):
         self.gravity = np.asarray(self.gravity, dtype=float).reshape(3)
+        _reject_nonfinite(self.gravity, "gravity")
         names = [b.name for b in self.bodies]
         if len(set(names)) != len(names):
             raise ValueError("body names must be unique")
@@ -163,9 +169,7 @@ class Scene:
             seen.add(key)
             self.pair_indices.append((ia, ib))
         self.free_indices = [i for i, b in enumerate(self.bodies) if b.kind == "free"]
-        self._dof_start = {}
-        for k, i in enumerate(self.free_indices):
-            self._dof_start[i] = 6 * k
+        self._dof_start = {i: 6 * k for k, i in enumerate(self.free_indices)}
         self._pair_chunks = _group_pairs(self.bodies, self.pair_indices)
         self._groups, self._chunk_sides = _posing_plan(self.bodies, self._dof_start, self._pair_chunks)
 
@@ -339,25 +343,13 @@ def _rows(stack: WorldAopc, rows) -> WorldAopc:
                      stack.origin[rows], stack.dof_start[rows], stack.num_dofs)
 
 
-class _ThreadScratch(threading.local):
-    """One Scratch per thread for _contact_force, held outside any Scene."""
-
-    def __init__(self):
-        self.scratch = Scratch()
-
-
-_ARENA = _ThreadScratch()
-
-
 def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):
     """Sum of pair forces plus the minimum separation seen (diagnostics);
     per_pair also returns each pair's soft separation distance, in
     pair_indices order, read off the same evaluation. Every pair is
     evaluated, same-shape pairs as stacks (Scene._pair_chunks) cut by row out
     of the posed groups (Scene._groups). A non-finite q or v entry raises
-    ValueError naming its body and coordinate. Each chunk's block arrays
-    live in this thread's scratch, reused from block to block and call to
-    call; none of them is returned."""
+    ValueError naming its body and coordinate."""
     bad = _bad_coordinate(state, scene)
     if bad:
         raise ValueError(f"state has a non-finite {bad}")
@@ -366,15 +358,13 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):
     seps = np.zeros(len(scene.pair_indices), dtype=dtype)
     min_sep = np.inf
     posed = _pose_groups(scene, state) if scene.pair_indices else []
-    scratch = _ARENA.scratch
     for (pos, _), ((ga, rows_a), (gb, rows_b)) in zip(scene._pair_chunks, scene._chunk_sides):
         a, b = _rows(posed[ga], rows_a), _rows(posed[gb], rows_b)
-        with scratch:
-            force, values, coeff = _pair_contact(a, b, scene.params, scratch=scratch)
-            out += force
-            min_sep = min(min_sep, float(np.min(values.real)))
-            if per_pair:
-                seps[pos] = np.sum(coeff * values, axis=-1)
+        force, values, coeff = _pair_contact(a, b, scene.params)
+        out += force
+        min_sep = min(min_sep, float(np.min(values.real)))
+        if per_pair:
+            seps[pos] = np.sum(coeff * values, axis=-1)
     return (out, min_sep, seps) if per_pair else (out, min_sep)
 
 

@@ -317,14 +317,17 @@ def test_criterion_6_contact_count_independence():
             make_state(boxes, {"upper": Pose(np.array([0, 0, dz]), np.array([1.0, 0, 0, 0]))})
             for dz in (0.15, 5.0)
         )
-        # The bundled sphere pair, pulled apart as `softcontact bench` does:
-        # most of its penalty entries then sit in softplus's clamped tail.
-        spheres = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
-        apart = spheres.state.copy()
-        apart.q[:, 0] += 40.0 * np.arange(1, apart.q.shape[0] + 1)
-        for name, scene, st_contact, st_apart, dt in (("stacked boxes", boxes, overlap, separated, 2e-3),
-                                                      ("sphere_pair", spheres.scene, spheres.state, apart,
-                                                       spheres.world.dt)):
+        cases = [("stacked boxes", boxes, overlap, separated, 2e-3)]
+        # The bundled simulation scenes, their free bodies pulled apart as
+        # `softcontact bench` does: most of their penalty entries then sit in
+        # softplus's clamped tail.
+        for name in ("sphere_pair", "sphere_drop", "push_t_1"):
+            cfg = load_config(os.path.join(CONFIG_DIR, name + ".json"))
+            apart = cfg.state.copy()
+            span = max(float(np.abs(b.aopc.points).max()) for b in cfg.scene.bodies)
+            apart.q[:, 0] += 40.0 * np.arange(1, apart.q.shape[0] + 1) * max(span, 1.0)
+            cases.append((name, cfg.scene, cfg.state, apart, cfg.world.dt))
+        for name, scene, st_contact, st_apart, dt in cases:
             for st in (st_contact, st_apart):
                 step(scene, st, dt, "rk4")  # warm-up
             # The variants alternate step by step and each adjacent pair gives

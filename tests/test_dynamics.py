@@ -258,6 +258,29 @@ def test_kinematic_motions():
         SplineMotion([0.0, 0.0, 1.0], [[0, 0, 0], [1, 0, 0], [1, 1, 0]])
 
 
+_START = Pose(np.zeros(3), np.array([1.0, 0, 0, 0]))
+_WAYPOINTS = [[0, 0, 0], [1, 0, 0], [1, 1, 0]]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LinearMotion(_START, [np.nan, 0, 0]), "LinearMotion linear_velocity contains a non-finite entry at index 0"),
+    (lambda: LinearMotion(_START, [0, 0, 0], [np.nan, 0, 0]),
+     "LinearMotion angular_velocity contains a non-finite entry at index 0"),
+    (lambda: SplineMotion([0.0, np.nan, 2.0], _WAYPOINTS), "spline times contains a non-finite entry at index 1"),
+    (lambda: SplineMotion([0.0, 1.0, 2.0], [[0, 0, 0], [1, np.nan, 0], [1, 1, 0]]),
+     r"spline positions contains a non-finite entry at index \(1, 1\)"),
+    (lambda: SplineMotion([0.0, 1.0, 2.0], _WAYPOINTS, [np.inf, 0, 0, 0]),
+     "spline quaternion contains a non-finite entry at index 0"),
+    (lambda: SplineMotion([0.0, 1.0, 2.0], _WAYPOINTS, [0, 0, 0, 0]), "spline quaternion must be nonzero"),
+    (lambda: Scene([], [], gravity=[0, 0, np.nan]), "gravity contains a non-finite entry at index 2"),
+], ids=["linear_velocity", "angular_velocity", "spline_time", "spline_position", "spline_quaternion_inf",
+        "spline_quaternion_zero", "scene_gravity"])
+def test_constructors_reject_nonfinite_input_by_name(make, message):
+    # Each is rejected when built, not at the first pose(t) or step.
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        make()
+
+
 def test_kinematic_body_advances_in_rollout():
     s = sphere_aopc(0.3, 24)
     mover = Body("m", s, "kinematic", motion=LinearMotion(Pose(np.zeros(3), np.array([1.0, 0, 0, 0])), [0.5, 0, 0]))
@@ -632,7 +655,7 @@ def test_contact_scratch_holds_one_block_whatever_the_cloud_size():
     # Two 216-point spheres, then two 864-point ones, with a complex-step v:
     # the arena holds one query block's arrays either way, and only the
     # per-query and per-plane rows, O(Q + I), grow with the clouds.
-    from softcontact import dynamics
+    from softcontact import core, dynamics
     from softcontact.contact import ContactParams
 
     def arena_bytes(resolution):
@@ -646,9 +669,97 @@ def test_contact_scratch_holds_one_block_whatever_the_cloud_size():
         def warm():
             dynamics._contact_force(scene, st)
             dynamics._contact_force(scene, st)
-            return dynamics._ARENA.scratch._size
+            return core._ARENA.scratch._size
 
         return _in_new_thread(warm)
 
     small, large = arena_bytes(216), arena_bytes(864)
     assert abs(large - small) <= dynamics._CHUNK_ENTRIES * np.dtype(complex).itemsize
+
+
+def _arena_held(arena):
+    """(top, open blocks) of a Scratch: (0, 0) when nothing is taken."""
+    return arena._top, len(arena._marks)
+
+
+def test_kernel_error_inside_pair_contact_leaves_the_arena_empty():
+    # A complex-step q whose imaginary part is 1e-6 makes softmax's step
+    # check raise deep inside _pair_contact's nested blocks. A complex-step
+    # v cannot: velocities reach only the dissipation factor and friction,
+    # which take no step check.
+    from softcontact import core, dynamics
+
+    scene, st = _config_state("sphere_pair.json", complex_v=True)
+    bad = st.copy()
+    bad.q = bad.q.astype(complex)
+    bad.q[1, 0] += 1e-6j
+    want = _in_new_thread(lambda: dynamics._contact_force(scene, st, per_pair=True))
+
+    def run():
+        dynamics._contact_force(scene, st)
+        error = None
+        try:
+            dynamics._contact_force(scene, bad)
+        except ValueError as e:
+            error = str(e)
+        held = _arena_held(core._ARENA.scratch)
+        return error, held, dynamics._contact_force(scene, st, per_pair=True)
+
+    error, held, got = _in_new_thread(run)
+    assert error is not None and error.startswith("complex-step perturbation")
+    assert held == (0, 0)
+    _assert_same_bits(got, want)
+
+
+def test_calls_outside_contact_leave_the_arena_empty():
+    from softcontact import core, dynamics
+    from softcontact.collision import separation_field
+    from softcontact.contact import point_plane_force, point_ssdf_force
+    from softcontact.ssdf import ssdf
+
+    scene, st = _config_state("stacked_boxes.json")
+    params = scene.params
+    a, b = dynamics.pose_all(scene, st)
+    unit = np.array([1.0, 0, 0, 0])
+    calls = {
+        "ssdf": lambda: ssdf(a, b.points, params.eps1),
+        "separation_field": lambda: separation_field(a, b, params.eps1, params.eps2),
+        "point_plane_force": lambda: point_plane_force(b.points, b.velocities, a.points[0], a.normals[0], params),
+        "point_ssdf_force": lambda: point_ssdf_force(a, b.points[0], b.velocities[0], np.zeros((3, scene.n)), params),
+        "Pose": lambda: Pose(np.zeros(3), unit),
+        "rejected Pose": lambda: Pose(np.array([0.0, np.nan, 0.0]), unit),
+    }
+
+    def run():
+        held = {}
+        for name, call in calls.items():
+            try:
+                call()
+            except ValueError:
+                pass
+            held[name] = _arena_held(core._ARENA.scratch)
+        return held
+
+    assert _in_new_thread(run) == {name: (0, 0) for name in calls}
+
+
+def test_arena_view_cache_stops_growing():
+    # Views are cached by (offset, shape, dtype): once an operation has met
+    # its shapes, repeating it adds none.
+    from softcontact import core
+    from softcontact.config import load_config
+    from softcontact.verify import check_pipeline_gradients, sample_nondegenerate_state
+
+    cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
+    rng = np.random.default_rng(0)
+    states = [sample_nondegenerate_state(cfg.scene, rng, cfg.state, vel_scale=cfg.scene.params.v_d) for _ in range(4)]
+
+    def run():
+        counts = []
+        for st in states:
+            check_pipeline_gradients(cfg.scene, st)
+            counts.append(len(core._ARENA.scratch._views))
+        return counts
+
+    counts = _in_new_thread(run)
+    assert counts[1:] == [counts[1]] * 3
