@@ -110,8 +110,10 @@ def point_plane_force(p, v, plane_p, plane_n, params: ContactParams):
 
 
 # Point-plane entries (P * Q_block * I) per query block of one pair
-# direction: the bound on each block's (P, Q_block, I) arrays, so the working
-# memory of a contact evaluation does not grow with the point counts.
+# direction, counted as float64: each block's (P, Q_block, I) arrays take at
+# most this many float64 entries' bytes, so complex blocks take half the rows
+# and the working memory of a contact evaluation depends neither on the point
+# counts nor on the dtype.
 _CHUNK_ENTRIES = 32768
 
 
@@ -130,7 +132,8 @@ def _query_sums(cloud, points, velocities, params: ContactParams):
     frame (n_i, t1_i, t2_i) into v_n, a and b, so |v_t|^2 = a^2 + b^2 has no
     cancellation; with scale = -mu lambda_n / sqrt(v_s^2 + a^2 + b^2), one
     more turns [w lambda_n, w scale a, w scale b] into (g, tau). Each block's
-    (..., Q_block, I) arrays hold at most _CHUNK_ENTRIES entries.
+    (..., Q_block, I) arrays hold at most _CHUNK_ENTRIES float64 entries'
+    bytes.
     """
     I = cloud.num_points
     lead, Q = points.shape[:-2], points.shape[-2]
@@ -151,7 +154,7 @@ def _query_sums(cloud, points, velocities, params: ContactParams):
         rel, moments = np.swapaxes(frame[..., :4], -1, -2), frame[..., 1:]
         query_vel = arena.empty(velocities.shape[:-1] + (4,), dtype)
         query_vel[..., 0], query_vel[..., 1:] = 1.0, velocities
-        step = max(1, _CHUNK_ENTRIES // (math.prod(lead) * I))
+        step = max(1, _CHUNK_ENTRIES * 8 // (np.dtype(dtype).itemsize * math.prod(lead) * I))
         for start in range(0, Q, step):
             blk = slice(start, start + step)
             qp = points[..., blk, :]

@@ -170,6 +170,10 @@ class Scene:
             self.pair_indices.append((ia, ib))
         self.free_indices = [i for i, b in enumerate(self.bodies) if b.kind == "free"]
         self._dof_start = {i: 6 * k for k, i in enumerate(self.free_indices)}
+        self._inertia = np.array([self.bodies[i].inertia for i in self.free_indices], dtype=float).reshape(-1, 3, 3)
+        # The inertias less their isotropic part I_body[0, 0] Id, which adds
+        # nothing to the gyroscopic torque (see _bias).
+        self._gyro = self._inertia - self._inertia[:, :1, :1] * np.eye(3)
         self._pair_chunks = _group_pairs(self.bodies, self.pair_indices)
         self._groups, self._chunk_sides = _posing_plan(self.bodies, self._dof_start, self._pair_chunks)
 
@@ -244,18 +248,17 @@ def pose_all(scene: Scene, state: SceneState) -> list[WorldAopc]:
 
 
 def _free_inertia(scene: Scene, q: np.ndarray):
-    """Masses (nf,) and world rotational inertias R I_body R^T (nf, 3, 3) of
-    the free bodies at poses q."""
-    free = [scene.bodies[i] for i in scene.free_indices]
-    I_body = np.array([b.inertia for b in free], dtype=float).reshape(-1, 3, 3)
+    """Masses (nf,), rotations R (nf, 3, 3) and world rotational inertias
+    R I_body R^T (nf, 3, 3) of the free bodies at poses q."""
     R = quat_to_matrix(q[:, 3:])
-    return np.array([b.mass for b in free], dtype=float), R @ I_body @ np.swapaxes(R, -1, -2)
+    m = np.array([scene.bodies[i].mass for i in scene.free_indices], dtype=float)
+    return m, R, R @ scene._inertia @ np.swapaxes(R, -1, -2)
 
 
 def mass_matrix(scene: Scene, state: SceneState) -> np.ndarray:
     """Block-diagonal generalized inertia: diag(m I3, R I_body R^T) per free
     body."""
-    m, Iw = _free_inertia(scene, state.q)
+    m, _, Iw = _free_inertia(scene, state.q)
     nf = m.shape[0]
     M = np.zeros((nf, 6, nf, 6), dtype=Iw.dtype)
     k = np.arange(nf)
@@ -267,13 +270,22 @@ def mass_matrix(scene: Scene, state: SceneState) -> np.ndarray:
 def bias_force(scene: Scene, state: SceneState) -> np.ndarray:
     """Gravity and gyroscopic bias, with signs such that free fall gives
     vdot = g when tau and contact are zero."""
-    return _bias(scene, state.v, *_free_inertia(scene, state.q)).reshape(-1)
+    m, R, _ = _free_inertia(scene, state.q)
+    return _bias(scene, state.v, m, R).reshape(-1)
 
 
-def _bias(scene: Scene, v: np.ndarray, m: np.ndarray, Iw: np.ndarray) -> np.ndarray:
-    """bias_force as (nf, 6) blocks, given the free-body inertia m, Iw."""
-    w = v.reshape(-1, 6)[:, 3:]
-    return np.concatenate([-m[:, None] * scene.gravity, np.cross(w, (Iw @ w[..., None])[..., 0])], axis=1)
+def _bias(scene: Scene, v: np.ndarray, m: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """bias_force as (nf, 6) blocks, given the free-body masses m and
+    rotations R.
+
+    The gyroscopic torque w x (R I_body R^T w) is taken as w x (R D R^T w)
+    with D = Scene._gyro: the isotropic part c w x w is zero analytically, so
+    the value is the same, and it is exactly 0 for spheres and cubes, where
+    the full product leaves a rounding residue that finite differences
+    divide by their step."""
+    w = v.reshape(-1, 6)[:, 3:, None]
+    gyro = R @ (scene._gyro @ (np.swapaxes(R, -1, -2) @ w))
+    return np.concatenate([-m[:, None] * scene.gravity, np.cross(w[..., 0], gyro[..., 0])], axis=1)
 
 
 def total_contact_force(scene: Scene, state: SceneState) -> np.ndarray:
@@ -289,7 +301,8 @@ def _group_pairs(bodies, pair_indices) -> list:
     pairs = np.array(pair_indices, dtype=int).reshape(-1, 2)
     chunks = []
     for (Ia, Ib), positions in groups.items():
-        # As many pairs as one query block of contact._query_sums holds whole.
+        # As many pairs as one float64 query block of contact._query_sums
+        # holds whole.
         per_chunk = max(1, _CHUNK_ENTRIES // (Ia * Ib))
         chunks += [(pos, pairs[pos]) for pos in np.array_split(np.array(positions), -(-len(positions) // per_chunk))]
     return chunks
@@ -378,10 +391,10 @@ def inverse_dynamics(scene: Scene, state: SceneState, vdot: np.ndarray) -> np.nd
     if bad:
         raise ValueError(f"vdot has a non-finite {bad}")
     contact = total_contact_force(scene, state)
-    m, Iw = _free_inertia(scene, state.q)
+    m, R, Iw = _free_inertia(scene, state.q)
     a = vdot.reshape(-1, 6)
     inertial = np.concatenate([m[:, None] * a[:, :3], (Iw @ a[:, 3:, None])[..., 0]], axis=1)
-    return (inertial + _bias(scene, state.v, m, Iw)).reshape(-1) - contact
+    return (inertial + _bias(scene, state.v, m, R)).reshape(-1) - contact
 
 
 def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = None, *, _with_separation: bool = False):
@@ -403,8 +416,8 @@ def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = N
 
 def _accelerate(scene: Scene, state: SceneState, tau: np.ndarray, contact: np.ndarray) -> np.ndarray:
     """forward_dynamics' solve, given the controls and the contact force."""
-    m, Iw = _free_inertia(scene, state.q)
-    rhs = (tau - _bias(scene, state.v, m, Iw).reshape(-1) + contact).reshape(-1, 6)
+    m, R, Iw = _free_inertia(scene, state.q)
+    rhs = (tau - _bias(scene, state.v, m, R).reshape(-1) + contact).reshape(-1, 6)
     try:
         angular = np.linalg.solve(Iw, rhs[:, 3:, None])[..., 0]
     except np.linalg.LinAlgError:

@@ -7,11 +7,14 @@ derivative; every kernel in this package is written to be analytic under a
 tiny imaginary perturbation, so the complex step is exact to machine
 precision, and exp and softplus take it through the first-order rule at real
 cost). The pipeline check differentiates one map that evaluates contact once
-per perturbed state. The hard pipeline oracle realizes the zero-temperature
-limit of collision detection and contact by brute force.
+per perturbed state, each route computing its columns on the available CPUs.
+The hard pipeline oracle realizes the zero-temperature limit of collision
+detection and contact by brute force.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -23,12 +26,48 @@ from .dynamics import (Scene, SceneState, _separation_force_acceleration, forwar
 from .ssdf import hard_sdf
 
 
+def _map_columns(column, n: int) -> list:
+    """[column(i) for i in range(n)] on min(n, available CPUs) threads.
+
+    The calling thread is one of them; thread k takes columns k, k + T, ...
+    and every worker is joined before this returns, so each column's
+    arithmetic, and so the result, is what a serial loop gives. A failing
+    column's exception is raised unchanged; of several, the lowest column's,
+    the one a serial loop would raise.
+    """
+    workers = max(1, min(n, len(os.sched_getaffinity(0))))
+    out = [None] * n
+    failed = {}  # column: exception, at most one per thread
+
+    def share(k):
+        for i in range(k, n, workers):
+            try:
+                out[i] = column(i)
+            except BaseException as e:  # raised in the calling thread below
+                failed[i] = e
+                return
+
+    threads = [threading.Thread(target=share, args=(k,)) for k in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        share(0)
+    finally:
+        for t in threads:
+            t.join()
+    if failed:
+        raise failed[min(failed)]
+    return out
+
+
 def fd_gradient(f, x, h=None):
     """Central-difference Jacobian of f at x, one column per coordinate.
 
     h defaults to 1e-6 * (1 + |x_i|) per coordinate. Scalar-valued f gives a
     (n,) gradient, vector-valued f an (m, n) matrix. Non-finite evaluations
-    are reported with the offending input coordinate.
+    are reported with the offending input coordinate. The columns are spread
+    over the available CPUs (_map_columns), so f must be safe to call from
+    several threads at once; the result is the serial loop's bit for bit.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -38,30 +77,32 @@ def fd_gradient(f, x, h=None):
         hs = np.broadcast_to(np.asarray(h, dtype=float), x.shape).copy()
     if np.any(hs <= 0):
         raise ValueError("finite-difference step must be positive")
-    cols = []
-    for i in range(n):
+
+    def column(i):
         e = np.zeros(n)
         e[i] = hs.flat[i]
         fp = np.asarray(f(x + e), dtype=float)
         fm = np.asarray(f(x - e), dtype=float)
         if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise ValueError(f"non-finite evaluation while perturbing coordinate {i}")
-        cols.append((fp - fm) / (2.0 * hs.flat[i]))
-    jac = np.stack(cols, axis=-1)
-    return jac
+        return (fp - fm) / (2.0 * hs.flat[i])
+
+    return np.stack(_map_columns(column, n), axis=-1)
 
 
 def cs_gradient(f, x, h: float = 1e-30):
     """Complex-step Jacobian: Im f(x + i h e_j) / h, exact to machine
-    precision for the analytic kernels in this package."""
+    precision for the analytic kernels in this package. As in fd_gradient,
+    the columns are spread over the available CPUs, with the serial loop's
+    result bit for bit."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    cols = []
-    for i in range(n):
+
+    def column(i):
         xc = x.astype(complex)
         xc.flat[i] += 1j * h
-        cols.append(np.asarray(f(xc)).imag / h)
-    return np.stack(cols, axis=-1)
+        return np.asarray(f(xc)).imag / h
+
+    return np.stack(_map_columns(column, x.size), axis=-1)
 
 
 def cs_hessian_diag(f, x, delta=None, h: float = 1e-30):

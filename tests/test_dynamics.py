@@ -143,6 +143,22 @@ def test_bias_force_gravity_and_gyro():
     assert np.linalg.norm(c3[3:]) > 0
 
 
+def test_isotropic_bodies_take_exactly_no_gyroscopic_torque():
+    # For I_body = c Id, w x (R I_body R^T w) vanishes analytically; computed
+    # as a difference of products it left a rounding residue of ~1e-17, which
+    # central differences divide by their step.
+    rng = np.random.default_rng(11)
+    bodies = [Body("ball", sphere_aopc(0.25, 24), "free", 0.3, sphere_inertia(0.3, 0.25)),
+              Body("cube", box_aopc([0.2, 0.2, 0.2], 24), "free", 1.0, box_inertia(1.0, [0.2, 0.2, 0.2]))]
+    scene = Scene(bodies, [])
+    for _ in range(20):
+        st = make_state(scene)
+        st.q[:, 3:] = quat_normalize(rng.standard_normal((2, 4)))
+        st.v = 3.0 * rng.standard_normal(12)
+        c = bias_force(scene, st).reshape(2, 6)
+        assert not c[:, 3:].any()
+
+
 def test_free_fall_and_gravity_compensation():
     scene = free_sphere_scene()
     st = make_state(scene, {"ball": Pose(np.array([0, 0, 5.0]), np.array([1.0, 0, 0, 0]))})
@@ -675,6 +691,29 @@ def test_contact_scratch_holds_one_block_whatever_the_cloud_size():
 
     small, large = arena_bytes(216), arena_bytes(864)
     assert abs(large - small) <= dynamics._CHUNK_ENTRIES * np.dtype(complex).itemsize
+
+
+def test_complex_step_arena_is_no_larger_than_the_real_one():
+    # Query blocks are bounded in bytes, so a complex-step evaluation takes
+    # half the rows per block and its arena outgrows the real one only by
+    # the per-query and per-plane rows: here no more than 32 complex entries
+    # per point of either cloud.
+    from softcontact import core, dynamics
+
+    scene, st = _config_state("sphere_pair.json")
+    cs = st.copy()
+    cs.q, cs.v = cs.q.astype(complex), cs.v.astype(complex)
+    cs.q[1, 0] += 1e-30j
+
+    def warm(state):
+        def run():
+            dynamics._contact_force(scene, state, per_pair=True)
+            dynamics._contact_force(scene, state, per_pair=True)
+            return core._ARENA.scratch._size
+        return _in_new_thread(run)
+
+    points = sum(b.aopc.num_points for b in scene.bodies)
+    assert warm(cs) <= warm(st) + 32 * np.dtype(complex).itemsize * points
 
 
 def _arena_held(arena):

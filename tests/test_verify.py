@@ -1,4 +1,6 @@
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -44,6 +46,77 @@ def test_fd_gradient_rejects_nonfinite():
 
     with pytest.raises(ValueError, match="coordinate 0"):
         fd_gradient(bad, np.array([1.0]), 1e-9)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_gradient_columns_run_on_one_thread_per_cpu_at_most(monkeypatch):
+    # Thread k of T takes columns k, k + T, ...; the calling thread is thread
+    # 0, and no worker is left running.
+    caller = threading.get_ident()
+    for cpus, n in ((1, 5), (2, 5), (4, 3), (4, 9)):
+        _cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        seen = {}
+
+        def f(x):
+            i = int(np.flatnonzero(x.imag)[0])
+            seen[i] = (threading.get_ident(), threading.active_count())
+            return x * x
+
+        x = np.arange(1.0, n + 1.0)
+        np.testing.assert_array_equal(cs_gradient(f, x), np.diag(2.0 * x))
+        threads = min(n, cpus)
+        assert sorted(seen) == list(range(n))
+        assert max(count for _, count in seen.values()) <= before + threads - 1
+        assert len({ident for ident, _ in seen.values()}) <= threads
+        assert all((seen[i][0] == caller) == (i % threads == 0) for i in range(n))
+        assert threading.active_count() == before
+
+
+def test_worker_error_reaches_the_caller_unchanged(monkeypatch):
+    # Column 3 is a worker's on two CPUs. A serial loop would raise the
+    # lowest failing column's error, and so do the threads.
+    _cpus(monkeypatch, 2)
+    before = threading.active_count()
+
+    def nan_at(*coords):
+        return lambda x: np.nan if any(x[i] != 1.0 for i in coords) else x.sum()
+
+    with pytest.raises(ValueError, match="non-finite evaluation while perturbing coordinate 3$"):
+        fd_gradient(nan_at(3), np.ones(6), 1e-6)
+    with pytest.raises(ValueError, match="coordinate 2$"):
+        fd_gradient(nan_at(5, 3, 2), np.ones(6), 1e-6)
+    boom = KeyError("column 1")
+
+    def raise_at_1(x):
+        if x[1].imag:
+            raise boom
+        return x
+
+    with pytest.raises(KeyError) as caught:
+        cs_gradient(raise_at_1, np.ones(4))
+    assert caught.value is boom
+    assert threading.active_count() == before
+
+
+def test_gradient_columns_survive_frequent_thread_switches(monkeypatch):
+    # More threads than cores, switching every microsecond: every column
+    # must still land in its own slot.
+    f = lambda x: np.sin(x) * np.cumsum(x)
+    x = np.linspace(0.1, 2.0, 64)
+    _cpus(monkeypatch, 1)
+    want = cs_gradient(f, x).tobytes(), fd_gradient(f, x).tobytes()
+    _cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert (cs_gradient(f, x).tobytes(), fd_gradient(f, x).tobytes()) == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_cs_gradient_exactness():
@@ -181,28 +254,34 @@ def test_relative_error_floor():
 def test_check_pipeline_gradients_evaluates_contact_once_per_perturbation(monkeypatch):
     # One shared map per perturbed state: 26 complex steps and 2 x 26 central
     # differences on the two spheres; every pair is evaluated inside those
-    # contact evaluations, and no separation field is built.
+    # contact evaluations, and no separation field is built. The columns run
+    # on several threads, so the counts take a lock and the depth is per
+    # thread.
     cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
     st = sample_nondegenerate_state(cfg.scene, np.random.default_rng(0), cfg.state, vel_scale=cfg.scene.params.v_d)
     calls = {"contact": 0, "inside": 0, "outside": 0, "field": 0}
-    depth = [0]
+    lock, local = threading.Lock(), threading.local()
     contact_force = dynamics._contact_force
     pair_contact = dynamics._pair_contact
 
+    def count(key):
+        with lock:
+            calls[key] += 1
+
     def counted_contact(*args, **kwargs):
-        calls["contact"] += 1
-        depth[0] += 1
+        count("contact")
+        local.depth = getattr(local, "depth", 0) + 1
         try:
             return contact_force(*args, **kwargs)
         finally:
-            depth[0] -= 1
+            local.depth -= 1
 
     def counted_pair(*args, **kwargs):
-        calls["inside" if depth[0] else "outside"] += 1
+        count("inside" if getattr(local, "depth", 0) else "outside")
         return pair_contact(*args, **kwargs)
 
     def counted_field(*args, **kwargs):
-        calls["field"] += 1
+        count("field")
         return collision.separation_field(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_contact_force", counted_contact)
@@ -249,3 +328,40 @@ def test_shared_map_matches_the_three_pipeline_maps():
     jac_want = cs_gradient(seps_fn, theta_pose)
     assert np.abs(jac[:, : theta_pose.size] - jac_want).max() <= 1e-12 * np.abs(jac_want).max()
     assert not jac[:, theta_pose.size :].any()  # separation does not depend on velocities
+
+
+def test_reports_are_the_same_bits_on_one_cpu_and_on_two(monkeypatch):
+    cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
+    st = sample_nondegenerate_state(cfg.scene, np.random.default_rng(5), cfg.state, vel_scale=cfg.scene.params.v_d)
+    runs = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        jacs = []
+
+        def recorded(gradient):
+            def call(*args):
+                jacs.append(gradient(*args))
+                return jacs[-1]
+            return call
+
+        monkeypatch.setattr(verify, "cs_gradient", recorded(cs_gradient))
+        monkeypatch.setattr(verify, "fd_gradient", recorded(fd_gradient))
+        report = check_pipeline_gradients(cfg.scene, st)
+        runs.append([j.tobytes() for j in jacs] + [report.text(), report.csv()])
+    assert len(runs[0]) == 4 and runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("seed, sample", [(7, 12), (14, 17), (27, 8)])
+def test_gradient_check_passes_where_isotropic_gyro_rounding_failed_it(seed, sample):
+    # At these states the gyroscopic term w x (R I R^T w) of the spheres used
+    # to leave a ~3e-17 rounding residue that central differences divided by
+    # 2h, failing forward_dynamics at 1.0e-3 to 2.0e-3 against the 1e-8
+    # floor of relative_error. The states are the CLI's: sample s of
+    # `softcontact gradcheck --seed seed` on sphere_pair.
+    cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
+    rng = np.random.default_rng(seed)
+    for _ in range(sample + 1):
+        st = sample_nondegenerate_state(cfg.scene, rng, cfg.state, vel_scale=cfg.scene.params.v_d)
+    report = check_pipeline_gradients(cfg.scene, st)
+    assert report.passed
+    assert report.per_function["forward_dynamics"] < 1e-5
