@@ -9,14 +9,17 @@ small forces at a distance, which is what gives the dynamics informative
 gradients before contact is made.
 
 The pair force makes one pass per pair direction over blocks of query
-points, each block computing its SSDF and its point-plane forces together
-from (Q_block, I) matrices: velocities are resolved in each plane's
-(n, t1, t2) frame, and the softmin-weighted forces and their torques about
-the cloud's origin are summed per query by matmuls. The pair's force is
-linear in the separation distribution, so once both directions' values are
-in and their softmax is taken, each body's wrench (sum f, sum (p - t) x f)
-enters its 6-DOF block, which is J^T f without the Jacobian. Stacks of P
-pairs (a leading pair axis on every array) run through the same code.
+points, each block computing its SSDF (ssdf's own block, so the values are
+separation_field's bit for bit) and its point-plane forces together from
+(Q_block, I) matrices: velocities are resolved in each plane's (n, t1, t2)
+frame, and the softmin-weighted forces and their torques about the cloud's
+origin are summed per query by matmuls against the frame axes and their
+moment arms (p - t) x e, which posing rotates from the body frame. The
+pair's force is linear in the separation distribution, so once both
+directions' values are in and their softmax is taken, each body's wrench
+(sum f, sum (p - t) x f) enters its 6-DOF block, which is J^T f without the
+Jacobian. Stacks of P pairs (a leading pair axis on every array) run through
+the same code.
 """
 from __future__ import annotations
 
@@ -26,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import SeparationField
-from .core import _ARENA, check_temperature, dot, softmax, softplus, squared_norm
+from .core import _ARENA, _CHUNK_ENTRIES, check_temperature, dot, softmax, softplus, squared_norm
 from .geometry import moment
-from .ssdf import plane_distances, squared_distances
+from .ssdf import _block
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,7 @@ def point_plane_force(p, v, plane_p, plane_n, params: ContactParams):
     All arguments broadcast over leading axes; v is the point velocity
     relative to the plane. Returns the (..., 3) world force on the point.
     """
-    p = np.asarray(p)
-    v = np.asarray(v)
-    plane_p = np.asarray(plane_p)
-    plane_n = np.asarray(plane_n)
+    p, v, plane_p, plane_n = (np.asarray(x) for x in (p, v, plane_p, plane_n))
     phi = dot(plane_n, p - plane_p)
     c = params.k * softplus(-phi, params.eps3)
     v_n = dot(plane_n, v)
@@ -107,14 +107,6 @@ def point_plane_force(p, v, plane_p, plane_n, params: ContactParams):
     lam_n = c * dissipation_factor(v_n / params.v_d)
     scale = -params.mu * lam_n / np.sqrt(params.v_s**2 + squared_norm(v_t))
     return lam_n[..., None] * plane_n + scale[..., None] * v_t
-
-
-# Point-plane entries (P * Q_block * I) per query block of one pair
-# direction, counted as float64: each block's (P, Q_block, I) arrays take at
-# most this many float64 entries' bytes, so complex blocks take half the rows
-# and the working memory of a contact evaluation depends neither on the point
-# counts nor on the dtype.
-_CHUNK_ENTRIES = 32768
 
 
 def _query_sums(cloud, points, velocities, params: ContactParams):
@@ -125,46 +117,39 @@ def _query_sums(cloud, points, velocities, params: ContactParams):
     over the cloud's planes i and feels F_qi = point_plane_force against
     plane i. Returns, taken from the thread's arena in the caller's block,
     value (..., Q), the SSDF sum_i w_qi phi_qi bit for bit as ssdf computes
-    it, and gt (..., Q, 6): g_q = sum_i w_qi F_qi beside
-    tau_q = sum_i w_qi (p_i - t) x F_qi about the cloud's origin t.
+    it (both run ssdf._block), and gt (..., Q, 6): g_q = sum_i w_qi F_qi
+    beside tau_q = sum_i w_qi (p_i - t) x F_qi about the cloud's origin t.
 
-    One matmul resolves the velocity of q against plane i in the plane's
-    frame (n_i, t1_i, t2_i) into v_n, a and b, so |v_t|^2 = a^2 + b^2 has no
-    cancellation; with scale = -mu lambda_n / sqrt(v_s^2 + a^2 + b^2), one
-    more turns [w lambda_n, w scale a, w scale b] into (g, tau). Each block's
-    (..., Q_block, I) arrays hold at most _CHUNK_ENTRIES float64 entries'
-    bytes.
+    One matmul of [-1, u_q] against the rows [v_i . e, e] of _frame resolves
+    the velocity of q against plane i in the plane's frame (n_i, t1_i, t2_i)
+    into v_n, a and b, so |v_t|^2 = a^2 + b^2 has no cancellation; with
+    scale = -mu lambda_n / sqrt(v_s^2 + a^2 + b^2), one more turns
+    [w lambda_n, w scale a, w scale b] into (g, tau) against the frame axes
+    and their posed moment arms. Each block's (..., Q_block, I) arrays hold
+    at most _CHUNK_ENTRIES float64 entries' bytes.
     """
     I = cloud.num_points
     lead, Q = points.shape[:-2], points.shape[-2]
     # The SSDF takes the geometry's dtype, as ssdf does; the forces the
     # common one.
     geo = np.result_type(cloud.points, cloud.normals, points)
-    dtype = np.result_type(geo, cloud.tangents, cloud.velocities, velocities)
+    dtype = np.result_type(geo, cloud.arms, cloud.velocities, velocities)
     arena = _ARENA.scratch
     value = arena.empty(lead + (Q,), geo)
     gt = arena.empty(lead + (Q, 6), dtype)
     with arena:
-        # Per plane and frame axis e in (n, t1, t2): [-v_i . e, e, r_i x e].
-        frame = arena.empty((3,) + cloud.normals.shape[:-1] + (7,), dtype)
-        axes = frame[..., 1:4]
-        axes[0], axes[1:] = cloud.normals, cloud.tangents
-        np.negative(np.sum(cloud.velocities * axes, axis=-1), out=frame[..., 0])
-        frame[..., 4:] = np.cross(cloud.points - cloud.origin[..., None, :], axes)
+        frame = _frame(cloud, arena.empty((3,) + cloud.normals.shape[:-1] + (7,), dtype))
         rel, moments = np.swapaxes(frame[..., :4], -1, -2), frame[..., 1:]
         query_vel = arena.empty(velocities.shape[:-1] + (4,), dtype)
-        query_vel[..., 0], query_vel[..., 1:] = 1.0, velocities
+        query_vel[..., 0], query_vel[..., 1:] = -1.0, velocities
         step = max(1, _CHUNK_ENTRIES * 8 // (np.dtype(dtype).itemsize * math.prod(lead) * I))
         for start in range(0, Q, step):
             blk = slice(start, start + step)
             qp = points[..., blk, :]
             shape = qp.shape[:-1] + (I,)
             with arena:
-                d = squared_distances(cloud, qp, out=arena.empty(shape, geo))
-                w = softmax(np.negative(d, out=d), params.eps1, out=d)
-                phi = plane_distances(cloud, qp, out=arena.empty(shape, geo))
-                with arena:
-                    np.sum(np.multiply(w, phi, out=arena.empty(shape, geo)), axis=-1, out=value[..., blk])
+                w, phi = arena.empty(shape, geo), arena.empty(shape, geo)
+                _block(cloud, qp, params.eps1, value[..., blk], w, phi)
                 vel = np.matmul(query_vel[..., blk, :], rel, out=arena.empty((3,) + shape, dtype))
                 v_n, a, b = vel
                 v_n /= params.v_d
@@ -187,6 +172,13 @@ def _query_sums(cloud, points, velocities, params: ContactParams):
                 np.sum(np.matmul(vel, moments, out=arena.empty((3,) + shape[:-1] + (6,), dtype)), axis=0,
                        out=gt[..., blk, :])
     return value, gt
+
+
+def _frame(cloud, out):
+    """The rows [v_i . e, e, (p_i - t) x e] (3, ..., I, 7), e = n, t1, t2."""
+    out[0, ..., 1:4], out[1:, ..., 1:4], out[..., 4:] = cloud.normals, cloud.tangents, cloud.arms
+    np.einsum("...ij,k...ij->k...i", cloud.velocities, out[..., 1:4], out=out[..., 0])
+    return out
 
 
 def point_ssdf_force(aopc, p, v, J, params: ContactParams) -> np.ndarray:
@@ -216,9 +208,7 @@ def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.n
     """
     Ia, Ib = a.num_points, b.num_points
     if len(field) != Ia + Ib:
-        raise ValueError(
-            f"separation field length {len(field)} does not match AOPC pair ({Ib} + {Ia} points)"
-        )
+        raise ValueError(f"separation field length {len(field)} does not match AOPC pair ({Ib} + {Ia} points)")
     if field.eps1 != params.eps1 or field.eps2 != params.eps2:
         raise ValueError("separation field temperatures do not match the contact parameters")
     return _pair_contact(a, b, params, field.distribution)[0]

@@ -101,6 +101,9 @@ def _reject_nonfinite(x: np.ndarray, name: str, error: type = ValueError) -> Non
             raise error(f"{name} contains a non-finite entry at index {pos}")
 
 
+# Point-plane entries per query block, as float64 bytes (complex: half).
+_CHUNK_ENTRIES = 32768
+
 # exp(x) is a normal float64 for x >= -708, subnormal below, 0 below -745.
 _EXP_TAIL = -708.0
 
@@ -139,10 +142,10 @@ def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL, out: np.ndarray | None = None
     # are clamped and zeroed, so exp runs on 0 there, and zeroed again after:
     # computed rather than skipped, the cost stays the same however many
     # entries are far, which is the contact-count independence. A NaN passes
-    # np.maximum and the mask (NaN * 0 is NaN).
+    # np.maximum and the float 0/1 mask (NaN * 0 is NaN); a bool one is cast.
     a = z.real
     with _ARENA.scratch as arena:
-        live = np.greater_equal(a, cutoff, out=arena.empty(a.shape, bool))
+        live = np.greater_equal(a, cutoff, out=arena.empty(a.shape))
         e = np.maximum(a, cutoff, out=np.empty(a.shape) if out is None else out)
         e *= live
         np.exp(e, out=e)

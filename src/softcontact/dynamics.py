@@ -18,10 +18,10 @@ from scipy.interpolate import CubicSpline
 
 # Bound here for perfbench/tracer.py, which wraps dynamics.separation_field.
 from .collision import separation_field  # noqa: F401
-from .contact import _CHUNK_ENTRIES, ContactParams, _pair_contact
+from .contact import ContactParams, _pair_contact
 # Bound here for perfbench/tracer.py, which wraps dynamics.ssdf_ssdf_force.
 from .contact import ssdf_ssdf_force  # noqa: F401
-from .core import _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
+from .core import _CHUNK_ENTRIES, _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
 from .geometry import LocalAopc, Pose, WorldAopc, pose_aopc, posed_arrays
 
 
@@ -311,9 +311,9 @@ def _group_pairs(bodies, pair_indices) -> list:
 def _posing_plan(bodies, dof_start, chunks):
     """The bodies in some pair grouped by point count, as (body indices (G,),
     their DOF block starts (G,), -1 if kinematic, stacked local points
-    (G, I, 3), normals (G, I, 3), tangents (2, G, I, 3)) with one cloud per
-    body; and for each chunk its two sides as (group, rows in the group
-    (P,)). A Scene builds them once."""
+    (G, I, 3), normals (G, I, 3), tangents (2, G, I, 3), arms (3, G, I, 3))
+    with one cloud per body; and for each chunk its two sides as (group,
+    rows in the group, a slice if consecutive). A Scene builds them once."""
     members = {}
     for i in sorted({int(i) for _, chunk in chunks for i in chunk.ravel()}):
         members.setdefault(bodies[i].aopc.num_points, []).append(i)
@@ -321,10 +321,13 @@ def _posing_plan(bodies, dof_start, chunks):
     for g, idx in enumerate(members.values()):
         where.update((i, (g, r)) for r, i in enumerate(idx))
         clouds = [bodies[i].aopc for i in idx]
-        groups.append((np.array(idx), np.array([dof_start.get(i, -1) for i in idx]), np.stack([c.points for c in clouds]),
-                       np.stack([c.normals for c in clouds]), np.stack([c.tangents for c in clouds], axis=1)))
-    sides = [tuple((where[side[0]][0], np.array([where[i][1] for i in side])) for side in chunk.T)
-             for _, chunk in chunks]
+        groups.append((np.array(idx), np.array([dof_start.get(i, -1) for i in idx]),
+                       *(np.stack([getattr(c, name) for c in clouds], axis=-3)
+                         for name in ("points", "normals", "tangents", "arms"))))
+
+    def run(r):
+        return slice(r[0], r[-1] + 1) if r == list(range(r[0], r[-1] + 1)) else np.array(r)
+    sides = [tuple((where[side[0]][0], run([where[i][1] for i in side])) for side in chunk.T) for _, chunk in chunks]
     return groups, sides
 
 
@@ -343,17 +346,14 @@ def _pose_groups(scene: Scene, state: SceneState) -> list[WorldAopc]:
             pose = body.motion.pose(t)
             trans[i], quat[i], twist[i] = pose.translation, pose.quaternion, body.motion.velocity(t)
     R = quat_to_matrix(quat)
-    posed = []
-    for idx, dof_start, points, normals, tangents in scene._groups:
-        arrays = posed_arrays(R[idx], trans[idx], twist[idx], points, normals, tangents)
-        posed.append(WorldAopc(*arrays, trans[idx], dof_start, scene.n))
-    return posed
+    return [WorldAopc(*posed_arrays(R[idx], trans[idx], twist[idx], *local), trans[idx], dof_start, scene.n)
+            for idx, dof_start, *local in scene._groups]
 
 
 def _rows(stack: WorldAopc, rows) -> WorldAopc:
-    """The bodies at rows of a posed group, as a stack of len(rows)."""
-    return WorldAopc(stack.points[rows], stack.normals[rows], stack.tangents[:, rows], stack.velocities[rows],
-                     stack.origin[rows], stack.dof_start[rows], stack.num_dofs)
+    """The bodies at rows of a posed group as a stack, views for a slice."""
+    arrays = (stack.points, stack.normals, stack.tangents, stack.arms, stack.velocities)
+    return WorldAopc(*(x[..., rows, :, :] for x in arrays), stack.origin[rows], stack.dof_start[rows], stack.num_dofs)
 
 
 def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):

@@ -44,6 +44,7 @@ class LocalAopc:
     faces    : (I, 4) vertex indices of the quad behind each point
     tangents : (2, I, 3) derived unit tangents t1, t2; (n, t1, t2) is a
                right-handed orthonormal frame at each point
+    arms     : (3, I, 3) derived moment arms x x e of e = n, t1, t2
     """
 
     points: np.ndarray
@@ -52,6 +53,7 @@ class LocalAopc:
     faces: np.ndarray
     name: str = ""
     tangents: np.ndarray = field(init=False, repr=False, compare=False)
+    arms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.ascontiguousarray(np.asarray(self.points, dtype=float))
@@ -80,13 +82,11 @@ class LocalAopc:
         if not used.all():
             raise AopcError(f"vertex {int(np.argmin(used))} belongs to no face")
         tangents = _tangent_frames(normals)
-        for arr in (points, normals, vertices, faces, tangents):
+        arms = np.cross(points, np.concatenate([normals[None], tangents]))
+        for name, arr in (("points", points), ("normals", normals), ("vertices", vertices), ("faces", faces),
+                          ("tangents", tangents), ("arms", arms)):
             arr.setflags(write=False)
-        object.__setattr__(self, "tangents", tangents)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "faces", faces)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_points(self) -> int:
@@ -134,17 +134,18 @@ class Pose:
 class WorldAopc:
     """A LocalAopc posed into world frame, with per-point velocities.
 
-    tangents is (2, I, 3), the LocalAopc's tangents rotated with the normals.
-    A free body's 6-DOF block [linear; angular] of the num_dofs generalized
-    velocities starts at dof_start and refers to the body origin t; kinematic
-    bodies have dof_start -1. The point Jacobian [I3 | -skew(p - t)] is never
-    built. A stack of P same-size clouds adds a leading pair axis to every
-    array (tangents (2, P, I, 3)) and has no vertices or faces.
+    tangents (2, I, 3) and arms (3, I, 3), (p - t) x e, are the LocalAopc's
+    rotated with the normals. A free body's 6-DOF block [linear; angular] of
+    the num_dofs generalized velocities starts at dof_start and refers to
+    the body origin t; kinematic bodies have dof_start -1. The point Jacobian
+    [I3 | -skew(p - t)] is never built. A stack of P same-size clouds adds a
+    pair axis before each array's (I, 3) and has no vertices or faces.
     """
 
     points: np.ndarray
     normals: np.ndarray
     tangents: np.ndarray
+    arms: np.ndarray
     velocities: np.ndarray
     origin: np.ndarray
     dof_start: np.ndarray
@@ -184,20 +185,21 @@ def moment(r: np.ndarray, f: np.ndarray) -> np.ndarray:
     return M[..., [1, 2, 0], [2, 0, 1]] - M[..., [2, 0, 1], [1, 2, 0]]
 
 
-def posed_arrays(R, t, twist, points, normals, tangents):
+def posed_arrays(R, t, twist, points, normals, tangents, arms):
     """The posing arithmetic, for one body or a group of bodies with a
-    leading axis: world points p = R x + t, normals and tangents rotated by R,
-    and point velocities v + w x (p - t) of the world twist [v; w] at t.
+    leading axis: world points p = R x + t; normals, tangents and moment arms
+    rotated by R; and point velocities v + w x (p - t) = v + (w x R) x of the
+    world twist [v; w] at t, where w x R crosses w with each column of R.
 
     R (..., 3, 3), t (..., 3), twist (..., 6); points and normals
-    (..., I, 3), tangents (2, ..., I, 3). Returns (points, normals, tangents,
-    velocities).
+    (..., I, 3), tangents (2, ..., I, 3), arms (3, ..., I, 3). Returns
+    (points, normals, tangents, arms, velocities).
     """
     Rt = np.swapaxes(R, -1, -2)
-    t = t[..., None, :]
-    pts = points @ Rt + t
-    vel = twist[..., None, :3] + np.cross(twist[..., None, 3:], pts - t)
-    return pts, normals @ Rt, tangents @ Rt, vel
+    w = twist[..., 3:, None]
+    wR = w[..., [1, 2, 0], :] * R[..., [2, 0, 1], :] - w[..., [2, 0, 1], :] * R[..., [1, 2, 0], :]
+    vel = points @ np.swapaxes(wR, -1, -2) + twist[..., None, :3]
+    return points @ Rt + t[..., None, :], normals @ Rt, tangents @ Rt, arms @ Rt, vel
 
 
 def pose_aopc(
@@ -227,9 +229,9 @@ def pose_aopc(
             raise ValueError("dof_start block exceeds generalized dimension")
         twist = v[s : s + 6]
     twist = twist.astype(np.result_type(twist, v), copy=False)
-    pts, nrm, tan, vel = posed_arrays(R, t, twist, aopc.points, aopc.normals, aopc.tangents)
+    arrays = posed_arrays(R, t, twist, aopc.points, aopc.normals, aopc.tangents, aopc.arms)
     verts = aopc.vertices @ R.T + t
-    return WorldAopc(pts, nrm, tan, vel, np.asarray(t), np.asarray(s), n, verts, aopc.faces, body_id)
+    return WorldAopc(*arrays, np.asarray(t), np.asarray(s), n, verts, aopc.faces, body_id)
 
 
 def transform_aopc(aopc: LocalAopc, pose: Pose) -> LocalAopc:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_temperature, softmax
+from .core import _ARENA, _CHUNK_ENTRIES, check_temperature, softmax
 
 
 @dataclass(frozen=True)
@@ -79,18 +79,23 @@ def ssdf(aopc, p, eps1: float) -> SsdfResult:
     """
     check_temperature(eps1, "eps1")
     q, single = _as_batch(p)
-    d = squared_distances(aopc, q)
-    w = softmax(np.negative(d, out=d), eps1, axis=-1, out=d)
-    return _weighted_average(aopc, q, w, single)
+    value, w, s = _block(aopc, q, eps1)
+    return SsdfResult(value[0], w[0], s[0]) if single else SsdfResult(value, w, s)
 
 
-def _weighted_average(aopc, q, w, single) -> SsdfResult:
-    """The SsdfResult of weights w (..., Q, I) over the plane distances of q."""
-    s = plane_distances(aopc, q)
-    value = np.sum(w * s, axis=-1)
-    if single:
-        return SsdfResult(value[0], w[0], s[0])
-    return SsdfResult(value, w, s)
+def _block(aopc, q, eps1: float, value=None, w=None, s=None):
+    """ssdf's value (..., Q), weights w and plane distances s (..., Q, I) of
+    queries q, into the given arrays or fresh ones; contact's query blocks
+    share it. The weights are the softmax of (2 q . p_i - |p_i|^2) / eps1,
+    -|q - p_i|^2 / eps1 less the row constant |q|^2 / eps1."""
+    pts, _ = _cloud(aopc)
+    w = np.matmul(q, np.swapaxes(pts + pts, -1, -2), out=w)
+    w -= np.sum(pts * pts, axis=-1)[..., None, :]
+    softmax(w, eps1, out=w)
+    s = plane_distances(aopc, q, out=s)
+    with _ARENA.scratch as arena:
+        value = np.sum(np.multiply(w, s, out=arena.empty(w.shape, w.dtype)), axis=-1, out=value)
+    return value, w, s
 
 
 def hard_sdf(aopc, p):
@@ -104,9 +109,7 @@ def hard_sdf(aopc, p):
     idx = np.argmin(d, axis=-1)
     s = plane_distances(aopc, q)
     value = np.take_along_axis(s, idx[:, None], axis=-1)[:, 0]
-    if single:
-        return float(value[0]), int(idx[0])
-    return value, idx
+    return (float(value[0]), int(idx[0])) if single else (value, idx)
 
 
 @dataclass(frozen=True)
@@ -160,10 +163,12 @@ def ssdf_general(aopc, p, basis) -> SsdfResult:
     log-weights, so arbitrarily peaked kernels stay overflow-free.
     """
     q, single = _as_batch(p)
-    lw = basis.log_weights(aopc, q)
     # The ratio is invariant to scaling all kernels per query; eps=1 softmax
     # of the log-weights is exactly that normalized ratio.
-    return _weighted_average(aopc, q, softmax(lw, 1.0, axis=-1), single)
+    w = softmax(basis.log_weights(aopc, q), 1.0, axis=-1)
+    s = plane_distances(aopc, q)
+    value = np.sum(w * s, axis=-1)
+    return SsdfResult(value[0], w[0], s[0]) if single else SsdfResult(value, w, s)
 
 
 def sample_sdf_grid(aopc, bounds, resolution, eps1: float, slice_axis: int | None = None, slice_value: float = 0.0):
@@ -175,7 +180,7 @@ def sample_sdf_grid(aopc, bounds, resolution, eps1: float, slice_axis: int | Non
     with points in row-major (x slowest) order, shape (N, 3) and (N,).
 
     Pure function; lattice chunks are independent, so callers may shard the
-    node set across workers and concatenate.
+    node set across workers and concatenate. Chunks of _CHUNK_ENTRIES.
     """
     lo = np.asarray(bounds[0], dtype=float)
     hi = np.asarray(bounds[1], dtype=float)
@@ -197,7 +202,7 @@ def sample_sdf_grid(aopc, bounds, resolution, eps1: float, slice_axis: int | Non
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
     values = np.empty(pts.shape[0])
-    chunk = max(1, int(2_000_000 // max(1, aopc.num_points)))
+    chunk = max(1, _CHUNK_ENTRIES // aopc.num_points)
     for start in range(0, pts.shape[0], chunk):
         sl = slice(start, start + chunk)
         values[sl] = ssdf(aopc, pts[sl], eps1).value

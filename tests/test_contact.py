@@ -350,11 +350,29 @@ def test_pair_force_matches_broadcast_oracle(slip, approach):
     assert np.abs(g_got - g_want).max() <= 1e-12 * np.abs(g_want).max()
 
 
+def test_frame_rows_hold_plane_velocities_axes_and_arms():
+    # _frame's row per plane and axis e = n, t1, t2 is [v_i . e, e, (p - t) x e],
+    # with v_i . e from WorldAopc.velocities; for one body and for a stack.
+    from softcontact.contact import _frame
+
+    box = box_aopc([0.3, 0.2, 0.25], 54)
+    world = [posed(box, t, np.array([1.0, 0.1, -0.2, 0.3]) * (k + 1), dof=6 * k, n=12, name=str(k),
+                   velocity=np.array([0.1, -0.2, 0.05, 1.5, -0.7, 2.0]) * (k - 0.5))
+             for k, t in enumerate(([0.3, -0.1, 0.8], [0.0, 0.2, 0.5]))]
+    for cloud in (world[0], _stack(world, [0, 1, 1])):
+        frame = _frame(cloud, np.empty((3,) + cloud.normals.shape[:-1] + (7,)))
+        axes = np.concatenate([cloud.normals[None], cloud.tangents])
+        np.testing.assert_array_equal(frame[..., 1:4], axes)
+        np.testing.assert_array_equal(frame[..., 4:], cloud.arms)
+        want = np.sum(cloud.velocities * axes, axis=-1)
+        assert np.abs(frame[..., 0] - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def _stack(world, idx):
     """The posed bodies idx as one stack with a leading pair axis."""
     ws = [world[i] for i in idx]
-    return WorldAopc(**{name: np.stack([getattr(w, name) for w in ws], axis=int(name == "tangents"))
-                        for name in ("points", "normals", "tangents", "velocities", "origin", "dof_start")},
+    return WorldAopc(**{name: np.stack([getattr(w, name) for w in ws], axis=int(name in ("tangents", "arms")))
+                        for name in ("points", "normals", "tangents", "arms", "velocities", "origin", "dof_start")},
                      num_dofs=ws[0].num_dofs)
 
 

@@ -479,7 +479,8 @@ def test_group_posing_matches_pose_all_bit_for_bit():
             for r, i in enumerate(idx):
                 w = world[i]
                 for got, want in ((stack.points[r], w.points), (stack.normals[r], w.normals),
-                                  (stack.tangents[:, r], w.tangents), (stack.velocities[r], w.velocities),
+                                  (stack.tangents[:, r], w.tangents), (stack.arms[:, r], w.arms),
+                                  (stack.velocities[r], w.velocities),
                                   (stack.origin[r], w.origin), (stack.dof_start[r], w.dof_start)):
                     np.testing.assert_array_equal(got, want)
 
@@ -714,6 +715,60 @@ def test_complex_step_arena_is_no_larger_than_the_real_one():
 
     points = sum(b.aopc.num_points for b in scene.bodies)
     assert warm(cs) <= warm(st) + 32 * np.dtype(complex).itemsize * points
+
+
+def test_consecutive_chunk_rows_are_cut_as_views():
+    # stacked_boxes' one pair takes rows 0 and 1 of one posed group: _rows
+    # cuts them as views, so a warm evaluation copies no posed array.
+    from softcontact import dynamics
+
+    scene, st = _config_state("stacked_boxes.json")
+    posed = dynamics._pose_groups(scene, st)
+    (side_a, side_b), = scene._chunk_sides
+    for g, rows in (side_a, side_b):
+        assert isinstance(rows, slice)
+        cut = dynamics._rows(posed[g], rows)
+        for name in ("points", "normals", "tangents", "arms", "velocities"):
+            assert np.shares_memory(getattr(cut, name), getattr(posed[g], name))
+
+
+def test_warm_contact_force_takes_no_cross_product(monkeypatch):
+    # The moment arms are posed from the body frame and point velocities
+    # come from one matmul: a contact evaluation calls no np.cross.
+    from softcontact import dynamics
+
+    scene, st = _config_state("stacked_boxes.json")
+    want = dynamics._contact_force(scene, st)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the contact path took a cross product")
+
+    monkeypatch.setattr(np, "cross", refuse)
+    got = dynamics._contact_force(scene, st)
+    assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+
+def test_sdf_grid_leaves_no_more_arena_than_a_contact_evaluation():
+    # sample_sdf_grid walks the lattice in chunks of _CHUNK_ENTRIES entries,
+    # so on the box_slice body (800 points) the thread's arena stays within
+    # a warm stacked_boxes contact evaluation's.
+    from softcontact import core, dynamics
+    from softcontact.config import load_config
+    from softcontact.ssdf import sample_sdf_grid
+
+    box = load_config(os.path.join(CONFIG_DIR, "box_slice.json")).scene.bodies[0].aopc
+    scene, st = _config_state("stacked_boxes.json")
+
+    def grid():
+        sample_sdf_grid(box, (-np.ones(3), np.ones(3)), (21, 21, 21), 0.01)
+        return core._ARENA.scratch._size
+
+    def contact():
+        dynamics._contact_force(scene, st)
+        dynamics._contact_force(scene, st)
+        return core._ARENA.scratch._size
+
+    assert 0 < _in_new_thread(grid) <= _in_new_thread(contact)
 
 
 def _arena_held(arena):

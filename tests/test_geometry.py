@@ -280,6 +280,23 @@ def test_velocity_equals_jacobian_times_v():
         np.testing.assert_allclose(w.generalized_force(f), np.einsum("ikn,ik->n", J, f), rtol=1e-12, atol=1e-12)
 
 
+def test_posed_arms_are_the_world_moment_arms():
+    # Posing rotates the body-frame arms x x e, as R (x x e) = (R x) x (R e):
+    # they match (p - t) x e of the posed axes to rounding, the real part and
+    # the complex-step one alike. 5e-15 is a few roundings of the reference.
+    rng = np.random.default_rng(8)
+    aopc = box_aopc([0.6, 0.8, 0.4], 48)
+    for _ in range(10):
+        pose = random_pose(rng)
+        for quat in (pose.quaternion, pose.quaternion + 1e-30j * rng.standard_normal(4)):
+            w = pose_aopc(aopc, Pose(pose.translation, quat), np.zeros(6), 0, "b")
+            want = np.cross(w.points - w.origin, np.concatenate([w.normals[None], w.tangents]))
+            assert w.arms.shape == (3, aopc.num_points, 3)
+            for part in (np.real, np.imag):
+                assert np.abs(part(w.arms) - part(want)).max() <= 5e-15 * np.abs(part(want)).max()
+        assert np.abs(w.arms.imag).max() > 0
+
+
 def test_kinematic_bodies_have_zero_jacobians():
     aopc = box_aopc([0.4, 0.4, 0.4], 24)
     w = pose_aopc(aopc, Pose.identity(), np.zeros(6), None, "k",
