@@ -32,6 +32,7 @@ from .dynamics import (
     body_pose,
     pose_all,
     rollout,
+    separated_state,
     step,
     total_contact_force,
     trajectory_csv,
@@ -416,11 +417,7 @@ def cmd_bench(args) -> int:
         scene, contact_state = cfg.scene, cfg.state
         label = res if res is not None else "config"
         total_points = sum(b.aopc.num_points for b in scene.bodies)
-        # Move every free body far out along +x: same shapes, no contact.
-        apart = contact_state.copy()
-        span = max(float(np.abs(b.aopc.points).max()) for b in scene.bodies)
-        for k in range(apart.q.shape[0]):
-            apart.q[k, 0] += 40.0 * (k + 1) * max(span, 1.0)
+        apart = separated_state(scene, contact_state)
         times = {"contact": [], "separated": []}
         faults = {"contact": 0, "separated": 0}
         # One warm-up round, then the variants alternate step by step, so the

@@ -11,11 +11,13 @@ gradients before contact is made.
 The pair force makes one pass per pair direction over blocks of query
 points, each block computing its SSDF (ssdf's own block, so the values are
 separation_field's bit for bit) and its point-plane forces together from
-(Q_block, I) matrices: velocities are resolved in each plane's (n, t1, t2)
-frame, and the softmin-weighted forces and their torques about the cloud's
-origin are summed per query by matmuls against the frame axes and their
-moment arms (p - t) x e, which posing rotates from the body frame. The
-pair's force is linear in the separation distribution, so once both
+(I, Q_block) arrays. Every contact constant rides in three small per-plane
+matrices built once per direction, so the block's matmuls resolve the
+velocities in each plane's (n, t1, t2) frame already scaled, and sum the
+softmin-weighted forces and their torques about the cloud's origin against
+the frame axes and their moment arms (p - t) x e, which posing rotates from
+the body frame; the softmin is normalised once per query, on those sums.
+The pair's force is linear in the separation distribution, so once both
 directions' values are in and their softmax is taken, each body's wrench
 (sum f, sum (p - t) x f) enters its 6-DOF block, which is J^T f without the
 Jacobian. Stacks of P pairs (a leading pair axis on every array) run through
@@ -29,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import SeparationField
-from .core import _ARENA, _CHUNK_ENTRIES, check_temperature, dot, softmax, softplus, squared_norm
+from .core import _ARENA, _CHUNK_ENTRIES, _quotient, check_temperature, dot, softmax, softplus, squared_norm
 from .geometry import moment
-from .ssdf import _block
+from .ssdf import _block, _query_rows, _ssdf_matrix, _stacked
 
 
 @dataclass(frozen=True)
@@ -73,19 +75,30 @@ def dissipation_factor(x, out=None):
     """Velocity modulation of the normal force, x = v_n / v_d.
 
     1 - x for x <= 0, (x - 2)^2 / 4 on (0, 2], and 0 beyond: continuous and
-    C1 at both joints, nonnegative everywhere. The result is written into
-    out when given (x itself allowed).
+    C1 at both joints, nonnegative everywhere. A real x takes the one form
+    (clip(x, 0, 2) - 2)^2 / 4 - min(x, 0), six passes; a complex-step x the
+    pieces in complex arithmetic, selected by its real part. The result is
+    written into out when given (x itself allowed).
     """
     x = np.asarray(x)
-    xr = x.real
     dtype = np.result_type(x, 2.0)
+    d = np.empty(x.shape, dtype) if out is None else out
     with _ARENA.scratch as arena:
-        # Both selections and 1 - x are taken before out may overwrite x. A
-        # NaN fails both tests and stays NaN.
+        # Every piece that reads x is taken before d may overwrite it. A NaN
+        # stays NaN.
+        if not np.iscomplexobj(x):
+            low = np.minimum(x, 0.0, out=arena.empty(x.shape, dtype))
+            np.clip(x, 0.0, 2.0, out=d)
+            d -= 2.0
+            np.square(d, out=d)
+            d *= 0.25
+            d -= low
+            return d
+        xr = x.real
         low = np.less_equal(xr, 0.0, out=arena.empty(x.shape, bool))
         high = np.greater(xr, 2.0, out=arena.empty(x.shape, bool))
         linear = np.subtract(1.0, x, out=arena.empty(x.shape, dtype))
-        d = np.subtract(x, 2.0, out=np.empty(x.shape, dtype) if out is None else out)
+        np.subtract(x, 2.0, out=d)
         np.square(d, out=d)
         d /= 4.0
         np.putmask(d, low, linear)
@@ -109,6 +122,14 @@ def point_plane_force(p, v, plane_p, plane_n, params: ContactParams):
     return lam_n[..., None] * plane_n + scale[..., None] * v_t
 
 
+class NonFiniteContact(ValueError):
+    """Contact sums that are not finite, at stack row `row` (0 for one pair)."""
+
+    def __init__(self, row: int):
+        super().__init__(f"contact is not finite at stack row {row}")
+        self.row = row
+
+
 def _query_sums(cloud, points, velocities, params: ContactParams):
     """SSDF values and softmin-weighted point-plane sums of query points
     against a posed cloud, in one pass over blocks of queries.
@@ -119,17 +140,21 @@ def _query_sums(cloud, points, velocities, params: ContactParams):
     value (..., Q), the SSDF sum_i w_qi phi_qi bit for bit as ssdf computes
     it (both run ssdf._block), and gt (..., Q, 6): g_q = sum_i w_qi F_qi
     beside tau_q = sum_i w_qi (p_i - t) x F_qi about the cloud's origin t.
+    Raises NonFiniteContact if any of them is not finite.
 
-    One matmul of [-1, u_q] against the rows [v_i . e, e] of _frame resolves
-    the velocity of q against plane i in the plane's frame (n_i, t1_i, t2_i)
-    into v_n, a and b, so |v_t|^2 = a^2 + b^2 has no cancellation; with
-    scale = -mu lambda_n / sqrt(v_s^2 + a^2 + b^2), one more turns
-    [w lambda_n, w scale a, w scale b] into (g, tau) against the frame axes
-    and their posed moment arms. Each block's (..., Q_block, I) arrays hold
-    at most _CHUNK_ENTRIES float64 entries' bytes.
+    The constants ride in the three per-plane matrices of _plane_matrices,
+    so the block's matmuls give the logits, -phi_qi, x = v_n / v_d and
+    alpha, beta = v_t / v_s directly. With the unnormalised weights e of
+    ssdf._block, W = e softplus(-phi, eps3) dissipation_factor(x) and
+    r = W / sqrt(1 + alpha^2 + beta^2), one more matmul takes
+    [W, alpha r, beta r] against the moment matrix, and the sums are
+    divided by sum_i e_qi and scaled by k once per query. A side repeated
+    along the stack (stride 0, one body on every row) is read once and
+    broadcast by the matmuls. Each block's (I, ..., Q_block) arrays hold at
+    most _CHUNK_ENTRIES float64 entries' bytes.
     """
-    I = cloud.num_points
-    lead, Q = points.shape[:-2], points.shape[-2]
+    I, Q = cloud.num_points, points.shape[-2]
+    lead = np.broadcast_shapes(cloud.points.shape[:-2], points.shape[:-2])
     # The SSDF takes the geometry's dtype, as ssdf does; the forces the
     # common one.
     geo = np.result_type(cloud.points, cloud.normals, points)
@@ -138,47 +163,75 @@ def _query_sums(cloud, points, velocities, params: ContactParams):
     value = arena.empty(lead + (Q,), geo)
     gt = arena.empty(lead + (Q, 6), dtype)
     with arena:
-        frame = _frame(cloud, arena.empty((3,) + cloud.normals.shape[:-1] + (7,), dtype))
-        rel, moments = np.swapaxes(frame[..., :4], -1, -2), frame[..., 1:]
-        query_vel = arena.empty(velocities.shape[:-1] + (4,), dtype)
-        query_vel[..., 0], query_vel[..., 1:] = -1.0, velocities
+        sums = arena.empty(lead + (Q,), geo)
+        S, F, M = _plane_matrices(cloud, params, geo, dtype, arena)
+        points, velocities = _once(points), _once(velocities)
+        rows = _query_rows(points, 1.0, arena.empty(points.shape[:-2] + (4, Q), points.dtype))
+        vel = _query_rows(velocities, -1.0, arena.empty(velocities.shape[:-2] + (4, Q), velocities.dtype))
         step = max(1, _CHUNK_ENTRIES * 8 // (np.dtype(dtype).itemsize * math.prod(lead) * I))
         for start in range(0, Q, step):
             blk = slice(start, start + step)
-            qp = points[..., blk, :]
-            shape = qp.shape[:-1] + (I,)
+            n = min(Q, start + step) - start
             with arena:
-                w, phi = arena.empty(shape, geo), arena.empty(shape, geo)
-                _block(cloud, qp, params.eps1, value[..., blk], w, phi)
-                vel = np.matmul(query_vel[..., blk, :], rel, out=arena.empty((3,) + shape, dtype))
-                v_n, a, b = vel
-                v_n /= params.v_d
-                lam_n = np.negative(phi, out=arena.empty(shape, dtype), dtype=dtype)
-                softplus(lam_n, params.eps3, check=False, out=lam_n)
-                lam_n *= params.k
-                lam_n *= dissipation_factor(v_n, out=v_n)
-                # scale = -mu lambda_n / sqrt(v_s^2 + a^2 + b^2) in B, with v_n's
-                # slot as the temporary; then v_n, a, b become w lambda_n,
-                # w scale a and w scale b.
-                B = np.multiply(a, a, out=arena.empty(shape, dtype))
-                B += np.multiply(b, b, out=v_n)
-                B += params.v_s**2
-                np.sqrt(B, out=B)
-                np.divide(np.multiply(-params.mu, lam_n, out=v_n), B, out=B)
-                B *= w
-                np.multiply(w, lam_n, out=v_n)
-                a *= B
-                b *= B
-                np.sum(np.matmul(vel, moments, out=arena.empty((3,) + shape[:-1] + (6,), dtype)), axis=0,
-                       out=gt[..., blk, :])
+                _, e, _, lam = _block(S, rows[..., blk], value[..., blk], sums[..., blk],
+                                      arena.empty((2, I) + lead + (n,), geo))
+                V = arena.empty((3, I) + lead + (n,), dtype)
+                np.matmul(np.swapaxes(F, -1, -2), vel[..., None, :, blk], out=_stacked(V))
+                x, ab = V[0], V[1:]
+                softplus(lam, params.eps3, check=False, out=lam)
+                dissipation_factor(x, out=x)
+                x *= lam
+                x *= e
+                r = np.einsum("k...,k...->...", ab, ab, out=arena.empty(x.shape, dtype))
+                r += 1.0
+                np.sqrt(r, out=r)
+                np.divide(x, r, out=r)
+                ab *= r
+                np.sum(np.matmul(M, _stacked(V), out=arena.empty(lead + (3, 6, n), dtype)), axis=-3,
+                       out=np.swapaxes(gt[..., blk, :], -1, -2))
+        # k waits for the division, so the lifted weights of ssdf._block
+        # never meet it.
+        _quotient(gt, sums[..., None], out=gt)
+        gt *= params.k
+    # Any non-finite entry of a block reaches these sums or the values.
+    if not (np.isfinite(value).all() and np.isfinite(gt).all()):
+        bad = ~(np.isfinite(value) & np.isfinite(gt).all(axis=-1)).all(axis=-1)
+        raise NonFiniteContact(int(np.argmax(bad.reshape(-1))))
     return value, gt
 
 
-def _frame(cloud, out):
-    """The rows [v_i . e, e, (p_i - t) x e] (3, ..., I, 7), e = n, t1, t2."""
-    out[0, ..., 1:4], out[1:, ..., 1:4], out[..., 4:] = cloud.normals, cloud.tangents, cloud.arms
-    np.einsum("...ij,k...ij->k...i", cloud.velocities, out[..., 1:4], out=out[..., 0])
-    return out
+def _once(x):
+    """x with a repeated stack axis (stride 0: one body on every row) cut to
+    its one row; any other array as it is."""
+    return x[..., 0, :, :] if x.ndim > 2 and x.shape[-3] > 1 and x.strides[-3] == 0 else x
+
+
+def _plane_matrices(cloud, params: ContactParams, geo, dtype, arena):
+    """A posed cloud's three per-plane matrices, taken from arena, with one
+    column per plane i: the SSDF matrix (..., 2, 4, I) of ssdf._ssdf_matrix;
+    the force matrix (..., 3, 4, I) whose columns [e, v_i . e] / s, for
+    e = n, t1, t2 and s = v_d, v_s, v_s, give x, alpha and beta against
+    [u_q, -1]; and the moment matrix (..., 3, 6, I) of the columns
+    c [e, (p_i - t) x e], c = 1, -mu, -mu, real where the pose is."""
+    pts, nrm, tng, arms, vel = (_once(x) for x in (cloud.points, cloud.normals, cloud.tangents, cloud.arms,
+                                                   cloud.velocities))
+    lead, I = pts.shape[:-2], pts.shape[-2]
+    S = _ssdf_matrix(pts, nrm, params.eps1, arena.empty(lead + (2, 4, I), geo))
+    F = arena.empty(lead + (3, 4, I), dtype)
+    M = arena.empty(lead + (3, 6, I), np.result_type(nrm, tng, arms))
+    nrm, tng, arms = np.swapaxes(nrm, -1, -2), _columns(tng), _columns(arms)
+    np.divide(nrm, params.v_d, out=F[..., 0, :3, :])
+    np.divide(tng, params.v_s, out=F[..., 1:, :3, :])
+    np.einsum("...ji,...kji->...ki", np.swapaxes(vel, -1, -2), F[..., :3, :], out=F[..., 3, :])
+    M[..., 0, :3, :] = nrm
+    np.multiply(tng, -params.mu, out=M[..., 1:, :3, :])
+    np.multiply(arms, np.array([1.0, -params.mu, -params.mu])[:, None, None], out=M[..., 3:, :])
+    return S, F, M
+
+
+def _columns(x):
+    """x (k, ..., I, 3) as (..., k, 3, I)."""
+    return x.transpose(tuple(range(1, x.ndim - 2)) + (0, x.ndim - 1, x.ndim - 2))
 
 
 def point_ssdf_force(aopc, p, v, J, params: ContactParams) -> np.ndarray:

@@ -135,25 +135,43 @@ def _first_order(z: np.ndarray, value: np.ndarray, slope: np.ndarray, out: np.nd
 
 
 def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(z) with an exact 0 wherever Re z < cutoff; a real result may be
-    written into out (z itself allowed)."""
+    """exp(z) with an exact 0 wherever Re z < cutoff, written into out when
+    given (z itself allowed)."""
     # np.exp is tens of times slower on its subnormal and underflow range,
-    # and at the cutoff itself. Entries whose real part is below the cutoff
-    # are clamped and zeroed, so exp runs on 0 there, and zeroed again after:
-    # computed rather than skipped, the cost stays the same however many
-    # entries are far, which is the contact-count independence. A NaN passes
-    # np.maximum and the float 0/1 mask (NaN * 0 is NaN); a bool one is cast.
+    # and at the bare cutoff -708 itself, but not from -707.7 up. Entries
+    # whose real part is below the cutoff are clamped to it, zeroed before
+    # exp only at the bare cutoff, and zeroed after it: computed rather than
+    # skipped, the cost stays the same however many entries are far, which
+    # is the contact-count independence. A NaN passes np.maximum and the
+    # float 0/1 mask (NaN * 0 is NaN); a bool one is cast.
     a = z.real
+    step = np.iscomplexobj(z)
     with _ARENA.scratch as arena:
         live = np.greater_equal(a, cutoff, out=arena.empty(a.shape))
-        e = np.maximum(a, cutoff, out=np.empty(a.shape) if out is None else out)
-        e *= live
+        e = np.maximum(a, cutoff, out=arena.empty(a.shape) if step else out)
+        if cutoff <= _EXP_TAIL:
+            e *= live
         np.exp(e, out=e)
         e *= live
-    if not np.iscomplexobj(z):
-        return e
-    _check_step(z.imag)
-    return _first_order(z, e, e)
+        if not step:
+            return e
+        _check_step(z.imag)
+        return _first_order(z, e, e, out)
+
+
+def _quotient(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """num / den for sums of complex-step terms, den's real part positive,
+    written into out when given (num itself allowed). Divided part by part,
+    as softmax divides: the real part is the real quotient and the imaginary
+    part the quotient rule's (Im num - q Im den) / Re den."""
+    if not np.iscomplexobj(num):
+        return np.divide(num, den, out=out)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(num.shape, den.shape), num.dtype)
+    q = np.divide(num.real, den.real, out=out.real)
+    np.subtract(num.imag, q * den.imag, out=out.imag)
+    out.imag /= den.real
+    return out
 
 
 def softmax(x: np.ndarray, eps: float, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:

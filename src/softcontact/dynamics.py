@@ -18,7 +18,7 @@ from scipy.interpolate import CubicSpline
 
 # Bound here for perfbench/tracer.py, which wraps dynamics.separation_field.
 from .collision import separation_field  # noqa: F401
-from .contact import ContactParams, _pair_contact
+from .contact import ContactParams, NonFiniteContact, _pair_contact
 # Bound here for perfbench/tracer.py, which wraps dynamics.ssdf_ssdf_force.
 from .contact import ssdf_ssdf_force  # noqa: F401
 from .core import _CHUNK_ENTRIES, _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
@@ -230,6 +230,15 @@ def make_state(scene: Scene, poses: dict[str, Pose] | None = None, velocities: d
     return SceneState(time, q, v)
 
 
+def separated_state(scene: Scene, state: SceneState) -> SceneState:
+    """state with free body k pulled 40 (k + 1) spans out along +x: the same
+    shapes and work per step, with no pair near contact."""
+    st = state.copy()
+    span = max(float(np.abs(b.aopc.points).max()) for b in scene.bodies)
+    st.q[:, 0] += 40.0 * np.arange(1, st.q.shape[0] + 1) * max(span, 1.0)
+    return st
+
+
 def body_pose(scene: Scene, state: SceneState, body_index: int) -> Pose:
     body = scene.bodies[body_index]
     if body.kind == "kinematic":
@@ -313,7 +322,8 @@ def _posing_plan(bodies, dof_start, chunks):
     their DOF block starts (G,), -1 if kinematic, stacked local points
     (G, I, 3), normals (G, I, 3), tangents (2, G, I, 3), arms (3, G, I, 3))
     with one cloud per body; and for each chunk its two sides as (group,
-    rows in the group, a slice if consecutive). A Scene builds them once."""
+    rows in the group: a slice if consecutive, (row, count) if one body is
+    on every row). A Scene builds them once."""
     members = {}
     for i in sorted({int(i) for _, chunk in chunks for i in chunk.ravel()}):
         members.setdefault(bodies[i].aopc.num_points, []).append(i)
@@ -326,6 +336,8 @@ def _posing_plan(bodies, dof_start, chunks):
                          for name in ("points", "normals", "tangents", "arms"))))
 
     def run(r):
+        if len(r) > 1 and len(set(r)) == 1:
+            return r[0], len(r)
         return slice(r[0], r[-1] + 1) if r == list(range(r[0], r[-1] + 1)) else np.array(r)
     sides = [tuple((where[side[0]][0], run([where[i][1] for i in side])) for side in chunk.T) for _, chunk in chunks]
     return groups, sides
@@ -336,9 +348,10 @@ def _pose_groups(scene: Scene, state: SceneState) -> list[WorldAopc]:
     rotation matrix per body from a single quat_to_matrix call. Free bodies
     take pose and twist from q and v, kinematic ones from their motion."""
     t = state.time
-    dtype = np.result_type(state.q.dtype, state.v.dtype)
     nb = len(scene.bodies)
-    trans, quat, twist = np.zeros((nb, 3), dtype), np.zeros((nb, 4), dtype), np.zeros((nb, 6), dtype)
+    # A real q poses real clouds under any v.
+    trans, quat = np.zeros((nb, 3), state.q.dtype), np.zeros((nb, 4), state.q.dtype)
+    twist = np.zeros((nb, 6), np.result_type(state.q.dtype, state.v.dtype))
     free = scene.free_indices
     trans[free], quat[free], twist[free] = state.q[:, :3], quat_normalize(state.q[:, 3:]), state.v.reshape(-1, 6)
     for i, body in enumerate(scene.bodies):
@@ -351,8 +364,15 @@ def _pose_groups(scene: Scene, state: SceneState) -> list[WorldAopc]:
 
 
 def _rows(stack: WorldAopc, rows) -> WorldAopc:
-    """The bodies at rows of a posed group as a stack, views for a slice."""
+    """The bodies at rows of a posed group as a stack: views for a slice,
+    and views with a stride-0 stack axis for one body on every row, which
+    the contact kernel reads once."""
     arrays = (stack.points, stack.normals, stack.tangents, stack.arms, stack.velocities)
+    if isinstance(rows, tuple):
+        row, count = rows
+        return WorldAopc(*(np.broadcast_to(x[..., row:row + 1, :, :], x.shape[:-3] + (count,) + x.shape[-2:])
+                           for x in arrays), np.broadcast_to(stack.origin[row], (count, 3)),
+                         np.full(count, stack.dof_start[row]), stack.num_dofs)
     return WorldAopc(*(x[..., rows, :, :] for x in arrays), stack.origin[rows], stack.dof_start[rows], stack.num_dofs)
 
 
@@ -362,7 +382,8 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):
     pair_indices order, read off the same evaluation. Every pair is
     evaluated, same-shape pairs as stacks (Scene._pair_chunks) cut by row out
     of the posed groups (Scene._groups). A non-finite q or v entry raises
-    ValueError naming its body and coordinate."""
+    ValueError naming its body and coordinate, and contact that is not
+    finite at a finite state one naming the pair's bodies."""
     bad = _bad_coordinate(state, scene)
     if bad:
         raise ValueError(f"state has a non-finite {bad}")
@@ -371,9 +392,13 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):
     seps = np.zeros(len(scene.pair_indices), dtype=dtype)
     min_sep = np.inf
     posed = _pose_groups(scene, state) if scene.pair_indices else []
-    for (pos, _), ((ga, rows_a), (gb, rows_b)) in zip(scene._pair_chunks, scene._chunk_sides):
+    for (pos, chunk), ((ga, rows_a), (gb, rows_b)) in zip(scene._pair_chunks, scene._chunk_sides):
         a, b = _rows(posed[ga], rows_a), _rows(posed[gb], rows_b)
-        force, values, coeff = _pair_contact(a, b, scene.params)
+        try:
+            force, values, coeff = _pair_contact(a, b, scene.params)
+        except NonFiniteContact as err:
+            names = tuple(scene.bodies[i].name for i in chunk[err.row])
+            raise ValueError("contact between %s and %s is not finite" % names) from None
         out += force
         min_sep = min(min_sep, float(np.min(values.real)))
         if per_pair:

@@ -7,11 +7,12 @@ oracle realizing the zero-temperature limit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ARENA, _CHUNK_ENTRIES, check_temperature, softmax
+from .core import _CHUNK_ENTRIES, _EXP_TAIL, _exp, _quotient, check_temperature, softmax
 
 
 @dataclass(frozen=True)
@@ -79,23 +80,76 @@ def ssdf(aopc, p, eps1: float) -> SsdfResult:
     """
     check_temperature(eps1, "eps1")
     q, single = _as_batch(p)
-    value, w, s = _block(aopc, q, eps1)
+    pts, nrm = _cloud(aopc)
+    value, e, sums, nphi = _block(_ssdf_matrix(pts, nrm, eps1), _query_rows(q))
+    w, s = np.empty((2,) + value.shape + e.shape[:1], e.dtype)
+    _quotient(e, sums, out=np.moveaxis(w, -1, 0))
+    np.negative(nphi, out=np.moveaxis(s, -1, 0))
     return SsdfResult(value[0], w[0], s[0]) if single else SsdfResult(value, w, s)
 
 
-def _block(aopc, q, eps1: float, value=None, w=None, s=None):
-    """ssdf's value (..., Q), weights w and plane distances s (..., Q, I) of
-    queries q, into the given arrays or fresh ones; contact's query blocks
-    share it. The weights are the softmax of (2 q . p_i - |p_i|^2) / eps1,
-    -|q - p_i|^2 / eps1 less the row constant |q|^2 / eps1."""
-    pts, _ = _cloud(aopc)
-    w = np.matmul(q, np.swapaxes(pts + pts, -1, -2), out=w)
-    w -= np.sum(pts * pts, axis=-1)[..., None, :]
-    softmax(w, eps1, out=w)
-    s = plane_distances(aopc, q, out=s)
-    with _ARENA.scratch as arena:
-        value = np.sum(np.multiply(w, s, out=arena.empty(w.shape, w.dtype)), axis=-1, out=value)
-    return value, w, s
+def _query_rows(q, last=1.0, out=None):
+    """The rows [q, last] of queries q (..., Q, 3) as the columns of a
+    (..., 4, Q) array: [q, 1] is what _ssdf_matrix is taken against."""
+    if out is None:
+        out = np.empty(q.shape[:-2] + (4,) + q.shape[-2:-1], q.dtype)
+    out[..., :3, :], out[..., 3, :] = np.swapaxes(q, -1, -2), last
+    return out
+
+
+def _ssdf_matrix(pts, nrm, eps1: float, out=None):
+    """(..., 2, 4, I) of a cloud's points and normals (..., I, 3): against a
+    query row [q, 1], the columns [0, :, i] give the softmin logits
+    (2 q . p_i - |p_i|^2) / eps1 and the columns [1, :, i] the negated plane
+    distances p_i . n_i - q . n_i. The logits are -|q - p_i|^2 / eps1 less
+    the row constant |q|^2 / eps1, which the softmin is invariant to."""
+    if out is None:
+        out = np.empty(pts.shape[:-2] + (2, 4) + pts.shape[-2:-1], np.result_type(pts, nrm))
+    np.divide(np.swapaxes(pts, -1, -2), 0.5 * eps1, out=out[..., 0, :3, :])
+    np.divide(np.einsum("...j,...j->...", pts, pts), -eps1, out=out[..., 0, 3, :])
+    np.negative(np.swapaxes(nrm, -1, -2), out=out[..., 1, :3, :])
+    np.einsum("...j,...j->...", pts, nrm, out=out[..., 1, 3, :])
+    return out
+
+
+def _stacked(x):
+    """x (k, I, ..., Q) as (..., k, I, Q), the order batched matmuls take."""
+    return x.transpose(tuple(range(2, x.ndim - 1)) + (0, 1, x.ndim - 1))
+
+
+# The unnormalised weights peak at exp(_LIFT), about 1e100, not at 1, so
+# that contact's products of small weights with the small penalties of far
+# planes stay normal numbers: numpy and BLAS are tens of times slower on
+# subnormal ones. I exp(_LIFT) times any plane distance below 1e200 m
+# stays finite.
+_LIFT = 230.0
+
+
+def _block(S, rows, value=None, sums=None, out=None):
+    """ssdf's block, shared with contact's query blocks so that their values
+    are ssdf's bit for bit. Against a cloud's _ssdf_matrix S and the query
+    rows [q, 1] of _query_rows (..., 4, Q), returns the value (..., Q), the
+    unnormalised softmin weights e = exp(s - max_i s + _LIFT) of the logits
+    s (I, ..., Q), their sums over the planes (..., Q) and the negated plane
+    distances -phi (I, ..., Q); value = sum e phi / sum e. Planes lead, so
+    every sum over them runs along the stack and query axes at once. e and
+    -phi are out (2, I, ..., Q), and value and sums are written into the
+    given arrays; each is fresh when not given."""
+    if out is None:
+        lead = np.broadcast_shapes(S.shape[:-3], rows.shape[:-2])
+        out = np.empty((2, S.shape[-1]) + lead + rows.shape[-1:], np.result_type(S, rows))
+    np.matmul(np.swapaxes(S, -1, -2), rows[..., None, :, :], out=_stacked(out))
+    e, nphi = out
+    # The log(I) margin on the exp cutoff keeps the normalised weights normal,
+    # as the sum is at most I; the entries dropped weigh under 1e-305 of the
+    # largest.
+    logits = e.real
+    logits -= np.max(logits, axis=0) - _LIFT
+    _exp(e, _EXP_TAIL + _LIFT + math.log(e.shape[0]), out=e)
+    sums = np.sum(e, axis=0, out=sums)
+    value = np.einsum("i...,i...->...", e, nphi, out=value)
+    np.negative(_quotient(value, sums, out=value), out=value)
+    return value, e, sums, nphi
 
 
 def hard_sdf(aopc, p):

@@ -29,6 +29,7 @@ from softcontact.dynamics import (
     make_state,
     pose_all,
     rollout,
+    separated_state,
     sphere_inertia,
     step,
     total_contact_force,
@@ -320,15 +321,12 @@ def test_criterion_6_contact_count_independence():
             for dz in (0.15, 5.0)
         )
         cases = [("stacked boxes", boxes, overlap, separated, 2e-3)]
-        # The bundled simulation scenes, their free bodies pulled apart as
-        # `softcontact bench` does: most of their penalty entries then sit in
-        # softplus's clamped tail.
+        # The bundled simulation scenes, their free bodies pulled apart by
+        # separated_state, as `softcontact bench` does: most of their penalty
+        # entries then sit in softplus's clamped tail.
         for name in ("sphere_pair", "sphere_drop", "push_t_1"):
             cfg = load_config(os.path.join(CONFIG_DIR, name + ".json"))
-            apart = cfg.state.copy()
-            span = max(float(np.abs(b.aopc.points).max()) for b in cfg.scene.bodies)
-            apart.q[:, 0] += 40.0 * np.arange(1, apart.q.shape[0] + 1) * max(span, 1.0)
-            cases.append((name, cfg.scene, cfg.state, apart, cfg.world.dt))
+            cases.append((name, cfg.scene, cfg.state, separated_state(cfg.scene, cfg.state), cfg.world.dt))
         for name, scene, st_contact, st_apart, dt in cases:
             for st in (st_contact, st_apart):
                 step(scene, st, dt, "rk4")  # warm-up

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,22 +352,53 @@ def test_pair_force_matches_broadcast_oracle(slip, approach):
     assert np.abs(g_got - g_want).max() <= 1e-12 * np.abs(g_want).max()
 
 
-def test_frame_rows_hold_plane_velocities_axes_and_arms():
-    # _frame's row per plane and axis e = n, t1, t2 is [v_i . e, e, (p - t) x e],
-    # with v_i . e from WorldAopc.velocities; for one body and for a stack.
-    from softcontact.contact import _frame
+def test_plane_matrices_hold_scaled_velocities_axes_and_arms():
+    # Per plane i and axis e = n, t1, t2 (scale s = v_d, v_s, v_s and weight
+    # c = 1, -mu, -mu): the force matrix row is [e, v_i . e] / s and the
+    # moment matrix row c [e, (p - t) x e]; the SSDF matrix gives the logits
+    # and the negated plane distances against [q, 1]. For one body, a stack,
+    # and a stack with one body on every row, which is built once.
+    from softcontact import contact
+    from softcontact.core import _ARENA
 
+    params = ContactParams(k=3.7e3, mu=0.37, v_d=0.07, v_s=0.013, eps1=2e-4)
     box = box_aopc([0.3, 0.2, 0.25], 54)
     world = [posed(box, t, np.array([1.0, 0.1, -0.2, 0.3]) * (k + 1), dof=6 * k, n=12, name=str(k),
                    velocity=np.array([0.1, -0.2, 0.05, 1.5, -0.7, 2.0]) * (k - 0.5))
              for k, t in enumerate(([0.3, -0.1, 0.8], [0.0, 0.2, 0.5]))]
-    for cloud in (world[0], _stack(world, [0, 1, 1])):
-        frame = _frame(cloud, np.empty((3,) + cloud.normals.shape[:-1] + (7,)))
-        axes = np.concatenate([cloud.normals[None], cloud.tangents])
-        np.testing.assert_array_equal(frame[..., 1:4], axes)
-        np.testing.assert_array_equal(frame[..., 4:], cloud.arms)
-        want = np.sum(cloud.velocities * axes, axis=-1)
-        assert np.abs(frame[..., 0] - want).max() <= 1e-15 * np.abs(want).max()
+    q = np.array([[0.1, -0.2, 0.7], [0.3, 0.0, 0.6]])
+    for cloud, one in ((world[0], world[0]), (_stack(world, [0, 1, 1]), _stack(world, [0, 1, 1])),
+                       (_repeat(world[1], 3), world[1])):
+        with _ARENA.scratch as arena:
+            S, F, M = (x.copy() for x in contact._plane_matrices(cloud, params, float, float, arena))
+        lead = one.points.shape[:-2]
+        I = box.num_points
+        assert S.shape == lead + (2, 4, I) and F.shape == lead + (3, 4, I) and M.shape == lead + (3, 6, I)
+        S, F, M = (np.swapaxes(x, -1, -2) for x in (S, F, M))
+        axes = np.stack([one.normals, one.tangents[0], one.tangents[1]], axis=-3)
+        scale = np.array([params.v_d, params.v_s, params.v_s])[:, None, None]
+        weight = np.array([1.0, -params.mu, -params.mu])[:, None, None]
+        np.testing.assert_array_equal(F[..., :3], axes / scale)
+        want = np.sum(one.velocities[..., None, :, :] * axes, axis=-1) / scale[..., 0]
+        assert np.abs(F[..., 3] - want).max() <= 1e-15 * np.abs(want).max()
+        np.testing.assert_array_equal(M[..., :3], axes * weight)
+        np.testing.assert_array_equal(M[..., 3:], np.stack(list(one.arms), axis=-3) * weight)
+        m = S @ np.concatenate([q, np.ones((2, 1))], axis=-1).T
+        d = one.points[..., :, None, :] - q
+        want = (np.sum(q * q, axis=-1) - np.sum(d * d, axis=-1)) / params.eps1
+        assert np.abs(m[..., 0, :, :] - want).max() <= 1e-11 * np.abs(want).max()
+        np.testing.assert_allclose(m[..., 1, :, :], np.sum(one.normals[..., None, :] * d, axis=-1), rtol=0, atol=1e-15)
+
+
+def _repeat(w, count):
+    """The posed body w on every row of a stack, with a stride-0 stack axis
+    as dynamics._rows cuts it."""
+    def rows(x):
+        return np.broadcast_to(x[..., None, :, :], x.shape[:-2] + (count,) + x.shape[-2:])
+
+    return WorldAopc(**{name: rows(getattr(w, name)) for name in ("points", "normals", "tangents", "arms", "velocities")},
+                     origin=np.broadcast_to(w.origin, (count, 3)), dof_start=np.full(count, w.dof_start),
+                     num_dofs=w.num_dofs)
 
 
 def _stack(world, idx):
@@ -421,3 +454,67 @@ def test_query_blocks_match_the_broadcast_oracle(monkeypatch):
         want = want + _broadcast_pair_force(world[0], world[ib], single, params)
     assert np.abs(force - want).max() <= 1e-12 * np.abs(want).max()
     assert np.abs(want).max() > 1.0
+
+
+def _written_out_field(a, b, params):
+    """The separation field of a pair from the ContactParams temperatures
+    as given: softmin weights softmax(-|q - p_i|^2 / eps1), the plane
+    distances and the softmax of the values over eps2, in plain numpy, so
+    that no constant the contact kernel folds is shared with it."""
+    def softmax(x, eps):
+        e = np.exp((x - np.max(x.real, axis=-1, keepdims=True)) / eps)
+        return e / np.sum(e, axis=-1, keepdims=True)
+
+    batteries, values = [], []
+    for cloud, qs in ((a, b), (b, a)):
+        d = qs.points[:, None, :] - cloud.points[None, :, :]
+        w = softmax(-np.sum(d * d, axis=-1), params.eps1)
+        batteries.append(SimpleNamespace(weights=w))
+        values.append(np.sum(w * np.sum(cloud.normals[None] * d, axis=-1), axis=-1))
+    values = np.concatenate(values)
+    return SimpleNamespace(distribution=softmax(-values, params.eps2), b_in_a=batteries[0], a_in_b=batteries[1])
+
+
+def test_folded_constants_match_the_broadcast_oracle(monkeypatch):
+    # All seven contact constants away from their defaults and from each
+    # other, on a box-pile stack: eight 24-point boxes against one 126-point
+    # kinematic ground on every row (a stride-0 side), cut into ragged query
+    # blocks. The force and its complex-step gradient in the boxes' shared
+    # position and velocity offsets match point_plane_force on explicit
+    # broadcasts with a written-out field, within 1e-12.
+    from softcontact import contact
+
+    params = ContactParams(k=3.7e3, mu=0.37, v_d=0.07, v_s=0.013, eps1=2e-4, eps2=2e-3, eps3=1.5e-3)
+    rng = np.random.default_rng(9)
+    box, ground = box_aopc([0.2, 0.2, 0.2], 24), box_aopc([1.6, 1.6, 0.2], 96)
+    assert (box.num_points, ground.num_points) == (24, 126)
+    P = 8
+    origins = np.column_stack([rng.uniform(-0.6, 0.6, (P, 2)), np.full(P, 0.3 - 0.003)])
+    quats = [quat_normalize(np.array([1.0, 0, 0, 0]) + 0.03 * rng.standard_normal(4)) for _ in range(P)]
+    vels = np.concatenate([0.02 * rng.standard_normal((P, 3)), 0.3 * rng.standard_normal((P, 3))], axis=1)
+    ground_twist = np.array([0.01, -0.005, 0.0, 0.0, 0.0, 0.1])
+    monkeypatch.setattr(contact, "_CHUNK_ENTRIES", P * 5 * 126)
+
+    def bodies(theta):
+        v = (vels + theta[3:]).reshape(-1)
+        boxes = [pose_aopc(box, Pose(origins[k] + theta[:3], quats[k]), v, 6 * k, str(k)) for k in range(P)]
+        g = pose_aopc(ground, Pose(np.array([0.0, 0.0, 0.1]), np.array([1.0, 0, 0, 0])), v, None, "ground",
+                      prescribed_velocity=ground_twist)
+        return g, boxes
+
+    def kernel(theta):
+        g, boxes = bodies(theta)
+        return contact._pair_contact(_repeat(g, P), _stack(boxes, range(P)), params)[0]
+
+    def oracle(theta):
+        g, boxes = bodies(theta)
+        return sum(_broadcast_pair_force(g, bk, _written_out_field(g, bk, params), params) for bk in boxes)
+
+    theta = np.zeros(9)
+    got, want = kernel(theta), oracle(theta)
+    assert np.abs(want).max() > 1.0
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # Columns 0-2 step q, columns 3-8 step v.
+    g_got, g_want = cs_gradient(kernel, theta), cs_gradient(oracle, theta)
+    for cols in (slice(0, 3), slice(3, 9)):
+        assert np.abs(g_got[:, cols] - g_want[:, cols]).max() <= 1e-12 * np.abs(g_want[:, cols]).max()

@@ -319,6 +319,34 @@ def test_exp_propagates_nan_and_zeroes_the_tail():
     assert np.isnan(softplus(np.array([np.nan]), 0.1, check=False)).all()
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_exp_at_each_softmax_cutoff_zeroes_below_it_exactly(N):
+    # softmax over N entries cuts exp at -708 + log N. Only the bare cutoff
+    # (N = 1) zeroes entries before exp; above it exp runs on the clamped
+    # value and the entries are zeroed after, which gives the same bits:
+    # exp at or above the cutoff, an exact 0 below, NaN kept, and the
+    # first-order imaginary part on top.
+    cutoff = -708.0 + np.log(N)
+    z = np.array([np.nan, -np.inf, -800.0, -708.5, np.nextafter(cutoff, -np.inf), cutoff,
+                  np.nextafter(cutoff, 0.0), -707.0, -1.0, 0.0, np.inf])
+    live = z >= cutoff
+    want = np.where(live, np.exp(np.where(live, z, 0.0)), 0.0)
+    for got in (_exp(z, cutoff), _exp(z + 1e-30j, cutoff).real):
+        assert np.isnan(got[0])
+        np.testing.assert_array_equal(got[1:], want[1:])
+    np.testing.assert_array_equal(_exp(z[1:] + 1e-30j, cutoff).imag, 1e-30 * want[1:])
+    # The weight of an entry just below the cutoff is an exact 0, and at
+    # the cutoff that of the plain formula.
+    for last, zero in ((np.nextafter(cutoff, -np.inf), True), (cutoff, False)):
+        x = np.zeros(N)
+        x[-1] = last if N > 1 else 0.0
+        w = softmax(x, 1.0)
+        e = np.exp(x)
+        plain = e / e.sum()
+        np.testing.assert_array_equal(w[:-1], plain[:-1])
+        assert w[-1] == (0.0 if zero and N > 1 else plain[-1])
+
+
 def test_complex_step_nan_imaginary_part_propagates():
     z = np.array([0.3, complex(0.3, np.nan), complex(-800.0, np.nan)])
     got = _exp(z)

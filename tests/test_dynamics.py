@@ -732,6 +732,46 @@ def test_consecutive_chunk_rows_are_cut_as_views():
             assert np.shares_memory(getattr(cut, name), getattr(posed[g], name))
 
 
+def test_repeated_chunk_sides_are_cut_once_as_broadcast_views(monkeypatch):
+    # With two 54 x 54 pairs per chunk, the kinematic ground is side a of
+    # the first chunk on both rows, middle side b of the second and ball
+    # side a of the 24 x 54 stack. Each such side is a stride-0 view of its
+    # posed group, and the forces and separations match pair by pair.
+    from softcontact import dynamics
+    from softcontact.collision import separation_field, soft_separation_distance
+
+    monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * 54 * 54)
+    scene, st = _batching_scene()
+    posed = dynamics._pose_groups(scene, st)
+    repeated = [(scene.bodies[chunk[0, side]].name, g, rows)
+                for (_, chunk), sides in zip(scene._pair_chunks, scene._chunk_sides)
+                for side, (g, rows) in enumerate(sides) if isinstance(rows, tuple)]
+    assert [name for name, *_ in repeated] == ["ground", "middle", "ball"]
+    for _, g, rows in repeated:
+        cut = dynamics._rows(posed[g], rows)
+        for name in ("points", "normals", "tangents", "arms", "velocities"):
+            x = getattr(cut, name)
+            assert np.shares_memory(x, getattr(posed[g], name)) and x.shape[-3] == 2 and x.strides[-3] == 0
+    force, min_sep, seps = dynamics._contact_force(scene, st, per_pair=True)
+    want, want_sep = _pair_by_pair(scene, st)
+    assert np.abs(force - want).max() <= 1e-12 * np.abs(want).max()
+    assert min_sep == want_sep
+    world = dynamics.pose_all(scene, st)
+    for (ia, ib), sep in zip(scene.pair_indices, seps):
+        fld = separation_field(world[ia], world[ib], scene.params.eps1, scene.params.eps2)
+        assert sep == soft_separation_distance(fld)
+
+
+def test_contact_that_is_not_finite_names_the_pair():
+    # upper's x = 1e200 is finite, so the state check passes, but the posed
+    # |p|^2 overflows and the pair's contact sums are not finite.
+    scene, st = _config_state("stacked_boxes.json")
+    st.q[scene.free_indices.index(scene.body_index("upper")), 0] = 1e200
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError, match="^contact between lower and upper is not finite$"):
+            forward_dynamics(scene, st)
+
+
 def test_warm_contact_force_takes_no_cross_product(monkeypatch):
     # The moment arms are posed from the body frame and point velocities
     # come from one matmul: a contact evaluation calls no np.cross.
