@@ -226,7 +226,7 @@ def _write(args, name, text):
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    n_steps = int(round(cfg.world.duration / cfg.world.dt)) if cfg.world.duration > 0 else 0
+    n_steps = int(cfg.world.duration / cfg.world.dt * (1.0 + 1e-9))  # the most that fit in duration
     t0 = time.perf_counter()
     result = rollout(cfg.scene, cfg.state, cfg.world.dt, n_steps, cfg.world.integrator)
     elapsed = time.perf_counter() - t0

@@ -255,9 +255,9 @@ def softplus(x: np.ndarray, eps: float, check: bool = True, out: np.ndarray | No
         v += pos
         if not step:
             return v
-        # The slope sigmoid(a/eps): 1 / (1 + tail) for a > 0, else tail / (1 + tail).
+        # The slope sigmoid(a/eps): max(tail, [a > 0]) / (1 + tail), as tail is in [0, 1] or nan.
         den = np.add(1.0, tail, out=pos)
-        np.putmask(tail, np.greater(a, 0.0, out=arena.empty(a.shape, bool)), 1.0)
+        np.maximum(tail, np.greater(a, 0.0, out=arena.empty(a.shape)), out=tail)
         return _first_order(x, v, np.divide(tail, den, out=tail), out)
 
 

@@ -144,7 +144,8 @@ def _block(S, rows, value=None, sums=None, out=None):
     # as the sum is at most I; the entries dropped weigh under 1e-305 of the
     # largest.
     logits = e.real
-    logits -= np.max(logits, axis=0) - _LIFT
+    with np.errstate(invalid="ignore"):  # inf - inf: the caller names the pair
+        logits -= np.max(logits, axis=0) - _LIFT
     _exp(e, _EXP_TAIL + _LIFT + math.log(e.shape[0]), out=e)
     sums = np.sum(e, axis=0, out=sums)
     value = np.einsum("i...,i...->...", e, nphi, out=value)

@@ -14,6 +14,8 @@ detection and contact by brute force.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import threading
 from dataclasses import dataclass, field as dc_field
 
@@ -27,37 +29,62 @@ from .ssdf import hard_sdf
 
 
 def _map_columns(column, n: int) -> list:
-    """[column(i) for i in range(n)] on min(n, available CPUs) threads.
+    """[column(i) for i in range(n)] on min(n, available CPUs) processes.
 
-    The calling thread is one of them; thread k takes columns k, k + T, ...
-    and every worker is joined before this returns, so each column's
-    arithmetic, and so the result, is what a serial loop gives. A failing
-    column's exception is raised unchanged; of several, the lowest column's,
-    the one a serial loop would raise.
+    The caller computes columns 0, T, 2T, ... and forked child k columns k,
+    k + T, ..., sent back over a pipe; so column must be pure, as nothing it
+    changes in a child reaches the caller. The result is the serial loop's
+    bit for bit. A child reports only its first failing column; the caller
+    evaluates the lowest one again, raising the error a serial loop would.
+    A child that dies without a complete report raises RuntimeError, and
+    every child is reaped before this returns or raises. Without os.fork, or
+    with another thread alive (forking can deadlock the child), it is serial.
     """
-    workers = max(1, min(n, len(os.sched_getaffinity(0))))
-    out = [None] * n
-    failed = {}  # column: exception, at most one per thread
+    workers = min(n, len(os.sched_getaffinity(0)))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [column(i) for i in range(n)]
 
-    def share(k):
+    def share(k):  # k's columns up to its first failing one, and that one
+        done = []
         for i in range(k, n, workers):
             try:
-                out[i] = column(i)
-            except BaseException as e:  # raised in the calling thread below
-                failed[i] = e
-                return
+                done.append(column(i))
+            except Exception:
+                return done, i
+        return done, None
 
-    threads = [threading.Thread(target=share, args=(k,)) for k in range(1, workers)]
-    for t in threads:
-        t.start()
+    children = []  # (pid, read end of its pipe) of child k at k - 1
     try:
-        share(0)
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves only through os._exit
+                try:
+                    with open(w, "wb") as pipe:
+                        pickle.dump(share(k), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        reports = [share(0)] + [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        for t in threads:
-            t.join()
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+        for _, pipe in children:
+            pipe.close()
+    for k, status in enumerate(statuses, 1):
+        if status:
+            raise RuntimeError(f"the worker for columns {list(range(k, n, workers))} exited with status {status}")
+    reports[1:] = map(pickle.loads, reports[1:])
+    failed = [i for _, i in reports if i is not None]
     if failed:
-        raise failed[min(failed)]
-    return out
+        column(min(failed))
+        raise RuntimeError(f"column {min(failed)} failed in a worker process only")
+    return [reports[i % workers][0][i // workers] for i in range(n)]
 
 
 def fd_gradient(f, x, h=None):
@@ -66,8 +93,8 @@ def fd_gradient(f, x, h=None):
     h defaults to 1e-6 * (1 + |x_i|) per coordinate. Scalar-valued f gives a
     (n,) gradient, vector-valued f an (m, n) matrix. Non-finite evaluations
     are reported with the offending input coordinate. The columns are spread
-    over the available CPUs (_map_columns), so f must be safe to call from
-    several threads at once; the result is the serial loop's bit for bit.
+    over the available CPUs (_map_columns), so f must be pure; the result is
+    the serial loop's bit for bit.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -162,21 +189,13 @@ def pipeline_functions(scene: Scene, state: SceneState):
     n_pose = 7 * nf
     theta0 = flatten_state(state)
 
-    def with_slice(theta_part, stop):
-        full = theta0.astype(theta_part.dtype)
-        full[:stop] = theta_part
-        return unflatten_state(scene, state, full)
-
     def seps(theta_pose):
-        st = with_slice(theta_pose, n_pose)
-        world = pose_all(scene, st)
-        out = [
-            soft_separation_distance(
-                separation_field(world[ia], world[ib], scene.params.eps1, scene.params.eps2)
-            )
-            for ia, ib in scene.pair_indices
-        ]
-        return np.stack(out)
+        full = theta0.astype(theta_pose.dtype)
+        full[:n_pose] = theta_pose
+        world = pose_all(scene, unflatten_state(scene, state, full))
+        eps = scene.params.eps1, scene.params.eps2
+        return np.stack([soft_separation_distance(separation_field(world[ia], world[ib], *eps))
+                         for ia, ib in scene.pair_indices])
 
     def contact(theta):
         return total_contact_force(scene, unflatten_state(scene, state, theta))
@@ -271,12 +290,10 @@ def sample_nondegenerate_state(scene: Scene, rng: np.random.Generator, base: Sce
     nf = len(scene.free_indices)
     for _ in range(max_tries):
         q = base.q.copy()
-        v = base.v.copy()
         q[:, :3] += pos_scale * rng.standard_normal((nf, 3))
-        dq = rng.standard_normal((nf, 4)) * 0.2
-        qq = q[:, 3:] + dq
+        qq = q[:, 3:] + rng.standard_normal((nf, 4)) * 0.2
         q[:, 3:] = qq / np.linalg.norm(qq, axis=1, keepdims=True)
-        v = v + vel_scale * rng.standard_normal(scene.n)
+        v = base.v + vel_scale * rng.standard_normal(scene.n)
         st = SceneState(base.time, q, v)
         if _state_clear_of_kinks(scene, st, margin):
             return st

@@ -48,11 +48,17 @@ from softcontact.verify import (
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
+def _cpu_seconds():
+    """CPU time of this process, all threads included, plus that of the
+    children it has reaped: the gradient check's forked column workers."""
+    times = os.times()
+    return time.process_time() + times.children_user + times.children_system
+
+
 class budget:
     """Context manager asserting the criterion's runtime budget and printing
-    its pass line. The budget is on the process's CPU time, all threads
-    included, so other load on the machine cannot fail it; the pass line
-    gives wall time beside it."""
+    its pass line. The budget is on CPU time (_cpu_seconds), so other load
+    on the machine cannot fail it; the pass line gives wall time beside it."""
 
     def __init__(self, number, name, seconds):
         self.number = number
@@ -60,17 +66,33 @@ class budget:
         self.seconds = seconds
 
     def __enter__(self):
-        self.t0, self.cpu0 = time.perf_counter(), time.process_time()
+        self.t0, self.cpu0 = time.perf_counter(), _cpu_seconds()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        wall, cpu = time.perf_counter() - self.t0, time.process_time() - self.cpu0
+        wall, cpu = time.perf_counter() - self.t0, _cpu_seconds() - self.cpu0
         if exc_type is None:
             print(f"[acceptance] criterion {self.number} ({self.name}): PASS ({wall:.1f}s wall, {cpu:.1f}s CPU)")
             assert cpu < self.seconds, f"criterion {self.number} exceeded its {self.seconds}s CPU budget"
         else:
             print(f"[acceptance] criterion {self.number} ({self.name}): FAIL")
         return False
+
+
+def test_budget_counts_the_cpu_of_reaped_children():
+    # The parent only waits; the child alone spends 0.5 s of CPU, and the
+    # budget of 0.2 s fails on it.
+    with pytest.raises(AssertionError, match="exceeded its 0.2s CPU budget"):
+        with budget(0, "forked busy child", 0.2):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    start = time.process_time()
+                    while time.process_time() - start < 0.5:
+                        pass
+                finally:
+                    os._exit(0)
+            os.waitpid(pid, 0)
 
 
 def test_criterion_1_oracle_convergence():

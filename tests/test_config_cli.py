@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from softcontact import cli
 from softcontact.cli import _COMMANDS, build_parser, main
 from softcontact.config import ConfigError, load_config, parse_config
 
@@ -144,6 +145,28 @@ def test_cli_simulate_duration_zero(tmp_path):
     assert rc == 0
     lines = (out / "trajectory.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + len(doc["bodies"])  # header + initial state only
+
+
+@pytest.mark.parametrize("name, flags, steps", [
+    ("sphere_drop.json", ["--dt", "0.03"], 26),  # 0.8 / 0.03 = 26.7: end at 0.78 s, not 0.81 s
+    ("sphere_drop.json", ["--dt", "0.1", "--duration", "0.3"], 3),  # 0.3 / 0.1 = 2.9999999999999996
+    ("sphere_drop.json", [], 800),
+    ("stacked_boxes.json", [], 250),
+    ("push_t_1.json", [], 550),
+])
+def test_cli_simulate_never_runs_past_duration(tmp_path, monkeypatch, name, flags, steps):
+    # simulate takes the most steps n with n dt <= duration, up to a 1e-9
+    # relative slack for the rounding of the quotient.
+    class Stop(Exception):
+        pass
+
+    def stop(scene, state, dt, n_steps, integrator):
+        raise Stop(n_steps)
+
+    monkeypatch.setattr(cli, "rollout", stop)
+    with pytest.raises(Stop) as caught:
+        main(["simulate", "--config", os.path.join(CONFIG_DIR, name), "--out", str(tmp_path), "--quiet", *flags])
+    assert caught.value.args == (steps,)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,6 +1,8 @@
 import os
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -52,28 +54,24 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def test_gradient_columns_run_on_one_thread_per_cpu_at_most(monkeypatch):
-    # Thread k of T takes columns k, k + T, ...; the calling thread is thread
-    # 0, and no worker is left running.
-    caller = threading.get_ident()
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_gradient_columns_run_on_one_process_per_cpu_at_most(monkeypatch):
+    # Column i of the gradient of sum(x) * pid is the pid of the process that
+    # computed it. Process k of T takes columns k, k + T, ...; the caller is
+    # process 0. No thread is started, and every child is reaped.
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread was started"))
+    caller = os.getpid()
     for cpus, n in ((1, 5), (2, 5), (4, 3), (4, 9)):
         _cpus(monkeypatch, cpus)
-        before = threading.active_count()
-        seen = {}
-
-        def f(x):
-            i = int(np.flatnonzero(x.imag)[0])
-            seen[i] = (threading.get_ident(), threading.active_count())
-            return x * x
-
-        x = np.arange(1.0, n + 1.0)
-        np.testing.assert_array_equal(cs_gradient(f, x), np.diag(2.0 * x))
-        threads = min(n, cpus)
-        assert sorted(seen) == list(range(n))
-        assert max(count for _, count in seen.values()) <= before + threads - 1
-        assert len({ident for ident, _ in seen.values()}) <= threads
-        assert all((seen[i][0] == caller) == (i % threads == 0) for i in range(n))
-        assert threading.active_count() == before
+        pids = np.rint(cs_gradient(lambda x: x.sum() * os.getpid(), np.arange(1.0, n + 1.0)))
+        workers = min(n, cpus)
+        assert len(set(pids)) <= workers
+        assert all((pids[i] == caller) == (i % workers == 0) for i in range(n))
+        _no_child_left()
 
 
 def test_worker_error_reaches_the_caller_unchanged(monkeypatch):
@@ -102,9 +100,65 @@ def test_worker_error_reaches_the_caller_unchanged(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_a_killed_worker_fails_the_call_and_is_reaped(monkeypatch):
+    # On two CPUs the child takes columns 1, 3, 5 and dies at column 3
+    # without a report: the call raises rather than return part of a
+    # Jacobian.
+    _cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def f(x):
+        if os.getpid() != caller and x[3].imag:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    with pytest.raises(RuntimeError, match=r"^the worker for columns \[1, 3, 5\] exited with status -9$"):
+        cs_gradient(f, np.ones(6))
+    _no_child_left()
+
+
+def test_an_interrupt_kills_and_reaps_every_worker(monkeypatch):
+    # The caller is interrupted at its first column while the children
+    # sleep in theirs: they are killed, not waited out, and none is left.
+    _cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def f(x):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(30.0)
+        return x
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        cs_gradient(f, np.ones(4))
+    assert time.perf_counter() - start < 10.0
+    _no_child_left()
+
+
+def test_a_call_from_a_second_thread_runs_serially(monkeypatch):
+    # Forking while another thread runs can deadlock the child, so such a
+    # call computes every column in the calling process, with the same bits.
+    _cpus(monkeypatch, 2)
+    f = lambda x: np.sin(x) * np.cumsum(x)
+    x = np.linspace(0.1, 2.0, 8)
+    want = cs_gradient(f, x).tobytes(), fd_gradient(f, x).tobytes()
+    got = []
+
+    def second():
+        pids = np.rint(cs_gradient(lambda y: y.sum() * os.getpid(), x))
+        got.append((cs_gradient(f, x).tobytes(), fd_gradient(f, x).tobytes(), set(pids)))
+
+    thread = threading.Thread(target=second)
+    thread.start()
+    thread.join(60.0)
+    assert not thread.is_alive()
+    assert got == [want + ({os.getpid()},)]
+
+
 def test_gradient_columns_survive_frequent_thread_switches(monkeypatch):
-    # More threads than cores, switching every microsecond: every column
-    # must still land in its own slot.
+    # More worker processes than cores, the caller switching threads every
+    # microsecond: every column must still land in its own slot.
     f = lambda x: np.sin(x) * np.cumsum(x)
     x = np.linspace(0.1, 2.0, 64)
     _cpus(monkeypatch, 1)
@@ -254,44 +308,42 @@ def test_relative_error_floor():
 def test_check_pipeline_gradients_evaluates_contact_once_per_perturbation(monkeypatch):
     # One shared map per perturbed state: 26 complex steps and 2 x 26 central
     # differences on the two spheres; every pair is evaluated inside those
-    # contact evaluations, and no separation field is built. The columns run
-    # on several threads, so the counts take a lock and the depth is per
-    # thread.
+    # contact evaluations, and no separation field is built. Counts made in
+    # worker processes do not reach the caller, so the count runs on one
+    # CPU; on two the report is the same.
     cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
     st = sample_nondegenerate_state(cfg.scene, np.random.default_rng(0), cfg.state, vel_scale=cfg.scene.params.v_d)
-    calls = {"contact": 0, "inside": 0, "outside": 0, "field": 0}
-    lock, local = threading.Lock(), threading.local()
+    calls = {"contact": 0, "inside": 0, "outside": 0, "field": 0, "depth": 0}
     contact_force = dynamics._contact_force
     pair_contact = dynamics._pair_contact
 
-    def count(key):
-        with lock:
-            calls[key] += 1
-
     def counted_contact(*args, **kwargs):
-        count("contact")
-        local.depth = getattr(local, "depth", 0) + 1
+        calls["contact"] += 1
+        calls["depth"] += 1
         try:
             return contact_force(*args, **kwargs)
         finally:
-            local.depth -= 1
+            calls["depth"] -= 1
 
     def counted_pair(*args, **kwargs):
-        count("inside" if getattr(local, "depth", 0) else "outside")
+        calls["inside" if calls["depth"] else "outside"] += 1
         return pair_contact(*args, **kwargs)
 
     def counted_field(*args, **kwargs):
-        count("field")
+        calls["field"] += 1
         return collision.separation_field(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_contact_force", counted_contact)
     monkeypatch.setattr(dynamics, "_pair_contact", counted_pair)
     monkeypatch.setattr(dynamics, "separation_field", counted_field)
     monkeypatch.setattr(verify, "separation_field", counted_field)
+    _cpus(monkeypatch, 1)
     report = check_pipeline_gradients(cfg.scene, st)
     assert report.passed
     assert flatten_state(st).size == 26
-    assert calls == {"contact": 78, "inside": 78, "outside": 0, "field": 0}
+    assert calls == {"contact": 78, "inside": 78, "outside": 0, "field": 0, "depth": 0}
+    _cpus(monkeypatch, 2)
+    assert check_pipeline_gradients(cfg.scene, st) == report
 
 
 def _mixed_pair_scene():
