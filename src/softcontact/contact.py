@@ -148,10 +148,10 @@ def _query_sums(cloud, points, velocities, params: ContactParams):
     ssdf._block, W = e softplus(-phi, eps3) dissipation_factor(x) and
     r = W / sqrt(1 + alpha^2 + beta^2), one more matmul takes
     [W, alpha r, beta r] against the moment matrix, and the sums are
-    divided by sum_i e_qi and scaled by k once per query. A side repeated
-    along the stack (stride 0, one body on every row) is read once and
-    broadcast by the matmuls. Each block's (I, ..., Q_block) arrays hold at
-    most _CHUNK_ENTRIES float64 entries' bytes.
+    divided by sum_i e_qi and scaled by k once per query. A side with one
+    row (one body on every row of a stack) is broadcast by the matmuls
+    against the other side's rows. Each block's (I, ..., Q_block) arrays
+    hold at most _CHUNK_ENTRIES float64 entries' bytes.
     """
     I, Q = cloud.num_points, points.shape[-2]
     lead = np.broadcast_shapes(cloud.points.shape[:-2], points.shape[:-2])
@@ -165,7 +165,6 @@ def _query_sums(cloud, points, velocities, params: ContactParams):
     with arena:
         sums = arena.empty(lead + (Q,), geo)
         S, F, M = _plane_matrices(cloud, params, geo, dtype, arena)
-        points, velocities = _once(points), _once(velocities)
         rows = _query_rows(points, 1.0, arena.empty(points.shape[:-2] + (4, Q), points.dtype))
         vel = _query_rows(velocities, -1.0, arena.empty(velocities.shape[:-2] + (4, Q), velocities.dtype))
         step = max(1, _CHUNK_ENTRIES * 8 // (np.dtype(dtype).itemsize * math.prod(lead) * I))
@@ -200,12 +199,6 @@ def _query_sums(cloud, points, velocities, params: ContactParams):
     return value, gt
 
 
-def _once(x):
-    """x with a repeated stack axis (stride 0: one body on every row) cut to
-    its one row; any other array as it is."""
-    return x[..., 0, :, :] if x.ndim > 2 and x.shape[-3] > 1 and x.strides[-3] == 0 else x
-
-
 def _plane_matrices(cloud, params: ContactParams, geo, dtype, arena):
     """A posed cloud's three per-plane matrices, taken from arena, with one
     column per plane i: the SSDF matrix (..., 2, 4, I) of ssdf._ssdf_matrix;
@@ -213,8 +206,7 @@ def _plane_matrices(cloud, params: ContactParams, geo, dtype, arena):
     e = n, t1, t2 and s = v_d, v_s, v_s, give x, alpha and beta against
     [u_q, -1]; and the moment matrix (..., 3, 6, I) of the columns
     c [e, (p_i - t) x e], c = 1, -mu, -mu, real where the pose is."""
-    pts, nrm, tng, arms, vel = (_once(x) for x in (cloud.points, cloud.normals, cloud.tangents, cloud.arms,
-                                                   cloud.velocities))
+    pts, nrm, tng, arms, vel = cloud.points, cloud.normals, cloud.tangents, cloud.arms, cloud.velocities
     lead, I = pts.shape[:-2], pts.shape[-2]
     S = _ssdf_matrix(pts, nrm, params.eps1, arena.empty(lead + (2, 4, I), geo))
     F = arena.empty(lead + (3, 4, I), dtype)

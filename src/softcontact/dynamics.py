@@ -213,20 +213,22 @@ class SceneState:
 
 
 def make_state(scene: Scene, poses: dict[str, Pose] | None = None, velocities: dict[str, np.ndarray] | None = None, time: float = 0.0) -> SceneState:
+    """The state at time with the given poses and velocities of free bodies,
+    by name; the others rest at the identity pose. A name that is not a free
+    body of the scene raises ValueError."""
     poses = poses or {}
     velocities = velocities or {}
-    nf = len(scene.free_indices)
-    q = np.zeros((nf, 7))
+    free = {scene.bodies[i].name: k for k, i in enumerate(scene.free_indices)}
+    for name in (*poses, *velocities):
+        if name not in free:
+            raise ValueError(f"body {name!r} is not a free body of the scene")
+    q = np.zeros((len(free), 7))
     q[:, 3] = 1.0
     v = np.zeros(scene.n)
-    for k, i in enumerate(scene.free_indices):
-        body = scene.bodies[i]
-        if body.name in poses:
-            p = poses[body.name]
-            q[k, :3] = p.translation
-            q[k, 3:] = p.quaternion
-        if body.name in velocities:
-            v[6 * k : 6 * k + 6] = np.asarray(velocities[body.name], dtype=float).reshape(6)
+    for name, p in poses.items():
+        q[free[name]] = np.concatenate([p.translation, p.quaternion])
+    for name, vel in velocities.items():
+        v[6 * free[name] : 6 * free[name] + 6] = np.asarray(vel, dtype=float).reshape(6)
     return SceneState(time, q, v)
 
 
@@ -322,8 +324,9 @@ def _posing_plan(bodies, dof_start, chunks):
     their DOF block starts (G,), -1 if kinematic, stacked local points
     (G, I, 3), normals (G, I, 3), tangents (2, G, I, 3), arms (3, G, I, 3))
     with one cloud per body; and for each chunk its two sides as (group,
-    rows in the group: a slice if consecutive, (row, count) if one body is
-    on every row). A Scene builds them once."""
+    rows in the group: a slice if consecutive, else an index array). A body
+    on every row of a side is its one row, which the contact kernel
+    broadcasts against the other side's rows. A Scene builds them once."""
     members = {}
     for i in sorted({int(i) for _, chunk in chunks for i in chunk.ravel()}):
         members.setdefault(bodies[i].aopc.num_points, []).append(i)
@@ -336,8 +339,7 @@ def _posing_plan(bodies, dof_start, chunks):
                          for name in ("points", "normals", "tangents", "arms"))))
 
     def run(r):
-        if len(r) > 1 and len(set(r)) == 1:
-            return r[0], len(r)
+        r = r[:1] if len(set(r)) == 1 else r
         return slice(r[0], r[-1] + 1) if r == list(range(r[0], r[-1] + 1)) else np.array(r)
     sides = [tuple((where[side[0]][0], run([where[i][1] for i in side])) for side in chunk.T) for _, chunk in chunks]
     return groups, sides
@@ -364,15 +366,10 @@ def _pose_groups(scene: Scene, state: SceneState) -> list[WorldAopc]:
 
 
 def _rows(stack: WorldAopc, rows) -> WorldAopc:
-    """The bodies at rows of a posed group as a stack: views for a slice,
-    and views with a stride-0 stack axis for one body on every row, which
-    the contact kernel reads once."""
+    """The bodies at rows of a posed group as a stack: views for a slice
+    (one row for a body on every row of its side), copies for an index
+    array."""
     arrays = (stack.points, stack.normals, stack.tangents, stack.arms, stack.velocities)
-    if isinstance(rows, tuple):
-        row, count = rows
-        return WorldAopc(*(np.broadcast_to(x[..., row:row + 1, :, :], x.shape[:-3] + (count,) + x.shape[-2:])
-                           for x in arrays), np.broadcast_to(stack.origin[row], (count, 3)),
-                         np.full(count, stack.dof_start[row]), stack.num_dofs)
     return WorldAopc(*(x[..., rows, :, :] for x in arrays), stack.origin[rows], stack.dof_start[rows], stack.num_dofs)
 
 
@@ -512,8 +509,8 @@ def step(scene: Scene, state: SceneState, dt: float, integrator: str = "rk4", *,
     bodies follow their trajectories evaluated at the stage times.
     _with_separation (private) returns (new state, minimum separation at the
     given state), read off the first stage's contact evaluation."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     t = state.time
     if integrator not in ("euler", "rk4"):
         raise ValueError(f"unknown integrator {integrator!r} (use 'euler' or 'rk4')")

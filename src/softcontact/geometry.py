@@ -170,11 +170,13 @@ class WorldAopc:
 
     def wrench_force(self, wrench: np.ndarray) -> np.ndarray:
         """The (n,) generalized force of wrenches (..., 6), [force; torque
-        about the origin t]: each is added into the body's 6-DOF block, once
-        per stack entry; kinematic bodies' go to a dump block past n."""
+        about the origin t], each added into its body's 6-DOF block, the
+        stack broadcast against them; kinematic bodies' go to a dump block past n."""
         n = self.num_dofs
         out = np.zeros(n + 6, dtype=wrench.dtype)
-        np.add.at(out, np.where(self.dof_start < 0, n, self.dof_start)[..., None] + np.arange(6), wrench)
+        idx = np.empty(wrench.shape, dtype=int)
+        idx[...] = np.where(self.dof_start < 0, n, self.dof_start)[..., None] + np.arange(6)
+        np.add.at(out, idx, wrench)
         return out[:n]
 
 

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .collision import soft_separation_distance, separation_field
+from .collision import separation_field
 from .contact import point_plane_force
-from .dynamics import (Scene, SceneState, _separation_force_acceleration, forward_dynamics, pose_all,
-                       total_contact_force)
+from .dynamics import Scene, SceneState, _separation_force_acceleration, pose_all
+# Bound here for perfbench/tracer.py, which wraps verify.forward_dynamics and verify.total_contact_force.
+from .dynamics import forward_dynamics, total_contact_force  # noqa: F401
 from .ssdf import hard_sdf
 
 
@@ -87,6 +88,18 @@ def _map_columns(column, n: int) -> list:
     return [reports[i % workers][0][i // workers] for i in range(n)]
 
 
+def _steps(x, h, scale):
+    """Per-coordinate steps for x: scale (1 + |x_i|) when h is None, else h
+    broadcast to x's shape. Raises ValueError unless every step is positive
+    and finite."""
+    hs = scale * (1.0 + np.abs(x)) if h is None else np.broadcast_to(np.asarray(h, dtype=float), x.shape).copy()
+    bad = ~(np.isfinite(hs) & (hs > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"step {float(hs.flat[i])!r} for coordinate {i} is not positive and finite")
+    return hs
+
+
 def fd_gradient(f, x, h=None):
     """Central-difference Jacobian of f at x, one column per coordinate.
 
@@ -98,12 +111,7 @@ def fd_gradient(f, x, h=None):
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    if h is None:
-        hs = 1e-6 * (1.0 + np.abs(x))
-    else:
-        hs = np.broadcast_to(np.asarray(h, dtype=float), x.shape).copy()
-    if np.any(hs <= 0):
-        raise ValueError("finite-difference step must be positive")
+    hs = _steps(x, h, 1e-6)
 
     def column(i):
         e = np.zeros(n)
@@ -117,42 +125,36 @@ def fd_gradient(f, x, h=None):
     return np.stack(_map_columns(column, n), axis=-1)
 
 
+def _cs_column(f, x, i, h):
+    """Im f(x + i h e_i) / h: column i of the complex-step Jacobian of f at
+    a real x."""
+    xc = x.astype(complex)
+    xc.flat[i] += 1j * h
+    return np.asarray(f(xc)).imag / h
+
+
 def cs_gradient(f, x, h: float = 1e-30):
     """Complex-step Jacobian: Im f(x + i h e_j) / h, exact to machine
     precision for the analytic kernels in this package. As in fd_gradient,
     the columns are spread over the available CPUs, with the serial loop's
     result bit for bit."""
     x = np.asarray(x, dtype=float)
-
-    def column(i):
-        xc = x.astype(complex)
-        xc.flat[i] += 1j * h
-        return np.asarray(f(xc)).imag / h
-
-    return np.stack(_map_columns(column, x.size), axis=-1)
+    return np.stack(_map_columns(lambda i: _cs_column(f, x, i, h), x.size), axis=-1)
 
 
 def cs_hessian_diag(f, x, delta=None, h: float = 1e-30):
     """Diagonal second derivatives of a scalar f: a central difference of the
     exact complex-step gradient (one cancellation-free differentiation plus
-    one short difference)."""
+    one short difference). delta defaults to 1e-4 * (1 + |x_i|) per
+    coordinate."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    if delta is None:
-        delta = 1e-4 * (1.0 + np.abs(x))
-    else:
-        delta = np.broadcast_to(np.asarray(delta, dtype=float), x.shape).copy()
+    delta = _steps(x, delta, 1e-4)
     out = np.empty(n)
     for i in range(n):
         e = np.zeros(n)
         e[i] = delta.flat[i]
-
-        def gi(y):
-            yc = y.astype(complex)
-            yc.flat[i] += 1j * h
-            return np.asarray(f(yc)).imag / h
-
-        out[i] = (gi(x + e) - gi(x - e)) / (2.0 * delta.flat[i])
+        out[i] = (_cs_column(f, x + e, i, h) - _cs_column(f, x - e, i, h)) / (2.0 * delta.flat[i])
     return out
 
 
@@ -176,39 +178,39 @@ def unflatten_state(scene: Scene, state: SceneState, theta: np.ndarray) -> Scene
     return SceneState(state.time, theta[: 7 * nf].reshape(nf, 7), theta[7 * nf :])
 
 
-def pipeline_functions(scene: Scene, state: SceneState):
-    """The three smooth maps the gradient check covers, one by one.
+def _checked_map(scene: Scene, state: SceneState):
+    """The flattened state; the gradient check's map of it to the soft
+    separation distances, total contact force and forward dynamics under
+    scene.tau, from one contact evaluation; and each function's (rows,
+    columns) block of the map's Jacobian. The separation's keeps the pose
+    columns only, as its velocity gradient is identically zero."""
+    n_pairs, n_pose = len(scene.pair_indices), 7 * len(scene.free_indices)
 
-    Each entry maps a slice of the flattened free-body state to its output:
-    the separation distance depends on poses only (its velocity gradient is
-    identically zero), while contact force and forward dynamics depend on
-    poses and velocities together. check_pipeline_gradients evaluates all
-    three at once, from one contact evaluation per state.
-    """
-    nf = len(scene.free_indices)
-    n_pose = 7 * nf
-    theta0 = flatten_state(state)
+    def joint(theta):
+        return np.concatenate(_separation_force_acceleration(scene, unflatten_state(scene, state, theta)))
 
-    def seps(theta_pose):
-        full = theta0.astype(theta_pose.dtype)
-        full[:n_pose] = theta_pose
-        world = pose_all(scene, unflatten_state(scene, state, full))
-        eps = scene.params.eps1, scene.params.eps2
-        return np.stack([soft_separation_distance(separation_field(world[ia], world[ib], *eps))
-                         for ia, ib in scene.pair_indices])
-
-    def contact(theta):
-        return total_contact_force(scene, unflatten_state(scene, state, theta))
-
-    def accel(theta):
-        st = unflatten_state(scene, state, theta)
-        return forward_dynamics(scene, st, scene.tau(st.time))
-
-    return {
-        "soft_separation_distance": (seps, theta0[:n_pose]),
-        "total_contact_force": (contact, theta0),
-        "forward_dynamics": (accel, theta0),
+    blocks = {
+        "soft_separation_distance": (slice(0, n_pairs), slice(0, n_pose)),
+        "total_contact_force": (slice(n_pairs, n_pairs + scene.n), slice(None)),
+        "forward_dynamics": (slice(n_pairs + scene.n, None), slice(None)),
     }
+    return flatten_state(state), joint, blocks
+
+
+def pipeline_functions(scene: Scene, state: SceneState):
+    """The three smooth maps the gradient check covers, one by one: its map
+    restricted to each function's block, as (map of the block's columns of
+    the flattened state, the others held at state's; their value at state)."""
+    theta0, joint, blocks = _checked_map(scene, state)
+
+    def restricted(rows, cols):
+        def f(x):
+            theta = theta0.astype(np.result_type(theta0, x))
+            theta[cols] = x
+            return joint(theta)[rows]
+        return f, theta0[cols]
+
+    return {name: restricted(*block) for name, block in blocks.items()}
 
 
 @dataclass
@@ -253,20 +255,9 @@ def check_pipeline_gradients(scene: Scene, state: SceneState, h: float = 1e-6, t
     """
     if not (np.isfinite(h) and h > 0 and np.isfinite(tol) and tol >= 0):
         raise ValueError(f"need a finite h > 0 and a finite tol >= 0, got h={h!r}, tol={tol!r}")
-    theta = flatten_state(state)
-
-    def joint(th):
-        return np.concatenate(_separation_force_acceleration(scene, unflatten_state(scene, state, th)))
-
-    hs = h * (1.0 + np.abs(theta))
+    theta, joint, blocks = _checked_map(scene, state)
     jac_cs = cs_gradient(joint, theta)
-    jac_fd = fd_gradient(joint, theta, hs)
-    n_pairs, n_pose = len(scene.pair_indices), 7 * len(scene.free_indices)
-    blocks = {
-        "soft_separation_distance": (slice(0, n_pairs), slice(0, n_pose)),
-        "total_contact_force": (slice(n_pairs, n_pairs + scene.n), slice(None)),
-        "forward_dynamics": (slice(n_pairs + scene.n, None), slice(None)),
-    }
+    jac_fd = fd_gradient(joint, theta, h * (1.0 + np.abs(theta)))
     report = GradCheckReport(0.0, ("", 0, 0), h, 1, tol, True)
     for name, block in blocks.items():
         provided, oracle = jac_cs[block], jac_fd[block]

@@ -357,7 +357,7 @@ def test_plane_matrices_hold_scaled_velocities_axes_and_arms():
     # c = 1, -mu, -mu): the force matrix row is [e, v_i . e] / s and the
     # moment matrix row c [e, (p - t) x e]; the SSDF matrix gives the logits
     # and the negated plane distances against [q, 1]. For one body, a stack,
-    # and a stack with one body on every row, which is built once.
+    # and a one-row stack, as dynamics._rows cuts a body on every row.
     from softcontact import contact
     from softcontact.core import _ARENA
 
@@ -368,7 +368,7 @@ def test_plane_matrices_hold_scaled_velocities_axes_and_arms():
              for k, t in enumerate(([0.3, -0.1, 0.8], [0.0, 0.2, 0.5]))]
     q = np.array([[0.1, -0.2, 0.7], [0.3, 0.0, 0.6]])
     for cloud, one in ((world[0], world[0]), (_stack(world, [0, 1, 1]), _stack(world, [0, 1, 1])),
-                       (_repeat(world[1], 3), world[1])):
+                       (_stack(world, [1]), _stack(world, [1]))):
         with _ARENA.scratch as arena:
             S, F, M = (x.copy() for x in contact._plane_matrices(cloud, params, float, float, arena))
         lead = one.points.shape[:-2]
@@ -388,17 +388,6 @@ def test_plane_matrices_hold_scaled_velocities_axes_and_arms():
         want = (np.sum(q * q, axis=-1) - np.sum(d * d, axis=-1)) / params.eps1
         assert np.abs(m[..., 0, :, :] - want).max() <= 1e-11 * np.abs(want).max()
         np.testing.assert_allclose(m[..., 1, :, :], np.sum(one.normals[..., None, :] * d, axis=-1), rtol=0, atol=1e-15)
-
-
-def _repeat(w, count):
-    """The posed body w on every row of a stack, with a stride-0 stack axis
-    as dynamics._rows cuts it."""
-    def rows(x):
-        return np.broadcast_to(x[..., None, :, :], x.shape[:-2] + (count,) + x.shape[-2:])
-
-    return WorldAopc(**{name: rows(getattr(w, name)) for name in ("points", "normals", "tangents", "arms", "velocities")},
-                     origin=np.broadcast_to(w.origin, (count, 3)), dof_start=np.full(count, w.dof_start),
-                     num_dofs=w.num_dofs)
 
 
 def _stack(world, idx):
@@ -478,7 +467,7 @@ def _written_out_field(a, b, params):
 def test_folded_constants_match_the_broadcast_oracle(monkeypatch):
     # All seven contact constants away from their defaults and from each
     # other, on a box-pile stack: eight 24-point boxes against one 126-point
-    # kinematic ground on every row (a stride-0 side), cut into ragged query
+    # kinematic ground on every row (a one-row side), cut into ragged query
     # blocks. The force and its complex-step gradient in the boxes' shared
     # position and velocity offsets match point_plane_force on explicit
     # broadcasts with a written-out field, within 1e-12.
@@ -504,7 +493,7 @@ def test_folded_constants_match_the_broadcast_oracle(monkeypatch):
 
     def kernel(theta):
         g, boxes = bodies(theta)
-        return contact._pair_contact(_repeat(g, P), _stack(boxes, range(P)), params)[0]
+        return contact._pair_contact(_stack([g], [0]), _stack(boxes, range(P)), params)[0]
 
     def oracle(theta):
         g, boxes = bodies(theta)

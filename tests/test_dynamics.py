@@ -253,8 +253,20 @@ def test_step_examples():
     np.testing.assert_allclose(cur.q[0, 2], 10.0 - 0.5 * 9.81 * t**2, atol=1e-12)
     with pytest.raises(ValueError, match="integrator"):
         step(scene_g, st, dt, "leapfrog")
-    with pytest.raises(ValueError, match="dt"):
-        step(scene_g, st, 0.0, "euler")
+    for dt in (0.0, -0.01, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            step(scene_g, st, dt, "euler")
+
+
+@pytest.mark.parametrize("poses, velocities, name", [
+    ({"nosuch": Pose.identity()}, None, "nosuch"),
+    (None, {"nosuch": np.zeros(6)}, "nosuch"),
+    ({"ground": Pose.identity()}, None, "ground"),
+])
+def test_make_state_rejects_names_that_are_not_free_bodies(poses, velocities, name):
+    scene, _ = _batching_scene()
+    with pytest.raises(ValueError, match=f"^body '{name}' is not a free body of the scene$"):
+        make_state(scene, poses, velocities)
 
 
 def test_kinematic_motions():
@@ -736,8 +748,9 @@ def test_consecutive_chunk_rows_are_cut_as_views():
 def test_repeated_chunk_sides_are_cut_once_as_broadcast_views(monkeypatch):
     # With two 54 x 54 pairs per chunk, the kinematic ground is side a of
     # the first chunk on both rows, middle side b of the second and ball
-    # side a of the 24 x 54 stack. Each such side is a stride-0 view of its
-    # posed group, and the forces and separations match pair by pair.
+    # side a of the 24 x 54 stack. Each such side is a one-row slice view of
+    # its posed group, which the kernel broadcasts against the other side's
+    # two rows, and the forces and separations match pair by pair.
     from softcontact import dynamics
     from softcontact.collision import separation_field, soft_separation_distance
 
@@ -746,13 +759,14 @@ def test_repeated_chunk_sides_are_cut_once_as_broadcast_views(monkeypatch):
     posed = dynamics._pose_groups(scene, st)
     repeated = [(scene.bodies[chunk[0, side]].name, g, rows)
                 for (_, chunk), sides in zip(scene._pair_chunks, scene._chunk_sides)
-                for side, (g, rows) in enumerate(sides) if isinstance(rows, tuple)]
+                for side, (g, rows) in enumerate(sides) if len(set(chunk[:, side])) == 1 < len(chunk)]
     assert [name for name, *_ in repeated] == ["ground", "middle", "ball"]
     for _, g, rows in repeated:
+        assert isinstance(rows, slice) and rows.stop - rows.start == 1
         cut = dynamics._rows(posed[g], rows)
         for name in ("points", "normals", "tangents", "arms", "velocities"):
             x = getattr(cut, name)
-            assert np.shares_memory(x, getattr(posed[g], name)) and x.shape[-3] == 2 and x.strides[-3] == 0
+            assert np.shares_memory(x, getattr(posed[g], name)) and x.shape[-3] == 1
     force, min_sep, seps = dynamics._contact_force(scene, st, per_pair=True)
     want, want_sep = _pair_by_pair(scene, st)
     assert np.abs(force - want).max() <= 1e-12 * np.abs(want).max()

@@ -17,6 +17,7 @@ from softcontact.verify import (
     GradCheckReport,
     check_pipeline_gradients,
     cs_gradient,
+    cs_hessian_diag,
     fd_gradient,
     flatten_state,
     hard_pipeline_oracle,
@@ -48,6 +49,13 @@ def test_fd_gradient_rejects_nonfinite():
 
     with pytest.raises(ValueError, match="coordinate 0"):
         fd_gradient(bad, np.array([1.0]), 1e-9)
+
+
+@pytest.mark.parametrize("gradient", [fd_gradient, cs_hessian_diag])
+@pytest.mark.parametrize("bad", [0.0, -1e-4, np.nan, np.inf])
+def test_steps_must_be_positive_and_finite(gradient, bad):
+    with pytest.raises(ValueError, match=rf"^step {bad!r} for coordinate 1 is not positive and finite$"):
+        gradient(lambda x: np.sum(x * x), np.array([1.0, 2.0]), [1e-4, bad])
 
 
 def _cpus(monkeypatch, count):
@@ -364,22 +372,37 @@ def _mixed_pair_scene():
 
 def test_shared_map_matches_the_three_pipeline_maps():
     # Pairs 0 and 2 share a shape and are stacked ahead of pair 1, so the
-    # separations must be put back in pair order.
+    # separations must be put back in pair order. The oracle takes each
+    # pair's separation field on its own, from pose_all; pipeline_functions
+    # restricts the shared map to each function's block.
     scene, st = _mixed_pair_scene()
     assert [pos.tolist() for pos, _ in scene._pair_chunks] == [[0, 2], [1]]
-    maps = pipeline_functions(scene, st)
-    seps_fn, theta_pose = maps["soft_separation_distance"]
+    theta = flatten_state(st)
+    n_pose = 7 * len(scene.free_indices)
+
+    def oracle(theta_pose):
+        full = theta.astype(theta_pose.dtype)
+        full[:n_pose] = theta_pose
+        world = dynamics.pose_all(scene, unflatten_state(scene, st, full))
+        eps = scene.params.eps1, scene.params.eps2
+        return np.stack([collision.soft_separation_distance(collision.separation_field(world[ia], world[ib], *eps))
+                         for ia, ib in scene.pair_indices])
+
     seps, force, vdot = dynamics._separation_force_acceleration(scene, st)
-    want = seps_fn(theta_pose)
+    want = oracle(theta[:n_pose])
     assert np.abs(seps - want).max() <= 1e-14 * np.abs(want).max()
     assert np.all(want < 0.05)  # all three pairs near contact
     np.testing.assert_array_equal(force, dynamics.total_contact_force(scene, st))
     np.testing.assert_array_equal(vdot, dynamics.forward_dynamics(scene, st))
-    theta = flatten_state(st)
+    maps = pipeline_functions(scene, st)
+    for name, got in (("soft_separation_distance", seps), ("total_contact_force", force), ("forward_dynamics", vdot)):
+        fn, x = maps[name]
+        np.testing.assert_array_equal(x, theta[: x.size])
+        np.testing.assert_array_equal(fn(x), got)
     jac = cs_gradient(lambda th: dynamics._separation_force_acceleration(scene, unflatten_state(scene, st, th))[0], theta)
-    jac_want = cs_gradient(seps_fn, theta_pose)
-    assert np.abs(jac[:, : theta_pose.size] - jac_want).max() <= 1e-12 * np.abs(jac_want).max()
-    assert not jac[:, theta_pose.size :].any()  # separation does not depend on velocities
+    jac_want = cs_gradient(oracle, theta[:n_pose])
+    assert np.abs(jac[:, :n_pose] - jac_want).max() <= 1e-12 * np.abs(jac_want).max()
+    assert not jac[:, n_pose:].any()  # separation does not depend on velocities
 
 
 def test_reports_are_the_same_bits_on_one_cpu_and_on_two(monkeypatch):
