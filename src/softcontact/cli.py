@@ -352,7 +352,7 @@ def cmd_collide(args) -> int:
         fld = separation_field(a, b, cfg.scene.params.eps1, cfg.scene.params.eps2)
         soft = float(soft_separation_distance(fld))
         hard = oracle.per_pair[pidx][0]
-        files.append((f"collision_{a.body_id}_{b.body_id}.csv", collision_report_csv(fld, soft, hard)))
+        files.append((f"collision_{a.body_id}_{b.body_id}.csv", collision_report_csv(fld, a, b, soft, hard)))
         lines.append(f"pair ({a.body_id}, {b.body_id}): soft separation {soft:.6g} m, hard {hard:.6g} m")
         if args.k is not None:
             cps = contact_points(a, b, fld, args.k, **({} if args.tau is None else {"tau": args.tau}))

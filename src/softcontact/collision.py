@@ -8,10 +8,10 @@ smooth separation distance and the contact force model. All point-against-
 cloud interactions are always evaluated (no culling); this is what keeps the
 pipeline smooth and its cost independent of how many contacts are active.
 
-The simulation's contact path computes the same values and distribution in
-its one pass per pair direction (contact._pair_contact) and builds no field;
-separation_field serves collide, the contact points, the oracles and the
-public ssdf_ssdf_force.
+The simulation's contact path (contact._pair_contact) and the gradient
+check's state sampler compute the same values and distribution per chunk of
+pairs and build no field; separation_field serves collide, the contact
+points, the tests' oracles and the public ssdf_ssdf_force.
 """
 from __future__ import annotations
 
@@ -20,24 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_temperature, softmax
-from .ssdf import SsdfResult, ssdf
+from .ssdf import ssdf
 
 
 @dataclass(frozen=True)
 class SeparationField:
     """values: stacked soft signed distances, points of body b against body a
     first (I_b entries) and points of a against b second (I_a entries);
-    distribution: softmin weights over those entries; b_in_a and a_in_b: the
-    two directional SSDF results the values came from. For a stack of P
-    pairs values and distribution are (P, I_b + I_a).
-    """
+    distribution: softmin weights over those entries. For a stack of P
+    pairs values and distribution are (P, I_b + I_a)."""
 
     values: np.ndarray
     distribution: np.ndarray
     eps1: float
     eps2: float
-    b_in_a: SsdfResult
-    a_in_b: SsdfResult
 
     def __len__(self) -> int:
         return self.values.shape[-1]
@@ -51,11 +47,8 @@ def separation_field(a, b, eps1: float, eps2: float) -> SeparationField:
     """
     check_temperature(eps1, "eps1")
     check_temperature(eps2, "eps2")
-    r_ba = ssdf(a, b.points, eps1)  # points of b in a's field
-    r_ab = ssdf(b, a.points, eps1)  # points of a in b's field
-    values = np.concatenate([r_ba.value, r_ab.value], axis=-1)
-    distribution = softmax(-values, eps2)
-    return SeparationField(values, distribution, float(eps1), float(eps2), r_ba, r_ab)
+    values = np.concatenate([ssdf(a, b.points, eps1).value, ssdf(b, a.points, eps1).value], axis=-1)
+    return SeparationField(values, softmax(-values, eps2), float(eps1), float(eps2))
 
 
 def soft_separation_distance(field: SeparationField):
@@ -129,9 +122,11 @@ def contact_points(a, b, field: SeparationField, k: int = 8, tau: float = 1e-2) 
     return ContactPointSet(gamma @ joint, gamma, z)
 
 
-def collision_report_csv(field: SeparationField, soft_distance: float, hard_distance: float) -> str:
+def collision_report_csv(field: SeparationField, a, b, soft_distance: float, hard_distance: float) -> str:
     """Per field entry: the surface owning its query point (1 = a, 2 = b), the point's index there, phi, weight."""
-    Ib = field.b_in_a.value.shape[-1]
+    Ib = b.num_points
+    if len(field) != a.num_points + Ib:
+        raise ValueError(f"separation field length {len(field)} does not match AOPC pair ({Ib} + {a.num_points} points)")
     lines = ["surface,face,phi,weight"]
     for j, (phi, w) in enumerate(zip(field.values, field.distribution)):
         lines.append("%d,%d,%.17g,%.17g" % ((2, j, phi, w) if j < Ib else (1, j - Ib, phi, w)))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import SeparationField
-from .core import _ARENA, _CHUNK_ENTRIES, _quotient, check_temperature, dot, softmax, softplus, squared_norm
+from .core import _ARENA, _CHUNK_ENTRIES, _first_order, _quotient, check_temperature, dot, softmax, softplus, squared_norm
 from .geometry import moment
 from .ssdf import _block, _query_rows, _ssdf_matrix, _stacked
 
@@ -75,35 +75,27 @@ def dissipation_factor(x, out=None):
     """Velocity modulation of the normal force, x = v_n / v_d.
 
     1 - x for x <= 0, (x - 2)^2 / 4 on (0, 2], and 0 beyond: continuous and
-    C1 at both joints, nonnegative everywhere. A real x takes the one form
-    (clip(x, 0, 2) - 2)^2 / 4 - min(x, 0), six passes; a complex-step x the
-    pieces in complex arithmetic, selected by its real part. The result is
+    C1 at both joints, nonnegative everywhere. With c = clip(x, 0, 2) it is
+    (c - 2)^2 / 4 - min(x, 0) and its slope (c - 2) / 2 on the whole line: a
+    real x takes the value in six passes, and a complex-step x the value and
+    slope of its real part through the first-order rule. The result is
     written into out when given (x itself allowed).
     """
     x = np.asarray(x)
-    dtype = np.result_type(x, 2.0)
-    d = np.empty(x.shape, dtype) if out is None else out
+    step = np.iscomplexobj(x)
+    d = np.empty(x.shape, np.result_type(x, 2.0)) if out is None else out
+    xr = x.real
     with _ARENA.scratch as arena:
         # Every piece that reads x is taken before d may overwrite it. A NaN
         # stays NaN.
-        if not np.iscomplexobj(x):
-            low = np.minimum(x, 0.0, out=arena.empty(x.shape, dtype))
-            np.clip(x, 0.0, 2.0, out=d)
-            d -= 2.0
-            np.square(d, out=d)
-            d *= 0.25
-            d -= low
-            return d
-        xr = x.real
-        low = np.less_equal(xr, 0.0, out=arena.empty(x.shape, bool))
-        high = np.greater(xr, 2.0, out=arena.empty(x.shape, bool))
-        linear = np.subtract(1.0, x, out=arena.empty(x.shape, dtype))
-        np.subtract(x, 2.0, out=d)
-        np.square(d, out=d)
-        d /= 4.0
-        np.putmask(d, low, linear)
-        np.putmask(d, high, 0.0)
-    return d
+        low = np.minimum(xr, 0.0, out=arena.empty(x.shape, d.real.dtype))
+        c = np.clip(xr, 0.0, 2.0, out=arena.empty(x.shape) if step else d)
+        c -= 2.0
+        slope = np.multiply(c, 0.5, out=arena.empty(x.shape)) if step else None
+        np.square(c, out=c)
+        c *= 0.25
+        c -= low
+        return _first_order(x, c, slope, d) if step else c
 
 
 def point_plane_force(p, v, plane_p, plane_n, params: ContactParams):

@@ -373,24 +373,28 @@ def _rows(stack: WorldAopc, rows) -> WorldAopc:
     return WorldAopc(*(x[..., rows, :, :] for x in arrays), stack.origin[rows], stack.dof_start[rows], stack.num_dofs)
 
 
-def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):
-    """Sum of pair forces plus the minimum separation seen (diagnostics);
-    per_pair also returns each pair's soft separation distance, in
-    pair_indices order, read off the same evaluation. Every pair is
-    evaluated, same-shape pairs as stacks (Scene._pair_chunks) cut by row out
-    of the posed groups (Scene._groups). A non-finite q or v entry raises
-    ValueError naming its body and coordinate, and contact that is not
-    finite at a finite state one naming the pair's bodies."""
+def _pair_walk(scene: Scene, state: SceneState):
+    """(positions in pair_indices (P,), body indices (P, 2), sides a, b) per chunk
+    of Scene._pair_chunks, each side cut by row out of its group, posed once."""
     bad = _bad_coordinate(state, scene)
     if bad:
         raise ValueError(f"state has a non-finite {bad}")
+    posed = _pose_groups(scene, state) if scene.pair_indices else []
+    for (pos, chunk), ((ga, rows_a), (gb, rows_b)) in zip(scene._pair_chunks, scene._chunk_sides):
+        yield pos, chunk, _rows(posed[ga], rows_a), _rows(posed[gb], rows_b)
+
+
+def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):
+    """Sum of pair forces plus the minimum separation seen (diagnostics);
+    per_pair also returns each pair's soft separation distance, in
+    pair_indices order, from the same evaluation of _pair_walk's chunks. A
+    non-finite q or v entry raises ValueError naming its body and coordinate,
+    and non-finite contact at a finite state one naming the pair's bodies."""
     dtype = np.result_type(state.q.dtype, state.v.dtype)
     out = np.zeros(scene.n, dtype=dtype)
     seps = np.zeros(len(scene.pair_indices), dtype=dtype)
     min_sep = np.inf
-    posed = _pose_groups(scene, state) if scene.pair_indices else []
-    for (pos, chunk), ((ga, rows_a), (gb, rows_b)) in zip(scene._pair_chunks, scene._chunk_sides):
-        a, b = _rows(posed[ga], rows_a), _rows(posed[gb], rows_b)
+    for pos, chunk, a, b in _pair_walk(scene, state):
         try:
             force, values, coeff = _pair_contact(a, b, scene.params)
         except NonFiniteContact as err:
@@ -556,6 +560,8 @@ def rollout(scene: Scene, state: SceneState, dt: float, n_steps: int, integrator
     Each state's separation comes from the first stage of the step that
     starts from it, so only the final state needs an extra contact
     evaluation."""
+    if not isinstance(n_steps, (int, np.integer)):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     states = [state.copy()]

@@ -312,8 +312,8 @@ def box_aopc(size, resolution: int = 6, name: str = "box") -> LocalAopc:
     a single quad (8 welded corner vertices).
     """
     size = np.asarray(size, dtype=float)
-    if size.shape != (3,) or np.any(size <= 0):
-        raise AopcError("box size must be 3 positive extents")
+    if size.shape != (3,) or not np.all((size > 0) & (size < np.inf)):
+        raise AopcError(f"box size must be 3 positive finite extents, got {size.tolist()!r}")
     if resolution < 6:
         raise AopcError("resolution must be at least 6")
     sx, sy, sz = size
@@ -348,8 +348,8 @@ def sphere_aopc(radius: float, resolution: int = 384, name: str = "sphere") -> L
     exact analytic outward normals p / |p|.
     """
     radius = float(radius)
-    if radius <= 0:
-        raise AopcError("sphere radius must be positive")
+    if not 0 < radius < math.inf:
+        raise AopcError(f"sphere radius must be positive and finite, got {radius!r}")
     if resolution < 6:
         raise AopcError("resolution must be at least 6")
     n = max(1, math.ceil(math.sqrt(resolution / 6.0)))
@@ -373,8 +373,9 @@ def cylinder_aopc(radius: float, height: float, resolution: int = 256, name: str
     duplicated); every face is still a proper quad with an exact normal.
     """
     radius, height = float(radius), float(height)
-    if radius <= 0 or height <= 0:
-        raise AopcError("cylinder dimensions must be positive")
+    for label, extent in (("radius", radius), ("height", height)):
+        if not 0 < extent < math.inf:
+            raise AopcError(f"cylinder {label} must be positive and finite, got {extent!r}")
     if resolution < 6:
         raise AopcError("resolution must be at least 6")
     area = 2 * math.pi * radius * height + 2 * math.pi * radius**2

@@ -21,12 +21,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .collision import separation_field
 from .contact import point_plane_force
-from .dynamics import Scene, SceneState, _separation_force_acceleration, pose_all
-# Bound here for perfbench/tracer.py, which wraps verify.forward_dynamics and verify.total_contact_force.
+from .core import softmax
+from .dynamics import Scene, SceneState, _pair_walk, _separation_force_acceleration, pose_all
+# Bound here for perfbench/tracer.py, which wraps them as verify attributes.
+from .collision import separation_field  # noqa: F401
 from .dynamics import forward_dynamics, total_contact_force  # noqa: F401
-from .ssdf import hard_sdf
+from .ssdf import hard_sdf, ssdf
 
 
 def _map_columns(column, n: int) -> list:
@@ -114,8 +115,8 @@ def fd_gradient(f, x, h=None):
     hs = _steps(x, h, 1e-6)
 
     def column(i):
-        e = np.zeros(n)
-        e[i] = hs.flat[i]
+        e = np.zeros(x.shape)
+        e.flat[i] = hs.flat[i]
         fp = np.asarray(f(x + e), dtype=float)
         fm = np.asarray(f(x - e), dtype=float)
         if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
@@ -152,8 +153,8 @@ def cs_hessian_diag(f, x, delta=None, h: float = 1e-30):
     delta = _steps(x, delta, 1e-4)
     out = np.empty(n)
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = delta.flat[i]
+        e = np.zeros(x.shape)
+        e.flat[i] = delta.flat[i]
         out[i] = (_cs_column(f, x + e, i, h) - _cs_column(f, x - e, i, h)) / (2.0 * delta.flat[i])
     return out
 
@@ -292,18 +293,18 @@ def sample_nondegenerate_state(scene: Scene, rng: np.random.Generator, base: Sce
 
 
 def _state_clear_of_kinks(scene: Scene, state: SceneState, margin: float) -> bool:
-    world = pose_all(scene, state)
-    for ia, ib in scene.pair_indices:
-        fld = separation_field(world[ia], world[ib], scene.params.eps1, scene.params.eps2)
-        Ib = world[ib].num_points
-        for cloud, qs, coeff, w in (
-            (world[ia], world[ib], fld.distribution[:Ib], fld.b_in_a.weights),
-            (world[ib], world[ia], fld.distribution[Ib:], fld.a_in_b.weights),
-        ):
-            v_n = qs.velocities @ cloud.normals.T - np.sum(cloud.velocities * cloud.normals, axis=-1)
-            x = v_n / scene.params.v_d
-            sig = (coeff[:, None] * w) > 1e-8
-            if np.any(sig & ((np.abs(x) < margin) | (np.abs(x - 2.0) < margin))):
+    """False when a point-plane entry that weighs over 1e-8 in its pair force
+    (separation weight of the query times softmin weight of the plane) has
+    x = v_n / v_d within margin of a dissipation kink, 0 or 2."""
+    params = scene.params
+    for _, _, a, b in _pair_walk(scene, state):
+        sides = ((a, b, ssdf(a, b.points, params.eps1)), (b, a, ssdf(b, a.points, params.eps1)))
+        coeff = softmax(-np.concatenate([r.value for _, _, r in sides], axis=-1), params.eps2)
+        for (cloud, qs, r), c in zip(sides, np.split(coeff, [b.num_points], axis=-1)):
+            x = qs.velocities @ np.swapaxes(cloud.normals, -1, -2)  # v_n / v_d, (..., queries, planes)
+            x -= np.sum(cloud.velocities * cloud.normals, axis=-1)[..., None, :]
+            x /= params.v_d
+            if np.any((c[..., None] * r.weights > 1e-8) & ((np.abs(x) < margin) | (np.abs(x - 2.0) < margin))):
                 return False
     return True
 

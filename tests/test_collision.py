@@ -37,8 +37,20 @@ def test_separated_boxes_gap():
     assert abs(fld.values.min() - 1.0) < box.spacing()
     assert abs(fld.distribution.sum() - 1.0) < 1e-12
     # concatenation order: b's points first, then a's
-    rows = [r.split(",")[:2] for r in collision_report_csv(fld, 1.0, 1.0).splitlines()[1:-1]]
+    rows = [r.split(",")[:2] for r in collision_report_csv(fld, a, b, 1.0, 1.0).splitlines()[1:-1]]
     assert rows == [["2", str(j)] for j in range(box.num_points)] + [["1", str(j)] for j in range(box.num_points)]
+
+
+def test_report_csv_takes_the_split_from_the_bodies():
+    # The field keeps no directional SSDFs, so the report splits its entries
+    # at the b the caller passes: b's 54 points, then a's 24.
+    a = posed(box_aopc([1, 1, 1], 24), name="a")
+    b = posed(sphere_aopc(0.4, 54), (0, 0, 2.0), dof=6, name="b")
+    fld = separation_field(a, b, 1e-4, 1e-3)
+    rows = [r.split(",")[:2] for r in collision_report_csv(fld, a, b, 1.0, 1.0).splitlines()[1:-1]]
+    assert rows == [["2", str(j)] for j in range(b.num_points)] + [["1", str(j)] for j in range(a.num_points)]
+    with pytest.raises(ValueError, match="does not match AOPC pair"):
+        collision_report_csv(fld, a, a, 1.0, 1.0)
 
 
 def test_swap_is_a_block_permutation():
@@ -273,7 +285,7 @@ def test_eps_validation_and_report_csv():
     with pytest.raises(ValueError):
         separation_field(a, b, 1e-3, -1.0)
     fld = separation_field(a, b, 1e-4, 1e-3)
-    text = collision_report_csv(fld, 0.25, 0.24)
+    text = collision_report_csv(fld, a, b, 0.25, 0.24)
     lines = text.strip().splitlines()
     assert lines[0] == "surface,face,phi,weight"
     assert len(lines) == len(fld) + 2

@@ -14,6 +14,7 @@ from softcontact.contact import (
 )
 from softcontact.core import quat_normalize, softplus
 from softcontact.geometry import Pose, WorldAopc, box_aopc, pose_aopc, sphere_aopc
+from softcontact.ssdf import ssdf
 from softcontact.verify import cs_gradient, fd_gradient
 
 
@@ -80,9 +81,7 @@ def _dissipation_factor_boolean(x):
 def test_dissipation_factor_matches_boolean_form_bit_for_bit():
     rng = np.random.default_rng(4)
     x = np.concatenate([rng.uniform(-4.0, 4.0, 3991), [0.0, -0.0, 2.0, 1.0, -1.0, 5e-324, 2.0 + 4e-16, 1e150, -1e150]])
-    inputs = [x, x.reshape(-1, 16), np.array(0.0), np.array(2.0), x + 1e-30j, (x + 1e-30j)[::-1],
-              x + 1e-20j * rng.standard_normal(x.size), np.array(0.0 + 1e-30j), np.array(2.0 - 1e-30j)]
-    for xs in inputs:
+    for xs in (x, x.reshape(-1, 16), x[::-1], np.array(0.0), np.array(2.0)):
         got, want = dissipation_factor(xs), _dissipation_factor_boolean(xs)
         assert got.dtype == want.dtype and got.shape == np.shape(want)
         np.testing.assert_array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))
@@ -93,6 +92,22 @@ def test_dissipation_factor_matches_boolean_form_bit_for_bit():
         got = dissipation_factor(xs)
         assert np.isnan(got[1]) and np.isnan(_dissipation_factor_boolean(xs)[1])
         np.testing.assert_array_equal(np.delete(got, 1), np.delete(_dissipation_factor_boolean(xs), 1))
+
+
+def test_complex_step_dissipation_factor_takes_the_real_factor_and_its_slope():
+    # The real part is the real factor bit for bit, also at x = 2, where the
+    # complex form leaked -b^2 / 4 = -2.5e-61 into it. The imaginary part is
+    # b (clip(x, 0, 2) - 2) / 2, the complex form's in value: only the sign
+    # of a zero may differ.
+    rng = np.random.default_rng(4)
+    x = np.concatenate([np.linspace(-3.0, 5.0, 200001), [0.0, -0.0, 2.0 + 4e-16, 5e-324, 1e150, -1e150]])
+    real = dissipation_factor(x)
+    for b in (1e-30, -1e-30, 1e-20 * rng.standard_normal(x.size)):
+        got = dissipation_factor(x + 1j * b)
+        assert got.real.tobytes() == real.tobytes()
+        np.testing.assert_array_equal(got.imag, _dissipation_factor_boolean(x + 1j * b).imag)
+    got = dissipation_factor(np.array([2.0 + 1e-30j, 2.0 - 1e-30j, 0.0 + 1e-30j]))
+    assert got.real.tolist() == [0.0, 0.0, 1.0] and got.imag.tolist() == [0.0, 0.0, -1e-30]
 
 
 def test_dissipation_branches():
@@ -305,16 +320,19 @@ def test_force_gradient_matches_finite_differences():
         assert np.abs(g_cs - g_fd).max() / scale < 1e-3
 
 
-def _broadcast_pair_force(a, b, fld, params):
+def _broadcast_pair_force(a, b, fld, params, weights=None):
     """Reference pair force: point_plane_force on explicit (Q, I, 3)
-    broadcasts, weighted by the field's softmin weights and distribution."""
+    broadcasts, weighted by the field's distribution and each direction's
+    softmin weights over the planes, ssdf's unless given (b in a, a in b)."""
+    if weights is None:
+        weights = [ssdf(cloud, qs.points, params.eps1).weights for cloud, qs in ((a, b), (b, a))]
     Ib = b.num_points
     out = 0.0
-    for cloud, qs, coeff, battery in ((a, b, fld.distribution[:Ib], fld.b_in_a),
-                                      (b, a, fld.distribution[Ib:], fld.a_in_b)):
+    for cloud, qs, coeff, w in ((a, b, fld.distribution[:Ib], weights[0]),
+                                (b, a, fld.distribution[Ib:], weights[1])):
         lam = point_plane_force(qs.points[:, None, :], qs.velocities[:, None, :] - cloud.velocities[None, :, :],
                                 cloud.points[None, :, :], cloud.normals[None, :, :], params)
-        wl = (coeff[:, None] * battery.weights)[..., None] * lam
+        wl = (coeff[:, None] * w)[..., None] * lam
         out = out + np.einsum("qkn,qk->n", dense_jacobian(qs), wl.sum(axis=1)) - np.einsum("ikn,ik->n", dense_jacobian(cloud), wl.sum(axis=0))
     return out
 
@@ -454,14 +472,14 @@ def _written_out_field(a, b, params):
         e = np.exp((x - np.max(x.real, axis=-1, keepdims=True)) / eps)
         return e / np.sum(e, axis=-1, keepdims=True)
 
-    batteries, values = [], []
+    weights, values = [], []
     for cloud, qs in ((a, b), (b, a)):
         d = qs.points[:, None, :] - cloud.points[None, :, :]
         w = softmax(-np.sum(d * d, axis=-1), params.eps1)
-        batteries.append(SimpleNamespace(weights=w))
+        weights.append(w)
         values.append(np.sum(w * np.sum(cloud.normals[None] * d, axis=-1), axis=-1))
     values = np.concatenate(values)
-    return SimpleNamespace(distribution=softmax(-values, params.eps2), b_in_a=batteries[0], a_in_b=batteries[1])
+    return SimpleNamespace(distribution=softmax(-values, params.eps2), weights=weights)
 
 
 def test_folded_constants_match_the_broadcast_oracle(monkeypatch):
@@ -497,7 +515,8 @@ def test_folded_constants_match_the_broadcast_oracle(monkeypatch):
 
     def oracle(theta):
         g, boxes = bodies(theta)
-        return sum(_broadcast_pair_force(g, bk, _written_out_field(g, bk, params), params) for bk in boxes)
+        fields = [_written_out_field(g, bk, params) for bk in boxes]
+        return sum(_broadcast_pair_force(g, bk, f, params, f.weights) for bk, f in zip(boxes, fields))
 
     theta = np.zeros(9)
     got, want = kernel(theta), oracle(theta)

@@ -31,7 +31,7 @@ from softcontact.dynamics import (
     total_contact_force,
     trajectory_csv,
 )
-from softcontact.geometry import Pose, box_aopc, sphere_aopc
+from softcontact.geometry import AopcError, Pose, box_aopc, cylinder_aopc, sphere_aopc
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -555,6 +555,17 @@ def test_nonfinite_controls_name_time_body_and_coordinate():
         rollout(scene, st, 2e-3, 2)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: box_aopc([np.nan, 0.1, 0.1], 24), AopcError, r"box size must be 3 positive finite extents, got \[nan, 0\.1, 0\.1\]"),
+    (lambda: cylinder_aopc(0.1, np.inf, 64), AopcError, "cylinder height must be positive and finite, got inf"),
+    (lambda: sphere_aopc(np.nan, 54), AopcError, "sphere radius must be positive and finite, got nan"),
+    (lambda: rollout(*_batching_scene(), 2e-3, 2.5), ValueError, r"n_steps must be an integer, got 2\.5"),
+], ids=["box_size", "cylinder_height", "sphere_radius", "rollout_n_steps"])
+def test_bad_inputs_name_their_parameter(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_rollout_rejects_a_negative_step_count():
     scene, st = _batching_scene()
     with pytest.raises(ValueError, match="n_steps must be nonnegative, got -2"):
@@ -615,6 +626,7 @@ def test_contact_scratch_reuse_keeps_results_bit_for_bit():
     # and cached views the one before left in a different shape or dtype.
     from softcontact import dynamics
     from softcontact.collision import separation_field
+    from softcontact.ssdf import ssdf
 
     cases = []
     for scene, st in (_config_state("stacked_boxes.json"), _batching_scene()):
@@ -626,8 +638,9 @@ def test_contact_scratch_reuse_keeps_results_bit_for_bit():
     world = dynamics.pose_all(scene, st)
     ia, ib = scene.pair_indices[0]
     kept = separation_field(world[ia], world[ib], scene.params.eps1, scene.params.eps2)
-    kept_arrays = (kept.values, kept.distribution, kept.b_in_a.weights, kept.b_in_a.plane_distances,
-                   kept.a_in_b.weights, kept.a_in_b.plane_distances)
+    b_in_a, a_in_b = ssdf(world[ia], world[ib].points, scene.params.eps1), ssdf(world[ib], world[ia].points, scene.params.eps1)
+    kept_arrays = (kept.values, kept.distribution, b_in_a.weights, b_in_a.plane_distances,
+                   a_in_b.weights, a_in_b.plane_distances)
     snapshot = [a.copy() for a in kept_arrays]
     first = [_in_new_thread(lambda c=c: dynamics._contact_force(*c, per_pair=True)) for c in cases]
     for k in (0, 3, 1, 2, 2, 0, 3, 1):
@@ -743,6 +756,53 @@ def test_consecutive_chunk_rows_are_cut_as_views():
         cut = dynamics._rows(posed[g], rows)
         for name in ("points", "normals", "tangents", "arms", "velocities"):
             assert np.shares_memory(getattr(cut, name), getattr(posed[g], name))
+
+
+def _clear_of_kinks_pair_by_pair(scene, state, margin):
+    # The sampler's rule pair by pair from pose_all: an entry counts when its
+    # query's separation weight (the eps2 softmax of both directions' SSDF
+    # values) times its softmin weight over the planes exceeds 1e-8.
+    from softcontact import dynamics
+    from softcontact.core import softmax
+    from softcontact.ssdf import ssdf
+
+    world, params = dynamics.pose_all(scene, state), scene.params
+    for ia, ib in scene.pair_indices:
+        a, b = world[ia], world[ib]
+        r_ba, r_ab = ssdf(a, b.points, params.eps1), ssdf(b, a.points, params.eps1)
+        coeff = softmax(-np.concatenate([r_ba.value, r_ab.value]), params.eps2)
+        for cloud, qs, c, w in ((a, b, coeff[:b.num_points], r_ba.weights), (b, a, coeff[b.num_points:], r_ab.weights)):
+            x = (qs.velocities @ cloud.normals.T - np.sum(cloud.velocities * cloud.normals, axis=-1)) / params.v_d
+            if np.any((c[:, None] * w > 1e-8) & ((np.abs(x) < margin) | (np.abs(x - 2.0) < margin))):
+                return False
+    return True
+
+
+def test_kink_test_on_the_pair_walk_matches_the_pair_by_pair_rule(monkeypatch):
+    # 240 states perturbed as sample_nondegenerate_state perturbs them, over
+    # four scenes: a kinematic body (push_t_1 and the batching scene),
+    # stacked sides, and with two 54 x 54 pairs per chunk one-row sides for
+    # the ground, middle and ball. At margins 0.05 and 0.002 in turn, the
+    # stacked test of each chunk decides as the pair-by-pair rule does, and
+    # both decisions occur in every scene.
+    from softcontact import dynamics
+    from softcontact.verify import _state_clear_of_kinks
+
+    scenes = [_config_state(name) for name in ("sphere_pair.json", "stacked_boxes.json", "push_t_1.json")]
+    monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * 54 * 54)
+    scenes.append(_batching_scene())
+    rng = np.random.default_rng(21)
+    for scene, base in scenes:
+        decisions = set()
+        for margin in (0.05, 0.002) * 30:
+            q = base.q.copy()
+            q[:, :3] += 0.1 * rng.standard_normal(q[:, :3].shape)
+            q[:, 3:] = quat_normalize(q[:, 3:] + 0.2 * rng.standard_normal(q[:, 3:].shape))
+            st = SceneState(base.time, q, base.v + scene.params.v_d * rng.standard_normal(scene.n))
+            got = _state_clear_of_kinks(scene, st, margin)
+            assert got == _clear_of_kinks_pair_by_pair(scene, st, margin)
+            decisions.add(got)
+        assert decisions == {True, False}
 
 
 def test_repeated_chunk_sides_are_cut_once_as_broadcast_views(monkeypatch):

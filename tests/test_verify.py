@@ -43,6 +43,19 @@ def test_fd_gradient_constant_and_vector_valued():
     np.testing.assert_allclose(jac, [[3.0, 2.0], [0.0, 6.0]], atol=1e-7)
 
 
+def test_derivative_checkers_take_a_2d_x():
+    # Each perturbs x (2, 3) entry by entry in flat order: the gradients and
+    # the Hessian diagonal of a scalar f come out flat, (6,).
+    f = lambda x: np.sum(x ** 3)
+    x = np.arange(1.0, 7.0).reshape(2, 3)
+    for g in (fd_gradient(f, x), cs_gradient(f, x)):
+        assert g.shape == (6,)
+        np.testing.assert_allclose(g, 3.0 * x.ravel() ** 2, rtol=1e-7)
+    h = cs_hessian_diag(f, x)
+    assert h.shape == (6,)
+    np.testing.assert_allclose(h, 6.0 * x.ravel(), rtol=1e-7)
+
+
 def test_fd_gradient_rejects_nonfinite():
     def bad(x):
         return np.nan if x[0] > 1.0 else x[0]
