@@ -251,11 +251,14 @@ def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.n
     return _pair_contact(a, b, params, field.distribution)[0]
 
 
-def _pair_contact(a, b, params: ContactParams, coeff=None):
+def _pair_contact(a, b, params: ContactParams, coeff=None, b_in_a=None):
     """(generalized force, separation values (..., I_b + I_a), separation
     distribution) of a pair or a stack of pairs, from one _query_sums pass
     per direction, whose sums live in the thread's arena for the call; the
     distribution is the softmax of the values unless coeff gives it.
+    b_in_a, when given, returns the b-in-a pass computed elsewhere (a
+    rollout's helper process); it is called once a-in-b is done, and its
+    error comes first, as in the serial order.
 
     The query body takes (sum coeff g, sum coeff (p_q - t_q) x g) and the
     cloud body minus (sum coeff g, sum coeff tau): the spatial-force form of
@@ -263,8 +266,13 @@ def _pair_contact(a, b, params: ContactParams, coeff=None):
     """
     Ib = b.num_points
     with _ARENA.scratch:
-        value_ba, gt_ba = _query_sums(a, b.points, b.velocities, params)
-        value_ab, gt_ab = _query_sums(b, a.points, a.velocities, params)
+        if b_in_a is None:
+            value_ba, gt_ba = _query_sums(a, b.points, b.velocities, params)
+        try:
+            value_ab, gt_ab = _query_sums(b, a.points, a.velocities, params)
+        finally:
+            if b_in_a is not None:
+                value_ba, gt_ba = b_in_a()
         values = np.concatenate([value_ba, value_ab], axis=-1)
         if coeff is None:
             coeff = softmax(-values, params.eps2)

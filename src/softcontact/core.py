@@ -13,6 +13,7 @@ the caller's out.
 from __future__ import annotations
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -81,6 +82,28 @@ class _Arena(threading.local):
 
 
 _ARENA = _Arena()
+
+# True in a process this package forked (a gradient column worker or a
+# contact helper). It leaves through os._exit, so nothing it forked would be
+# reaped, and its caller already keeps the other CPUs busy.
+_forked = False
+
+
+def _may_fork() -> bool:
+    """Whether to spread work over forked processes: os.fork exists, the
+    affinity set holds at least 2 CPUs, no other thread is alive (the child
+    could inherit a lock that thread holds) and this process is not one
+    that _fork made."""
+    return not _forked and hasattr(os, "fork") and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
+
+
+def _fork() -> int:
+    """os.fork(), with the child marked so that _may_fork refuses there."""
+    global _forked
+    pid = os.fork()
+    if pid == 0:
+        _forked = True
+    return pid
 
 
 def check_temperature(eps: float, name: str = "eps") -> float:

@@ -9,7 +9,13 @@ are single closed-form expressions with no iterative solve.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
+import pickle
+import signal
 import time
+import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -18,10 +24,10 @@ from scipy.interpolate import CubicSpline
 
 # Bound here for perfbench/tracer.py, which wraps dynamics.separation_field.
 from .collision import separation_field  # noqa: F401
-from .contact import ContactParams, NonFiniteContact, _pair_contact
+from .contact import ContactParams, NonFiniteContact, _pair_contact, _query_sums
 # Bound here for perfbench/tracer.py, which wraps dynamics.ssdf_ssdf_force.
 from .contact import ssdf_ssdf_force  # noqa: F401
-from .core import _CHUNK_ENTRIES, _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
+from .core import _ARENA, _CHUNK_ENTRIES, _fork, _may_fork, _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
 from .geometry import LocalAopc, Pose, WorldAopc, pose_aopc, posed_arrays
 
 
@@ -176,6 +182,7 @@ class Scene:
         self._gyro = self._inertia - self._inertia[:, :1, :1] * np.eye(3)
         self._pair_chunks = _group_pairs(self.bodies, self.pair_indices)
         self._groups, self._chunk_sides = _posing_plan(self.bodies, self._dof_start, self._pair_chunks)
+        self._helper = None  # rollout's _ContactHelper, started on first use
 
     @property
     def n(self) -> int:
@@ -384,27 +391,141 @@ def _pair_walk(scene: Scene, state: SceneState):
         yield pos, chunk, _rows(posed[ga], rows_a), _rows(posed[gb], rows_b)
 
 
-def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False):
+def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False, helper=None):
     """Sum of pair forces plus the minimum separation seen (diagnostics);
     per_pair also returns each pair's soft separation distance, in
     pair_indices order, from the same evaluation of _pair_walk's chunks. A
     non-finite q or v entry raises ValueError naming its body and coordinate,
-    and non-finite contact at a finite state one naming the pair's bodies."""
+    and non-finite contact at a finite state one naming the pair's bodies.
+    With a helper (a rollout's _ContactHelper) it computes each chunk's
+    b-in-a sums meanwhile; results and errors are the serial ones."""
     dtype = np.result_type(state.q.dtype, state.v.dtype)
     out = np.zeros(scene.n, dtype=dtype)
     seps = np.zeros(len(scene.pair_indices), dtype=dtype)
     min_sep = np.inf
-    for pos, chunk, a, b in _pair_walk(scene, state):
-        try:
-            force, values, coeff = _pair_contact(a, b, scene.params)
-        except NonFiniteContact as err:
-            names = tuple(scene.bodies[i].name for i in chunk[err.row])
-            raise ValueError("contact between %s and %s is not finite" % names) from None
-        out += force
-        min_sep = min(min_sep, float(np.min(values.real)))
-        if per_pair:
-            seps[pos] = np.sum(coeff * values, axis=-1)
+    if helper is not None:
+        helper.ask(state, scene.params, len(scene._pair_chunks))
+    try:
+        for pos, chunk, a, b in _pair_walk(scene, state):
+            b_in_a = None if helper is None else functools.partial(helper.sums, a, b, scene.params)
+            try:
+                force, values, coeff = _pair_contact(a, b, scene.params, b_in_a=b_in_a)
+            except NonFiniteContact as err:
+                names = tuple(scene.bodies[i].name for i in chunk[err.row])
+                raise ValueError("contact between %s and %s is not finite" % names) from None
+            out += force
+            min_sep = min(min_sep, float(np.min(values.real)))
+            if per_pair:
+                seps[pos] = np.sum(coeff * values, axis=-1)
+    finally:
+        if helper is not None:
+            helper.drain()
     return (out, min_sep, seps) if per_pair else (out, min_sep)
+
+
+class _ContactHelper:
+    """A forked process that computes the b-in-a half of each contact
+    evaluation of a Scene for the process that forked it, its owner.
+
+    Per evaluation the owner sends (time, q, v, params); the helper walks
+    _pair_walk on its fork-time copy of the scene and answers each chunk, in
+    order, with its pickled b-in-a _query_sums, or with None at the first
+    chunk where they fail, sending nothing more. An exchange that breaks off
+    stops the helper for good; EOF or a broken pipe raises RuntimeError
+    naming it. stop, a weakref.finalize on the scene that also runs at
+    interpreter exit, kills and reaps it."""
+
+    def __init__(self, scene: Scene):
+        (req_r, req_w), (rep_r, rep_w) = os.pipe(), os.pipe()
+        self.owner, self.pid, self.unread = os.getpid(), _fork(), 0
+        if self.pid == 0:  # the helper leaves only through os._exit
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the owner's to handle
+                os.close(req_w)
+                os.close(rep_r)
+                _serve(scene, open(req_r, "rb"), open(rep_w, "wb"))
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(req_r)
+        os.close(rep_w)
+        self._requests, self._replies = open(req_w, "wb"), open(rep_r, "rb")
+        self.stop = weakref.finalize(scene, _stop_helper, self.pid, self.owner, self._requests, self._replies)
+
+    def ask(self, state: SceneState, params: ContactParams, chunks: int):
+        self._talk(pickle.dump, (state.time, state.q, state.v, params), self._requests, pickle.HIGHEST_PROTOCOL)
+        self._talk(self._requests.flush)
+        self.unread = chunks
+
+    def sums(self, a, b, params: ContactParams):
+        """The next chunk's b-in-a (values, sums). Where the helper failed,
+        this process evaluates them, raising the serial walk's error."""
+        reply = self._read()
+        if reply is None:
+            _query_sums(a, b.points, b.velocities, params)
+            raise RuntimeError(f"contact helper process {self.pid} failed where its owner does not")
+        return reply
+
+    def drain(self):
+        """Read the replies left unread, so the next exchange starts in step."""
+        while self.unread:
+            self._read()
+
+    def _read(self):
+        reply = self._talk(pickle.load, self._replies)
+        self.unread = 0 if reply is None else self.unread - 1
+        return reply
+
+    def _talk(self, fn, *args):
+        try:
+            return fn(*args)
+        except BaseException as err:  # the pipes can no longer be trusted
+            self.stop()
+            self.unread = 0
+            if isinstance(err, (EOFError, BrokenPipeError)):
+                raise RuntimeError(f"contact helper process {self.pid} exited during a contact evaluation") from None
+            raise
+
+
+def _serve(scene: Scene, requests, replies):
+    """The helper's loop: answer each request until the owner's end closes."""
+    while True:
+        try:
+            t, q, v, scene.params = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            for _, _, a, b in _pair_walk(scene, SceneState(t, q, v)):
+                with _ARENA.scratch:
+                    pickle.dump(_query_sums(a, b.points, b.velocities, scene.params), replies, pickle.HIGHEST_PROTOCOL)
+                replies.flush()
+        except Exception:  # the owner meets it again in its own walk
+            pickle.dump(None, replies)
+            replies.flush()
+
+
+def _stop_helper(pid: int, owner: int, *pipes):
+    """Kill and reap a helper if this process owns it, and close this
+    process's ends of its pipes."""
+    with contextlib.suppress(OSError):
+        if os.getpid() == owner:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for pipe in pipes:
+        with contextlib.suppress(OSError):
+            pipe.close()
+
+
+def _rollout_helper(scene: Scene):
+    """The scene's helper for a rollout in this process, started on first
+    use; None, for the serial path, where the scene has no pairs or
+    core._may_fork refuses. A helper is used only by its owner."""
+    if not (scene._pair_chunks and _may_fork()):
+        return None
+    helper = scene._helper
+    if helper is None or not helper.stop.alive or helper.owner != os.getpid():
+        helper = scene._helper = _ContactHelper(scene)
+    return helper
 
 
 def inverse_dynamics(scene: Scene, state: SceneState, vdot: np.ndarray) -> np.ndarray:
@@ -423,10 +544,11 @@ def inverse_dynamics(scene: Scene, state: SceneState, vdot: np.ndarray) -> np.nd
     return (inertial + _bias(scene, state.v, m, R)).reshape(-1) - contact
 
 
-def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = None, *, _with_separation: bool = False):
+def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = None, *, _with_separation: bool = False, _helper=None):
     """Acceleration under controls, bias, and contact. The mass matrix is
     inverted per 6x6 block (diagonal linear part, one batched 3x3 solve).
-    _with_separation (private) returns (vdot, minimum separation at state)."""
+    _with_separation (private) returns (vdot, minimum separation at state);
+    _helper (private) is rollout's contact helper."""
     if tau is None:
         tau = scene.tau(state.time)
     tau = np.asarray(tau)
@@ -435,7 +557,7 @@ def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = N
     bad = _bad_entry(scene, tau, _DOF_COORDS)
     if bad:
         raise ValueError(f"tau has a non-finite {bad}")
-    contact, min_sep = _contact_force(scene, state)
+    contact, min_sep = _contact_force(scene, state, helper=_helper)
     vdot = _accelerate(scene, state, tau, contact)
     return (vdot, min_sep) if _with_separation else vdot
 
@@ -506,19 +628,20 @@ def _check_finite(state: SceneState, scene: Scene):
         raise DivergenceError(f"non-finite {bad}")
 
 
-def step(scene: Scene, state: SceneState, dt: float, integrator: str = "rk4", *, _with_separation: bool = False):
+def step(scene: Scene, state: SceneState, dt: float, integrator: str = "rk4", *, _with_separation: bool = False, _helper=None):
     """One explicit step. Euler or classical RK4 on (q, v); orientation is
     advanced on the group via the exponential map, with RK4 combining the
     stage velocity samples before the single exponential update. Kinematic
     bodies follow their trajectories evaluated at the stage times.
     _with_separation (private) returns (new state, minimum separation at the
-    given state), read off the first stage's contact evaluation."""
+    given state), read off the first stage's contact evaluation; _helper
+    (private) is rollout's contact helper."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     t = state.time
     if integrator not in ("euler", "rk4"):
         raise ValueError(f"unknown integrator {integrator!r} (use 'euler' or 'rk4')")
-    a1, min_sep = forward_dynamics(scene, state, scene.tau(t), _with_separation=True)
+    a1, min_sep = forward_dynamics(scene, state, scene.tau(t), _with_separation=True, _helper=_helper)
     v_eff, a_eff = state.v, a1
     if integrator == "rk4":
         vs, accs = [state.v], [a1]
@@ -526,7 +649,7 @@ def step(scene: Scene, state: SceneState, dt: float, integrator: str = "rk4", *,
             s = SceneState(t + h, _advance_q(state.q, vs[-1], h), state.v + h * accs[-1])
             _check_finite(s, scene)
             vs.append(s.v)
-            accs.append(forward_dynamics(scene, s, scene.tau(t + h)))
+            accs.append(forward_dynamics(scene, s, scene.tau(t + h), _helper=_helper))
         v_eff = (vs[0] + 2 * vs[1] + 2 * vs[2] + vs[3]) / 6.0
         a_eff = (accs[0] + 2 * accs[1] + 2 * accs[2] + accs[3]) / 6.0
     q_new = _advance_q(state.q, v_eff, dt)
@@ -559,7 +682,9 @@ def rollout(scene: Scene, state: SceneState, dt: float, n_steps: int, integrator
 
     Each state's separation comes from the first stage of the step that
     starts from it, so only the final state needs an extra contact
-    evaluation."""
+    evaluation. Where core._may_fork allows, the scene's helper process
+    (_ContactHelper) computes one direction of every pair chunk meanwhile,
+    with the serial results bit for bit."""
     if not isinstance(n_steps, (int, np.integer)):
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 0:
@@ -568,17 +693,18 @@ def rollout(scene: Scene, state: SceneState, dt: float, n_steps: int, integrator
     seps = []
     times = []
     cur = state
+    helper = _rollout_helper(scene)
     for istep in range(n_steps):
         t0 = time.perf_counter()
         try:
-            cur, sep = step(scene, cur, dt, integrator, _with_separation=True)
+            cur, sep = step(scene, cur, dt, integrator, _with_separation=True, _helper=helper)
         except DivergenceError as e:
             raise DivergenceError(f"step {istep + 1}: {e}") from None
         times.append(time.perf_counter() - t0)
         states.append(cur.copy())
         seps.append(sep)
     if record_separation:
-        seps.append(_contact_force(scene, cur)[1])
+        seps.append(_contact_force(scene, cur, helper=helper)[1])
     else:
         seps = [np.nan] * (n_steps + 1)
     return RolloutResult(states, np.asarray(seps), np.asarray(times))

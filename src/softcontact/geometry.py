@@ -9,6 +9,7 @@ primitives; arbitrary pre-quadrangulated shapes enter through the text format.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -305,6 +306,14 @@ def _join(parts):
     return tuple(np.concatenate(a) for a in (points, normals, vertices, faces))
 
 
+def _check_resolution(resolution) -> None:
+    """Raise AopcError unless the generators' target point count is a
+    finite whole number of at least 6."""
+    if not (isinstance(resolution, numbers.Real) and math.isfinite(resolution)
+            and resolution % 1 == 0 and resolution >= 6):
+        raise AopcError(f"resolution must be a whole number of at least 6, got {resolution!r}")
+
+
 def box_aopc(size, resolution: int = 6, name: str = "box") -> LocalAopc:
     """Axis-aligned box quadrangulated with near-square cells.
 
@@ -314,8 +323,7 @@ def box_aopc(size, resolution: int = 6, name: str = "box") -> LocalAopc:
     size = np.asarray(size, dtype=float)
     if size.shape != (3,) or not np.all((size > 0) & (size < np.inf)):
         raise AopcError(f"box size must be 3 positive finite extents, got {size.tolist()!r}")
-    if resolution < 6:
-        raise AopcError("resolution must be at least 6")
+    _check_resolution(resolution)
     sx, sy, sz = size
     area = 2 * (sx * sy + sy * sz + sz * sx)
     h = math.sqrt(area / resolution)
@@ -350,8 +358,7 @@ def sphere_aopc(radius: float, resolution: int = 384, name: str = "sphere") -> L
     radius = float(radius)
     if not 0 < radius < math.inf:
         raise AopcError(f"sphere radius must be positive and finite, got {radius!r}")
-    if resolution < 6:
-        raise AopcError("resolution must be at least 6")
+    _check_resolution(resolution)
     n = max(1, math.ceil(math.sqrt(resolution / 6.0)))
     # Equiangular spacing keeps cell sizes nearly uniform across each face.
     a = np.tan(np.linspace(-math.pi / 4, math.pi / 4, n + 1))
@@ -376,8 +383,7 @@ def cylinder_aopc(radius: float, height: float, resolution: int = 256, name: str
     for label, extent in (("radius", radius), ("height", height)):
         if not 0 < extent < math.inf:
             raise AopcError(f"cylinder {label} must be positive and finite, got {extent!r}")
-    if resolution < 6:
-        raise AopcError("resolution must be at least 6")
+    _check_resolution(resolution)
     area = 2 * math.pi * radius * height + 2 * math.pi * radius**2
     h = math.sqrt(area / resolution)
 
@@ -433,8 +439,7 @@ def composite_box_aopc(members, resolution: int = 512, name: str = "composite") 
     members = [(np.asarray(s, dtype=float), np.asarray(o, dtype=float)) for s, o in members]
     if len(members) < 1:
         raise AopcError("composite needs at least one member box")
-    if resolution < 6:
-        raise AopcError("resolution must be at least 6")
+    _check_resolution(resolution)
     for s, o in members:
         if s.shape != (3,) or o.shape != (3,) or np.any(s <= 0):
             raise AopcError("composite members need positive size (3,) and offset (3,)")

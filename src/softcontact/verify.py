@@ -16,13 +16,12 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .contact import point_plane_force
-from .core import softmax
+from .core import _fork, _may_fork, softmax
 from .dynamics import Scene, SceneState, _pair_walk, _separation_force_acceleration, pose_all
 # Bound here for perfbench/tracer.py, which wraps them as verify attributes.
 from .collision import separation_field  # noqa: F401
@@ -39,12 +38,12 @@ def _map_columns(column, n: int) -> list:
     bit for bit. A child reports only its first failing column; the caller
     evaluates the lowest one again, raising the error a serial loop would.
     A child that dies without a complete report raises RuntimeError, and
-    every child is reaped before this returns or raises. Without os.fork, or
-    with another thread alive (forking can deadlock the child), it is serial.
+    every child is reaped before this returns or raises. Where core._may_fork
+    refuses, or n < 2, it is serial.
     """
-    workers = min(n, len(os.sched_getaffinity(0)))
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if n < 2 or not _may_fork():
         return [column(i) for i in range(n)]
+    workers = min(n, len(os.sched_getaffinity(0)))
 
     def share(k):  # k's columns up to its first failing one, and that one
         done = []
@@ -59,7 +58,7 @@ def _map_columns(column, n: int) -> list:
     try:
         for k in range(1, workers):
             r, w = os.pipe()
-            pid = os.fork()
+            pid = _fork()
             if pid == 0:  # the child leaves only through os._exit
                 try:
                     with open(w, "wb") as pipe:

@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass line and
 holding its runtime budget. Tolerances are pinned here, not configurable."""
 import os
+import select
+import signal
 import time
 
 import numpy as np
@@ -48,11 +50,30 @@ from softcontact.verify import (
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
+def _live_children_cpu_seconds():
+    """User plus system CPU time of this process's children that are not yet
+    reaped, such as a scene's contact helper: each /proc/<pid>/stat whose
+    parent field is this process. (/proc/<pid>/task/*/children would list
+    them directly, but not every kernel provides it.)"""
+    total = 0
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+        except (OSError, ValueError):  # not a process, or it has gone
+            continue
+        # After the name: state, ppid, ..., utime and stime at 11 and 12.
+        if int(fields[1]) == os.getpid():
+            total += int(fields[11]) + int(fields[12])
+    return total / os.sysconf("SC_CLK_TCK")
+
+
 def _cpu_seconds():
-    """CPU time of this process, all threads included, plus that of the
-    children it has reaped: the gradient check's forked column workers."""
+    """CPU time of this process, all threads included, plus that of its
+    children, reaped or alive: the gradient check's forked column workers
+    and the rollouts' contact helpers."""
     times = os.times()
-    return time.process_time() + times.children_user + times.children_system
+    return time.process_time() + times.children_user + times.children_system + _live_children_cpu_seconds()
 
 
 class budget:
@@ -93,6 +114,32 @@ def test_budget_counts_the_cpu_of_reaped_children():
                 finally:
                     os._exit(0)
             os.waitpid(pid, 0)
+    # The same with a child still alive when the block ends, as a scene's
+    # contact helper is: its CPU counts before it is reaped.
+    r, w = os.pipe()
+    pid = 0
+    try:
+        with pytest.raises(AssertionError, match="exceeded its 0.2s CPU budget"):
+            with budget(0, "live busy child", 0.2):
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        start = time.process_time()
+                        while time.process_time() - start < 0.5:
+                            pass
+                        os.write(w, b"x")
+                        time.sleep(120)
+                    finally:
+                        os._exit(0)
+                ready, _, _ = select.select([r], [], [], 60)
+                assert ready and os.read(r, 1) == b"x"
+        assert os.waitpid(pid, os.WNOHANG) == (0, 0)  # alive all along
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(r)
+        os.close(w)
 
 
 def test_criterion_1_oracle_convergence():

@@ -1,6 +1,9 @@
+import contextlib
 import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -974,3 +977,204 @@ def test_arena_view_cache_stops_growing():
 
     counts = _in_new_thread(run)
     assert counts[1:] == [counts[1]] * 3
+
+
+# ---------------------------------------------------------------------------
+# The rollout's contact helper process
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or len(os.sched_getaffinity(0)) < 2,
+                                reason="a contact helper needs os.fork and 2 CPUs")
+
+
+def _serially(fn):
+    """fn() with a second thread alive, so core._may_fork refuses and every
+    rollout inside takes the serial path."""
+    done = threading.Event()
+    t = threading.Thread(target=done.wait, args=(120,))
+    t.start()
+    try:
+        return fn()
+    finally:
+        done.set()
+        t.join(timeout=120)
+        assert not t.is_alive()
+
+
+def _assert_same_rollouts(got, want):
+    assert len(got.states) == len(want.states)
+    for g, w in zip(got.states, want.states):
+        assert g.time == w.time and np.array_equal(g.q, w.q) and np.array_equal(g.v, w.v)
+    assert np.array_equal(got.min_separation, want.min_separation)
+
+
+def _helper_scene(name):
+    return _batching_scene() if name == "batching" else _config_state(name + ".json")
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in this thread if the block runs for longer."""
+    def expire(*args):
+        raise TimeoutError(f"took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _gone(pid, timeout=60.0):
+    """Whether pid is reaped or a zombie within timeout seconds."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                if fh.read().rpartition(")")[2].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+
+
+@needs_fork
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+@pytest.mark.parametrize("name, n_steps", [("stacked_boxes", 3), ("batching", 4), ("push_t_1", 6)])
+def test_rollout_on_the_helper_matches_the_serial_path_bit_for_bit(name, n_steps, integrator):
+    # stacked_boxes: one 144 x 144 chunk; the batching scene: index-array
+    # sides, a one-row side and a kinematic body; push_t_1: spline motion and
+    # controls.
+    scene, st = _helper_scene(name)
+    with _time_limit(120):
+        got = rollout(scene, st, 2e-3, n_steps, integrator)
+    assert scene._helper is not None and scene._helper.stop.alive
+    _assert_same_rollouts(got, _serially(lambda: rollout(scene, st, 2e-3, n_steps, integrator)))
+
+
+@needs_fork
+def test_helper_takes_the_params_of_each_rollout():
+    from softcontact.contact import ContactParams
+
+    scene, st = _batching_scene()
+    first = rollout(scene, st, 2e-3, 3)
+    pid = scene._helper.pid
+    scene.params = ContactParams(k=5e3, mu=0.3, v_s=0.01)
+    with _time_limit(120):
+        got = rollout(scene, st, 2e-3, 3)
+    assert scene._helper.pid == pid
+    assert not np.array_equal(got.states[-1].v, first.states[-1].v)
+    _assert_same_rollouts(got, _serially(lambda: rollout(scene, st, 2e-3, 3)))
+
+
+@needs_fork
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("coordinate, value, message", [
+    (0, 1e200, "^contact between upper and middle is not finite$"),
+    (2, np.nan, "^state has a non-finite pose coordinate tz of body upper$"),
+])
+def test_helper_raises_the_serial_error_and_stays_in_step(coordinate, value, message):
+    # upper's x = 1e200 overflows its posed |p|^2 in both directions of its
+    # pair; a NaN is rejected before any chunk. Either way the helper's
+    # replies for the failed evaluation are read, so the next rollout on the
+    # same scene still pairs each chunk with its own reply.
+    scene, st = _batching_scene()
+    bad = st.copy()
+    bad.q[scene.free_indices.index(scene.body_index("upper")), coordinate] = value
+    errors = []
+    for run in (lambda f: f(), _serially):
+        with pytest.raises(ValueError, match=message) as err, _time_limit(120):
+            run(lambda: rollout(scene, bad, 2e-3, 2))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert scene._helper.stop.alive
+    with _time_limit(120):
+        got = rollout(scene, st, 2e-3, 2)
+    _assert_same_rollouts(got, _serially(lambda: rollout(scene, st, 2e-3, 2)))
+
+
+@needs_fork
+def test_a_dead_helper_is_reported_reaped_and_replaced():
+    scene, st = _batching_scene()
+    rollout(scene, st, 2e-3, 1)
+    pid = scene._helper.pid
+    os.kill(pid, signal.SIGKILL)
+    with pytest.raises(RuntimeError, match=rf"^contact helper process {pid} exited"), _time_limit(60):
+        rollout(scene, st, 2e-3, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    with _time_limit(120):
+        got = rollout(scene, st, 2e-3, 2)
+    assert scene._helper.pid != pid
+    _assert_same_rollouts(got, _serially(lambda: rollout(scene, st, 2e-3, 2)))
+
+
+@needs_fork
+def test_gradient_column_workers_leave_an_inherited_helper_alone():
+    # Each column of the checked map runs a 2-step rollout on a scene whose
+    # helper is live. The caller's column uses it; a forked worker must not
+    # (its replies would go to whichever process reads first), nor may it
+    # start a helper of its own.
+    from softcontact import dynamics
+    from softcontact.verify import cs_gradient
+
+    scene, st = _batching_scene()
+    rollout(scene, st, 2e-3, 1)
+    owner, pid = os.getpid(), scene._helper.pid
+
+    def final_velocity(x):
+        s = st.copy()
+        s.q = s.q.astype(x.dtype)
+        s.q[0, :2] = x
+        if os.getpid() != owner:
+            assert dynamics._rollout_helper(scene) is None
+        return rollout(scene, s, 2e-3, 2).states[-1].v
+
+    with _time_limit(120):
+        got = cs_gradient(final_velocity, st.q[0, :2])
+    want = _serially(lambda: cs_gradient(final_velocity, st.q[0, :2]))
+    assert np.array_equal(got, want)
+    assert scene._helper.pid == pid and scene._helper.stop.alive
+    with _time_limit(120):
+        again = rollout(scene, st, 2e-3, 2)
+    _assert_same_rollouts(again, _serially(lambda: rollout(scene, st, 2e-3, 2)))
+
+
+@needs_fork
+def test_collecting_the_scene_reaps_its_helper():
+    import gc
+
+    scene, st = _batching_scene()
+    rollout(scene, st, 2e-3, 1)
+    pid = scene._helper.pid
+    del scene
+    gc.collect()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _gone(pid, 0)
+
+
+@needs_fork
+@pytest.mark.parametrize("ending", ["exit", "SIGKILL"])
+def test_no_helper_outlives_its_owner(ending):
+    # A normal exit stops the helper through its finalizer; an owner killed
+    # outright leaves the helper to exit on EOF by itself.
+    import subprocess
+
+    script = f"""
+import os, signal, sys
+sys.path.insert(0, {os.path.join(os.path.dirname(__file__), "..", "src")!r})
+from softcontact.config import load_config
+from softcontact.dynamics import rollout
+cfg = load_config({os.path.join(CONFIG_DIR, "sphere_pair.json")!r})
+rollout(cfg.scene, cfg.state, cfg.world.dt, 1)
+print(cfg.scene._helper.pid, flush=True)
+if {ending == "SIGKILL"}:
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == (0 if ending == "exit" else -signal.SIGKILL), proc.stderr
+    assert _gone(int(proc.stdout.split()[0]))

@@ -109,6 +109,23 @@ def test_composite_fully_overlapping_rejected():
         composite_box_aopc(members, 100)
 
 
+_GENERATORS = {
+    "box": lambda r: box_aopc([0.1, 0.1, 0.1], r),
+    "sphere": lambda r: sphere_aopc(0.1, r),
+    "cylinder": lambda r: cylinder_aopc(0.1, 0.1, r),
+    "composite": lambda r: composite_box_aopc([([0.1, 0.1, 0.1], [0.0, 0.0, 0.0])], r),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERATORS))
+@pytest.mark.parametrize("resolution", [np.nan, np.inf, -np.inf, 24.5, 5, 5.0])
+def test_generators_reject_a_resolution_that_is_not_a_whole_number_of_at_least_6(kind, resolution):
+    # NaN and inf used to reach a float-to-int conversion and 24.5 was accepted.
+    with pytest.raises(AopcError, match=rf"^resolution must be a whole number of at least 6, got {resolution!r}$"):
+        _GENERATORS[kind](resolution)
+    assert _GENERATORS[kind](24.0).num_points == _GENERATORS[kind](24).num_points
+
+
 def test_generator_input_validation():
     with pytest.raises(AopcError):
         box_aopc([1, -1, 1], 50)
