@@ -122,17 +122,18 @@ class NonFiniteContact(ValueError):
         self.row = row
 
 
-def _query_sums(cloud, points, velocities, params: ContactParams):
+def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
     """SSDF values and softmin-weighted point-plane sums of query points
     against a posed cloud, in one pass over blocks of queries.
 
     Query q, at points[q] moving at velocities[q], has softmin weights w_qi
     over the cloud's planes i and feels F_qi = point_plane_force against
-    plane i. Returns, taken from the thread's arena in the caller's block,
-    value (..., Q), the SSDF sum_i w_qi phi_qi bit for bit as ssdf computes
-    it (both run ssdf._block), and gt (..., Q, 6): g_q = sum_i w_qi F_qi
-    beside tau_q = sum_i w_qi (p_i - t) x F_qi about the cloud's origin t.
-    Raises NonFiniteContact if any of them is not finite.
+    plane i. Returns, taken from the Scratch out or else from the thread's
+    arena in the caller's block, value (..., Q), the SSDF sum_i w_qi phi_qi
+    bit for bit as ssdf computes it (both run ssdf._block), and gt
+    (..., Q, 6): g_q = sum_i w_qi F_qi beside tau_q = sum_i w_qi (p_i - t) x
+    F_qi about the cloud's origin t. Raises NonFiniteContact if any of them
+    is not finite.
 
     The constants ride in the three per-plane matrices of _plane_matrices,
     so the block's matmuls give the logits, -phi_qi, x = v_n / v_d and
@@ -152,8 +153,8 @@ def _query_sums(cloud, points, velocities, params: ContactParams):
     geo = np.result_type(cloud.points, cloud.normals, points)
     dtype = np.result_type(geo, cloud.arms, cloud.velocities, velocities)
     arena = _ARENA.scratch
-    value = arena.empty(lead + (Q,), geo)
-    gt = arena.empty(lead + (Q, 6), dtype)
+    value = (out or arena).empty(lead + (Q,), geo)
+    gt = (out or arena).empty(lead + (Q, 6), dtype)
     with arena:
         sums = arena.empty(lead + (Q,), geo)
         S, F, M = _plane_matrices(cloud, params, geo, dtype, arena)
@@ -251,14 +252,13 @@ def ssdf_ssdf_force(a, b, field: SeparationField, params: ContactParams) -> np.n
     return _pair_contact(a, b, params, field.distribution)[0]
 
 
-def _pair_contact(a, b, params: ContactParams, coeff=None, b_in_a=None):
+def _pair_contact(a, b, params: ContactParams, coeff=None, sums=None):
     """(generalized force, separation values (..., I_b + I_a), separation
     distribution) of a pair or a stack of pairs, from one _query_sums pass
-    per direction, whose sums live in the thread's arena for the call; the
-    distribution is the softmax of the values unless coeff gives it.
-    b_in_a, when given, returns the b-in-a pass computed elsewhere (a
-    rollout's helper process); it is called once a-in-b is done, and its
-    error comes first, as in the serial order.
+    per direction, b in a first, whose sums live in the thread's arena for
+    the call; sums, when given, are the two passes' (value, gt) computed
+    elsewhere. The distribution is the softmax of the values unless coeff
+    gives it.
 
     The query body takes (sum coeff g, sum coeff (p_q - t_q) x g) and the
     cloud body minus (sum coeff g, sum coeff tau): the spatial-force form of
@@ -266,13 +266,8 @@ def _pair_contact(a, b, params: ContactParams, coeff=None, b_in_a=None):
     """
     Ib = b.num_points
     with _ARENA.scratch:
-        if b_in_a is None:
-            value_ba, gt_ba = _query_sums(a, b.points, b.velocities, params)
-        try:
-            value_ab, gt_ab = _query_sums(b, a.points, a.velocities, params)
-        finally:
-            if b_in_a is not None:
-                value_ba, gt_ba = b_in_a()
+        (value_ba, gt_ba), (value_ab, gt_ab) = sums or (_query_sums(a, b.points, b.velocities, params),
+                                                        _query_sums(b, a.points, a.velocities, params))
         values = np.concatenate([value_ba, value_ab], axis=-1)
         if coeff is None:
             coeff = softmax(-values, params.eps2)

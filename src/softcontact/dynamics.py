@@ -10,13 +10,12 @@ are single closed-form expressions with no iterative solve.
 from __future__ import annotations
 
 import contextlib
-import functools
+import mmap
 import os
-import pickle
 import signal
 import time
 import weakref
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +26,7 @@ from .collision import separation_field  # noqa: F401
 from .contact import ContactParams, NonFiniteContact, _pair_contact, _query_sums
 # Bound here for perfbench/tracer.py, which wraps dynamics.ssdf_ssdf_force.
 from .contact import ssdf_ssdf_force  # noqa: F401
-from .core import _ARENA, _CHUNK_ENTRIES, _fork, _may_fork, _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
+from .core import _CHUNK_ENTRIES, Scratch, _fork, _may_fork, _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
 from .geometry import LocalAopc, Pose, WorldAopc, pose_aopc, posed_arrays
 
 
@@ -397,111 +396,151 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False, help
     pair_indices order, from the same evaluation of _pair_walk's chunks. A
     non-finite q or v entry raises ValueError naming its body and coordinate,
     and non-finite contact at a finite state one naming the pair's bodies.
-    With a helper (a rollout's _ContactHelper) it computes each chunk's
-    b-in-a sums meanwhile; results and errors are the serial ones."""
+    With a helper (a rollout's _ContactHelper) the b-in-a direction of every
+    chunk is computed there meanwhile; results and errors are the serial
+    ones, as an evaluation either process fails is redone serially."""
     dtype = np.result_type(state.q.dtype, state.v.dtype)
     out = np.zeros(scene.n, dtype=dtype)
     seps = np.zeros(len(scene.pair_indices), dtype=dtype)
     min_sep = np.inf
-    if helper is not None:
-        helper.ask(state, scene.params, len(scene._pair_chunks))
-    try:
-        for pos, chunk, a, b in _pair_walk(scene, state):
-            b_in_a = None if helper is None else functools.partial(helper.sums, a, b, scene.params)
-            try:
-                force, values, coeff = _pair_contact(a, b, scene.params, b_in_a=b_in_a)
-            except NonFiniteContact as err:
-                names = tuple(scene.bodies[i].name for i in chunk[err.row])
-                raise ValueError("contact between %s and %s is not finite" % names) from None
-            out += force
-            min_sep = min(min_sep, float(np.min(values.real)))
-            if per_pair:
-                seps[pos] = np.sum(coeff * values, axis=-1)
-    finally:
-        if helper is not None:
-            helper.drain()
+    walk = None if helper is None else helper.walk(scene, state)
+    for pos, chunk, a, b, sums in walk or ((*c, None) for c in _pair_walk(scene, state)):
+        try:
+            force, values, coeff = _pair_contact(a, b, scene.params, sums=sums)
+        except NonFiniteContact as err:
+            names = tuple(scene.bodies[i].name for i in chunk[err.row])
+            raise ValueError("contact between %s and %s is not finite" % names) from None
+        out += force
+        min_sep = min(min_sep, float(np.min(values.real)))
+        if per_pair:
+            seps[pos] = np.sum(coeff * values, axis=-1)
     return (out, min_sep, seps) if per_pair else (out, min_sep)
+
+
+# A helper's status byte for a chunk, and the dtypes its request area carries.
+_OK, _FAILED = b"\x01", b"\x00"
+_CARRIED = {np.dtype(float), np.dtype(complex)}
+
+
+def _round64(nbytes: int) -> int:
+    return -(-nbytes // 64) * 64
 
 
 class _ContactHelper:
     """A forked process that computes the b-in-a half of each contact
     evaluation of a Scene for the process that forked it, its owner.
 
-    Per evaluation the owner sends (time, q, v, params); the helper walks
-    _pair_walk on its fork-time copy of the scene and answers each chunk, in
-    order, with its pickled b-in-a _query_sums, or with None at the first
-    chunk where they fail, sending nothing more. An exchange that breaks off
-    stops the helper for good; EOF or a broken pipe raises RuntimeError
-    naming it. stop, a weakref.finalize on the scene that also runs at
-    interpreter exit, kills and reaps it."""
+    Both share one anonymous mapping made before the fork: a request area
+    of complex128 entries (time, q, v and the ContactParams fields), and per
+    chunk of Scene._pair_chunks one core.Scratch slot for each direction's
+    (value, gt) of _query_sums, the helper's b-in-a and the owner's a-in-b,
+    so that neither takes room in the owner's arena. A slot's arrays hold
+    until the next evaluation. The owner fills the request area and sends one byte
+    (bit 0: q is complex, bit 1: v is); the helper walks _pair_walk on its
+    fork-time copy of the scene, fills each chunk's slot and answers with
+    one status byte per chunk, _FAILED from the first chunk it fails on.
+    Nothing is pickled. An exchange that breaks off stops the helper for
+    good; EOF or a broken pipe raises RuntimeError naming it. stop, a
+    weakref.finalize on the scene that also runs at interpreter exit, kills
+    and reaps it; the mapping goes with this object."""
 
     def __init__(self, scene: Scene):
+        nf = len(scene.free_indices)
+        self._shapes = ((nf, 7), (scene.n,))
+        # Byte sizes: the request area, then per chunk the slots for b in a
+        # (I_b queries) and a in b (I_a), each as (P, I) values and (P, I, 6)
+        # sums of complex128 at most.
+        slots = [(len(pos), scene._groups[g][2].shape[-2])
+                 for (pos, _), sides in zip(scene._pair_chunks, scene._chunk_sides) for g, _ in reversed(sides)]
+        sizes = [_round64(16 * (8 + 13 * nf))] + [_round64(16 * P * I) + _round64(96 * P * I) for P, I in slots]
+        ends = np.cumsum(sizes)
+        buf = np.frombuffer(mmap.mmap(-1, int(ends[-1])), np.uint8)
+        self._request = buf[:sizes[0]].view(complex)[:8 + 13 * nf]
+        slots = [Scratch(buf[start:end]) for start, end in zip(ends[:-1], ends[1:])]
+        self._theirs, self._ours = slots[0::2], slots[1::2]
         (req_r, req_w), (rep_r, rep_w) = os.pipe(), os.pipe()
-        self.owner, self.pid, self.unread = os.getpid(), _fork(), 0
+        self.owner, self.pid = os.getpid(), _fork()
         if self.pid == 0:  # the helper leaves only through os._exit
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the owner's to handle
                 os.close(req_w)
                 os.close(rep_r)
-                _serve(scene, open(req_r, "rb"), open(rep_w, "wb"))
+                self._serve(scene, req_r, rep_w)
                 os._exit(0)
             finally:
                 os._exit(1)
         os.close(req_r)
         os.close(rep_w)
-        self._requests, self._replies = open(req_w, "wb"), open(rep_r, "rb")
+        self._requests, self._replies = open(req_w, "wb", buffering=0), open(rep_r, "rb", buffering=0)
         self.stop = weakref.finalize(scene, _stop_helper, self.pid, self.owner, self._requests, self._replies)
 
-    def ask(self, state: SceneState, params: ContactParams, chunks: int):
-        self._talk(pickle.dump, (state.time, state.q, state.v, params), self._requests, pickle.HIGHEST_PROTOCOL)
-        self._talk(self._requests.flush)
-        self.unread = chunks
+    def walk(self, scene: Scene, state: SceneState):
+        """_pair_walk's chunks at state, each with its two directions' (value,
+        gt): b in a from the helper, and a in b computed here meanwhile, for
+        every chunk before the first reply is read. None, for the caller to
+        evaluate serially, where the request area cannot carry the state or
+        either process fails; every status byte is read first."""
+        q, v = state.q, state.v
+        if (q.shape, v.shape) != self._shapes or not {q.dtype, v.dtype} <= _CARRIED or np.iscomplexobj(state.time):
+            return None
+        np.concatenate(([state.time], q.ravel(), v, astuple(scene.params)), out=self._request)
+        self._talk(self._requests.write, bytes([np.iscomplexobj(q) + 2 * np.iscomplexobj(v)]))
+        try:
+            chunks, ours = list(_pair_walk(scene, state)), []
+            for (_, _, a, b), slot in zip(chunks, self._ours):
+                with slot:
+                    ours.append(_query_sums(b, a.points, a.velocities, scene.params, out=slot))
+        except ValueError:  # the state check or a non-finite direction, raised again serially
+            chunks = None
+        finally:
+            ok = self._talk(self._statuses)
+        if chunks is None or not ok:
+            return None
+        walk = []
+        for (pos, chunk, a, b), (value, gt), slot in zip(chunks, ours, self._theirs):
+            with slot:
+                theirs = (slot.empty(value.shape[:-1] + (b.num_points,), value.dtype),
+                          slot.empty(gt.shape[:-2] + (b.num_points, 6), gt.dtype))
+            walk.append((pos, chunk, a, b, (theirs, (value, gt))))
+        return walk
 
-    def sums(self, a, b, params: ContactParams):
-        """The next chunk's b-in-a (values, sums). Where the helper failed,
-        this process evaluates them, raising the serial walk's error."""
-        reply = self._read()
-        if reply is None:
-            _query_sums(a, b.points, b.velocities, params)
-            raise RuntimeError(f"contact helper process {self.pid} failed where its owner does not")
-        return reply
-
-    def drain(self):
-        """Read the replies left unread, so the next exchange starts in step."""
-        while self.unread:
-            self._read()
-
-    def _read(self):
-        reply = self._talk(pickle.load, self._replies)
-        self.unread = 0 if reply is None else self.unread - 1
-        return reply
+    def _statuses(self) -> bool:
+        """Read the evaluation's status bytes: whether all are _OK."""
+        n, got = len(self._theirs), b""
+        while len(got) < n:
+            more = self._replies.read(n - len(got))
+            if not more:
+                raise EOFError
+            got += more
+        return got == _OK * n
 
     def _talk(self, fn, *args):
         try:
             return fn(*args)
         except BaseException as err:  # the pipes can no longer be trusted
             self.stop()
-            self.unread = 0
             if isinstance(err, (EOFError, BrokenPipeError)):
                 raise RuntimeError(f"contact helper process {self.pid} exited during a contact evaluation") from None
             raise
 
-
-def _serve(scene: Scene, requests, replies):
-    """The helper's loop: answer each request until the owner's end closes."""
-    while True:
-        try:
-            t, q, v, scene.params = pickle.load(requests)
-        except EOFError:
-            return
-        try:
-            for _, _, a, b in _pair_walk(scene, SceneState(t, q, v)):
-                with _ARENA.scratch:
-                    pickle.dump(_query_sums(a, b.points, b.velocities, scene.params), replies, pickle.HIGHEST_PROTOCOL)
-                replies.flush()
-        except Exception:  # the owner meets it again in its own walk
-            pickle.dump(None, replies)
-            replies.flush()
+    def _serve(self, scene: Scene, requests: int, replies: int):
+        """The helper's loop: answer each request until the owner's end
+        closes."""
+        nq = 1 + 7 * len(scene.free_indices)
+        while flags := os.read(requests, 1):
+            r, done = self._request, 0
+            try:
+                q, v = r[1:nq], r[nq:-7]
+                q, v = (x if flags[0] & bit else x.real for x, bit in ((q, 1), (v, 2)))
+                scene.params = ContactParams(*r[-7:].real.tolist())
+                state = SceneState(float(r[0].real), q.reshape(-1, 7).copy(), v.copy())
+                for (_, _, a, b), slot in zip(_pair_walk(scene, state), self._theirs):
+                    with slot:
+                        _query_sums(a, b.points, b.velocities, scene.params, out=slot)
+                    done += os.write(replies, _OK)
+            except Exception:  # the owner's serial redo meets it again
+                pass
+            os.write(replies, _FAILED * (len(self._theirs) - done))
 
 
 def _stop_helper(pid: int, owner: int, *pipes):
@@ -628,6 +667,14 @@ def _check_finite(state: SceneState, scene: Scene):
         raise DivergenceError(f"non-finite {bad}")
 
 
+def _check_stepping(dt: float, integrator: str):
+    """Reject a step size or integrator that step cannot take."""
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if integrator not in ("euler", "rk4"):
+        raise ValueError(f"unknown integrator {integrator!r} (use 'euler' or 'rk4')")
+
+
 def step(scene: Scene, state: SceneState, dt: float, integrator: str = "rk4", *, _with_separation: bool = False, _helper=None):
     """One explicit step. Euler or classical RK4 on (q, v); orientation is
     advanced on the group via the exponential map, with RK4 combining the
@@ -636,11 +683,8 @@ def step(scene: Scene, state: SceneState, dt: float, integrator: str = "rk4", *,
     _with_separation (private) returns (new state, minimum separation at the
     given state), read off the first stage's contact evaluation; _helper
     (private) is rollout's contact helper."""
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    _check_stepping(dt, integrator)
     t = state.time
-    if integrator not in ("euler", "rk4"):
-        raise ValueError(f"unknown integrator {integrator!r} (use 'euler' or 'rk4')")
     a1, min_sep = forward_dynamics(scene, state, scene.tau(t), _with_separation=True, _helper=_helper)
     v_eff, a_eff = state.v, a1
     if integrator == "rk4":
@@ -689,6 +733,7 @@ def rollout(scene: Scene, state: SceneState, dt: float, n_steps: int, integrator
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    _check_stepping(dt, integrator)
     states = [state.copy()]
     seps = []
     times = []

@@ -138,14 +138,16 @@ def _block(S, rows, value=None, sums=None, out=None):
     if out is None:
         lead = np.broadcast_shapes(S.shape[:-3], rows.shape[:-2])
         out = np.empty((2, S.shape[-1]) + lead + rows.shape[-1:], np.result_type(S, rows))
-    np.matmul(np.swapaxes(S, -1, -2), rows[..., None, :, :], out=_stacked(out))
-    e, nphi = out
+    # An overflowing body gives inf - inf, in the matmul or in the shift: the
+    # caller names the pair.
+    with np.errstate(invalid="ignore"):
+        np.matmul(np.swapaxes(S, -1, -2), rows[..., None, :, :], out=_stacked(out))
+        e, nphi = out
+        logits = e.real
+        logits -= np.max(logits, axis=0) - _LIFT
     # The log(I) margin on the exp cutoff keeps the normalised weights normal,
     # as the sum is at most I; the entries dropped weigh under 1e-305 of the
     # largest.
-    logits = e.real
-    with np.errstate(invalid="ignore"):  # inf - inf: the caller names the pair
-        logits -= np.max(logits, axis=0) - _LIFT
     _exp(e, _EXP_TAIL + _LIFT + math.log(e.shape[0]), out=e)
     sums = np.sum(e, axis=0, out=sums)
     value = np.einsum("i...,i...->...", e, nphi, out=value)

@@ -1071,7 +1071,6 @@ def test_helper_takes_the_params_of_each_rollout():
 
 
 @needs_fork
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 @pytest.mark.parametrize("coordinate, value, message", [
     (0, 1e200, "^contact between upper and middle is not finite$"),
     (2, np.nan, "^state has a non-finite pose coordinate tz of body upper$"),
@@ -1094,6 +1093,89 @@ def test_helper_raises_the_serial_error_and_stays_in_step(coordinate, value, mes
     with _time_limit(120):
         got = rollout(scene, st, 2e-3, 2)
     _assert_same_rollouts(got, _serially(lambda: rollout(scene, st, 2e-3, 2)))
+
+
+def test_an_overflowing_stacked_body_warns_nothing_before_its_error():
+    # upper's x = 1e200 overflows inside the stacked chunk's matmul, which
+    # must stay quiet: the error names the pair.
+    scene, st = _batching_scene()
+    bad = st.copy()
+    bad.q[scene.free_indices.index(scene.body_index("upper")), 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^contact between upper and middle is not finite$"):
+            step(scene, bad, 2e-3)
+
+
+@pytest.mark.parametrize("dt, integrator", [(-1.0, "rk4"), (2e-3, "midpoint")])
+def test_rollout_rejects_its_arguments_before_forking_a_helper(dt, integrator):
+    scene, st = _batching_scene()
+    with pytest.raises(ValueError, match="^(dt must be positive|unknown integrator)"):
+        rollout(scene, st, dt, 2, integrator)
+    assert scene._helper is None
+
+
+@needs_fork
+def test_helper_rollouts_pickle_nothing(monkeypatch):
+    import pickle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pickle was called")
+
+    for name in ("dump", "dumps", "load", "loads"):
+        monkeypatch.setattr(pickle, name, refuse)
+    scene, st = _batching_scene()
+    with _time_limit(120):
+        got = rollout(scene, st, 2e-3, 3)
+    assert scene._helper is not None and scene._helper.stop.alive
+    _assert_same_rollouts(got, _serially(lambda: rollout(scene, st, 2e-3, 3)))
+
+
+@needs_fork
+@pytest.mark.parametrize("part", [None, "q", "v"])
+def test_the_owner_computes_one_direction_of_each_chunk(monkeypatch, part):
+    # A real state and complex-step ones alike: 2 RK4 steps and the final
+    # record are 9 evaluations, each one _query_sums call per chunk in this
+    # process (a serial redo, through contact, would make two), and the
+    # same rollouts as the serial path bit for bit.
+    from softcontact import contact, dynamics
+
+    scene, st = _batching_scene()
+    if part:
+        x = getattr(st, part).astype(complex)
+        x.flat[1] += 1e-20j
+        setattr(st, part, x)
+    rollout(scene, st, 2e-3, 1)  # forks the helper before the count
+    calls, real = [], contact._query_sums
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(contact, "_query_sums", counted)
+    monkeypatch.setattr(dynamics, "_query_sums", counted)
+    with _time_limit(120):
+        got = rollout(scene, st, 2e-3, 2)
+    assert len(calls) == 9 * len(scene._pair_chunks)
+    _assert_same_rollouts(got, _serially(lambda: rollout(scene, st, 2e-3, 2)))
+
+
+@needs_fork
+def test_a_helper_rollout_takes_no_more_arena_than_a_serial_step(monkeypatch):
+    # One pair per chunk: the owner's own sums of every chunk are kept
+    # outside the arena, so after a serial step its buffer does not grow,
+    # and what allocates after the rollout meets the same malloc state.
+    from softcontact import core, dynamics
+
+    monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(core._ARENA, "scratch", core.Scratch())
+    scene, st = _batching_scene()
+    step(scene, st, 2e-3)
+    size = core._ARENA.scratch._size
+    with _time_limit(120):
+        rollout(scene, st, 2e-3, 2)
+    assert scene._helper is not None and len(scene._pair_chunks) == 6
+    assert core._ARENA.scratch._size == size
 
 
 @needs_fork
