@@ -21,7 +21,9 @@ The pair's force is linear in the separation distribution, so once both
 directions' values are in and their softmax is taken, each body's wrench
 (sum f, sum (p - t) x f) enters its 6-DOF block, which is J^T f without the
 Jacobian. Stacks of P pairs (a leading pair axis on every array) run through
-the same code.
+the same code. So does a complex step: its matrices and query rows are split
+into real parts and real tangents, and the blocks carry the tangents beside
+the real arithmetic by the first-order rule.
 """
 from __future__ import annotations
 
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import SeparationField
-from .core import _ARENA, _CHUNK_ENTRIES, _first_order, _quotient, check_temperature, dot, softmax, softplus, squared_norm
+from .core import (_ARENA, _CHUNK_ENTRIES, Scratch, _check_step, _dual, _first_order, _parts, _quotient, _softplus,
+                   _tangent_scale, check_temperature, dot, softmax, softplus, squared_norm)
 from .geometry import moment
 from .ssdf import _block, _query_rows, _ssdf_matrix, _stacked
 
@@ -82,20 +85,27 @@ def dissipation_factor(x, out=None):
     written into out when given (x itself allowed).
     """
     x = np.asarray(x)
-    step = np.iscomplexobj(x)
-    d = np.empty(x.shape, np.result_type(x, 2.0)) if out is None else out
-    xr = x.real
+    if not np.iscomplexobj(x):
+        return _dissipation(x, np.empty(x.shape, np.result_type(x, 2.0)) if out is None else out)
     with _ARENA.scratch as arena:
-        # Every piece that reads x is taken before d may overwrite it. A NaN
-        # stays NaN.
-        low = np.minimum(xr, 0.0, out=arena.empty(x.shape, d.real.dtype))
-        c = np.clip(xr, 0.0, 2.0, out=arena.empty(x.shape) if step else d)
+        slope = arena.empty(x.shape)
+        return _first_order(x, _dissipation(x.real, arena.empty(x.shape), slope), slope, out)
+
+
+def _dissipation(x, out, slope=None):
+    """dissipation_factor of a real x, written into out (x itself allowed),
+    and its slope into slope when given. A NaN stays NaN."""
+    with _ARENA.scratch as arena:
+        # min(x, 0) is taken before out may overwrite x.
+        low = np.minimum(x, 0.0, out=arena.empty(x.shape))
+        c = np.clip(x, 0.0, 2.0, out=out)
         c -= 2.0
-        slope = np.multiply(c, 0.5, out=arena.empty(x.shape)) if step else None
+        if slope is not None:
+            np.multiply(c, 0.5, out=slope)
         np.square(c, out=c)
         c *= 0.25
         c -= low
-        return _first_order(x, c, slope, d) if step else c
+        return c
 
 
 def point_plane_force(p, v, plane_p, plane_n, params: ContactParams):
@@ -143,8 +153,17 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
     [W, alpha r, beta r] against the moment matrix, and the sums are
     divided by sum_i e_qi and scaled by k once per query. A side with one
     row (one body on every row of a stack) is broadcast by the matmuls
-    against the other side's rows. Each block's (I, ..., Q_block) arrays
-    hold at most _CHUNK_ENTRIES float64 entries' bytes.
+    against the other side's rows.
+
+    Every block runs in real arithmetic. A complex step has its matrices
+    and query rows split once into real parts and real tangents times a
+    power of two (core._tangent_scale, core._dual); the blocks run the real
+    code on the real parts and carry the tangents beside them by the
+    first-order rule, and the complex (value, gt) is put back together once
+    per query (core._parts). A step in q carries a tangent through the SSDF
+    and the forces, one in v through the forces only. Each block's
+    (I, ..., Q_block) arrays hold at most _CHUNK_ENTRIES float64 entries'
+    bytes, real parts and tangents together.
     """
     I, Q = cloud.num_points, points.shape[-2]
     lead = np.broadcast_shapes(cloud.points.shape[:-2], points.shape[:-2])
@@ -155,36 +174,101 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
     arena = _ARENA.scratch
     value = (out or arena).empty(lead + (Q,), geo)
     gt = (out or arena).empty(lead + (Q, 6), dtype)
+    # Which of the SSDF and the forces carry a tangent.
+    sq, sf = geo.kind == "c", dtype.kind == "c"
     with arena:
-        sums = arena.empty(lead + (Q,), geo)
-        S, F, M = _plane_matrices(cloud, params, geo, dtype, arena)
-        rows = _query_rows(points, 1.0, arena.empty(points.shape[:-2] + (4, Q), points.dtype))
-        vel = _query_rows(velocities, -1.0, arena.empty(velocities.shape[:-2] + (4, Q), velocities.dtype))
+        # A complex step's matrices and rows are fresh arrays, dropped once
+        # split; the arena holds the split ones.
+        src = Scratch() if sf else arena
+        S, F, M = _plane_matrices(cloud, params, geo, dtype, src)
+        rows = _query_rows(points, 1.0, src.empty(points.shape[:-2] + (4, Q), points.dtype))
+        vel = _query_rows(velocities, -1.0, src.empty(velocities.shape[:-2] + (4, Q), velocities.dtype))
+        # A moment matrix of an unmoved cloud has no tangent to carry.
+        sm = np.iscomplexobj(M) and M.imag.any()
+        # The SSDF's inputs carry a step in q on either body, the velocity
+        # columns one in v.
+        scale = _tangent_scale(*((S, rows) if sq else (F, vel))) if sf else 1.0
+        if sq:
+            S = _dual(S, scale, arena.empty(S.shape[:-2] + (8, I)))
+            rows = _dual(rows, scale, arena.empty(rows.shape[:-2] + (8, Q)), tangent_first=True)
+        if sf:
+            F = _dual(F, scale, arena.empty(F.shape[:-2] + (8, I)))
+            vel = _dual(vel, scale, arena.empty(vel.shape[:-2] + (8, Q)), tangent_first=True)
+        if sm:
+            M = _dual(M, scale, arena.empty(M.shape[:-2] + (12, I)))
+        elif np.iscomplexobj(M):
+            M = np.ascontiguousarray(M.real)
+        # The real parts over the tangents of the values, sums and gt.
+        val = _parts(value) if sq else value
+        sums = arena.empty((2,) * sq + lead + (Q,))
+        gts = _parts(gt) if sf else gt[None]
         step = max(1, _CHUNK_ENTRIES * 8 // (np.dtype(dtype).itemsize * math.prod(lead) * I))
         for start in range(0, Q, step):
             blk = slice(start, start + step)
             n = min(Q, start + step) - start
             with arena:
-                _, e, _, lam = _block(S, rows[..., blk], value[..., blk], sums[..., blk],
-                                      arena.empty((2, I) + lead + (n,), geo))
-                V = arena.empty((3, I) + lead + (n,), dtype)
-                np.matmul(np.swapaxes(F, -1, -2), vel[..., None, :, blk], out=_stacked(V))
-                x, ab = V[0], V[1:]
-                softplus(lam, params.eps3, check=False, out=lam)
-                dissipation_factor(x, out=x)
+                B = _block(S, rows[..., blk], val[..., blk], sums[..., blk],
+                           arena.empty((2 + 2 * sq, I) + lead + (n,)), scale)[2]
+                e, lam = B[:2]
+                V = arena.empty((3 + 3 * sf, I) + lead + (n,))
+                np.matmul(np.swapaxes(F[..., :4, :], -1, -2), vel[..., None, -4:, blk], out=_stacked(V[:3]))
+                if sf:
+                    np.matmul(np.swapaxes(F, -1, -2), vel[..., None, :, blk], out=_stacked(V[3:]))
+                x, ab = V[0], V[1:3]
+                slope = arena.empty(x.shape) if sf else None
+                if sq:
+                    de, dlam = B[2:]
+                    _check_step(dlam, params.eps3 * scale)
+                _softplus(lam, params.eps3, out=lam, slope=slope if sq else None)
+                if sq:
+                    dlam *= slope
+                _dissipation(x, out=x, slope=slope)
+                if sf:
+                    # dW = e softplus d(dissipation) + dissipation d(e softplus).
+                    dx, dab = V[3], V[4:]
+                    dx *= slope
+                    dx *= lam
+                    dx *= e
+                    if sq:
+                        de *= lam
+                        dlam *= e
+                        dlam += de
+                        dlam *= x
+                        dx += dlam
                 x *= lam
                 x *= e
-                r = np.einsum("k...,k...->...", ab, ab, out=arena.empty(x.shape, dtype))
+                r = np.einsum("k...,k...->...", ab, ab, out=arena.empty(x.shape))
                 r += 1.0
+                if sf:
+                    # dr = (dW - W (alpha dalpha + beta dbeta) / s^2) / s, s^2 in r.
+                    u = np.einsum("k...,k...->...", ab, dab, out=slope)
+                    u /= r
+                    u *= x
+                    np.subtract(dx, u, out=u)
                 np.sqrt(r, out=r)
+                if sf:
+                    u /= r
                 np.divide(x, r, out=r)
+                if sf:
+                    dab *= r
+                    dab += np.multiply(ab, u, out=arena.empty(ab.shape))
                 ab *= r
-                np.sum(np.matmul(M, _stacked(V), out=arena.empty(lead + (3, 6, n), dtype)), axis=-3,
-                       out=np.swapaxes(gt[..., blk, :], -1, -2))
+                G = np.matmul(M[..., :6, :], _stacked(V[:3]), out=arena.empty(lead + (3, 6, n)))
+                np.sum(G, axis=-3, out=np.swapaxes(gts[0][..., blk, :], -1, -2))
+                if sf:
+                    np.matmul(M[..., :6, :], _stacked(V[3:]), out=G)
+                    if sm:
+                        G += np.matmul(M[..., 6:, :], _stacked(V[:3]), out=arena.empty(G.shape))
+                    np.sum(G, axis=-3, out=np.swapaxes(gts[1][..., blk, :], -1, -2))
         # k waits for the division, so the lifted weights of ssdf._block
         # never meet it.
-        _quotient(gt, sums[..., None], out=gt)
-        gt *= params.k
+        _quotient(gts[0], (sums[0] if sq else sums)[..., None], out=gts[0], dnum=gts[1] if sf else None,
+                  dden=sums[1][..., None] if sq else None)
+        gts *= params.k
+        if sf:
+            gts[1] *= 1.0 / scale
+        if sq:
+            val[1] *= 1.0 / scale
     # Any non-finite entry of a block reaches these sums or the values.
     if not (np.isfinite(value).all() and np.isfinite(gt).all()):
         bad = ~(np.isfinite(value) & np.isfinite(gt).all(axis=-1)).all(axis=-1)

@@ -5,8 +5,11 @@ tiny imaginary perturbation propagates exact first derivatives through the
 whole pipeline (branch decisions are taken on real parts only, norms are
 computed as sqrt(sum(x*x)) rather than via abs); exp and softplus apply the
 first-order rule f(a + ib) = f(a) + i b f'(a) to such inputs at the cost of
-one real evaluation. All functions are pure and safe to call from any number
-of concurrent workers: the kernels take their temporaries from the calling
+one real evaluation. The contact kernel goes further: it splits a complex
+step into real parts and real tangents (_tangent_scale, _dual), runs its
+blocks on real arrays and writes the result into the parts of a complex
+array (_parts). All functions are pure and safe to call from any number of
+concurrent workers: the kernels take their temporaries from the calling
 thread's Scratch, the only mutable state here, and return fresh arrays or
 the caller's out.
 """
@@ -125,7 +128,9 @@ def _reject_nonfinite(x: np.ndarray, name: str, error: type = ValueError) -> Non
             raise error(f"{name} contains a non-finite entry at index {pos}")
 
 
-# Point-plane entries per query block, as float64 bytes (complex: half).
+# Point-plane entries per query block, as float64 bytes: a complex step's
+# block carries a float64 tangent beside each float64 entry, so it takes half
+# the entries.
 _CHUNK_ENTRIES = 32768
 
 # exp(x) is a normal float64 for x >= -708, subnormal below, 0 below -745.
@@ -183,19 +188,45 @@ def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL, out: np.ndarray | None = None
         return _first_order(z, e, e, out)
 
 
-def _quotient(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """num / den for sums of complex-step terms, den's real part positive,
-    written into out when given (num itself allowed). Divided part by part,
-    as softmax divides: the real part is the real quotient and the imaginary
-    part the quotient rule's (Im num - q Im den) / Re den."""
-    if not np.iscomplexobj(num):
-        return np.divide(num, den, out=out)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(num.shape, den.shape), num.dtype)
-    q = np.divide(num.real, den.real, out=out.real)
-    np.subtract(num.imag, q * den.imag, out=out.imag)
-    out.imag /= den.real
+def _quotient(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None, dnum: np.ndarray | None = None,
+              dden: np.ndarray | None = None) -> np.ndarray:
+    """num / den, written into out when given (num itself allowed). With
+    real tangents dnum beside num and dden beside den (None: a constant
+    den), den positive, dnum becomes the quotient's tangent by the quotient
+    rule, (dnum - q dden) / den."""
+    q = np.divide(num, den, out=out)
+    if dnum is not None:
+        if dden is not None:
+            with _ARENA.scratch as arena:
+                dnum -= np.multiply(q, dden, out=arena.empty(np.broadcast_shapes(q.shape, dden.shape)))
+        dnum /= den
+    return q
+
+
+def _tangent_scale(*zs: np.ndarray) -> float:
+    """The power of two that brings the largest imaginary part of zs into
+    [0.5, 1), within 2^+-1000; 1 when that part is 0 or not finite. A
+    tangent carried times it stays clear of the subnormal range, where numpy
+    and BLAS are several times slower (a 1e-30 step is about 2^-100), and
+    dividing by it on the way out is exact."""
+    m = max(float(abs(z.imag).max(initial=0.0)) for z in zs)
+    return math.ldexp(1.0, -min(max(math.frexp(m)[1], -1000), 1000))
+
+
+def _dual(z: np.ndarray, scale: float, out: np.ndarray, tangent_first: bool = False) -> np.ndarray:
+    """z (..., k, m) as the real (..., 2k, m) array out: its real part over
+    its imaginary part times scale, or the other way round."""
+    k = z.shape[-2]
+    re, im = (out[..., k:, :], out[..., :k, :]) if tangent_first else (out[..., :k, :], out[..., k:, :])
+    re[...] = z.real
+    np.multiply(z.imag, scale, out=im)
     return out
+
+
+def _parts(z: np.ndarray) -> np.ndarray:
+    """A contiguous complex z's real part over its imaginary part, as one
+    (2, ...) real view."""
+    return z.view(float).reshape(z.shape + (2,)).transpose((z.ndim,) + tuple(range(z.ndim)))
 
 
 def softmax(x: np.ndarray, eps: float, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
@@ -259,30 +290,38 @@ def softplus(x: np.ndarray, eps: float, check: bool = True, out: np.ndarray | No
     x = np.asarray(x)
     if x.ndim == 0:
         return softplus(x.reshape(1), eps, check, None if out is None else out.reshape(1))[0]
-    step = np.iscomplexobj(x)
-    a = x.real
+    if check:
+        _reject_nonfinite(x, "softplus input")
+    if not np.iscomplexobj(x):
+        return _softplus(x, eps, out)
+    _check_step(x.imag, eps)
     with _ARENA.scratch as arena:
-        if check:
-            _reject_nonfinite(x, "softplus input")
-        if step:
-            _check_step(x.imag, eps)
+        slope = arena.empty(x.shape)
+        return _first_order(x, _softplus(x.real, eps, arena.empty(x.shape), slope), slope, out)
+
+
+def _softplus(a: np.ndarray, eps: float, out: np.ndarray | None = None, slope: np.ndarray | None = None) -> np.ndarray:
+    """softplus of a real a, written into out when given (a itself
+    allowed), and its slope sigmoid(a/eps) into slope when given."""
+    with _ARENA.scratch as arena:
         tail = np.abs(a, dtype=float, out=arena.empty(a.shape))
         tail /= -eps
         _exp(tail, out=tail)
         pos = np.maximum(a, 0.0, out=arena.empty(a.shape))
+        if slope is not None:
+            np.greater(a, 0.0, out=slope)
         # log1p(y) rounds to y below 2^-54, where np.log1p is slow: keep y. As
         # log1p(y) <= y, that is the minimum of y and log1p(max(y, 2^-54)).
-        v = np.maximum(tail, 2.0**-54, out=arena.empty(a.shape) if step else out)
+        v = np.maximum(tail, 2.0**-54, out=out)
         np.log1p(v, out=v)
         np.minimum(v, tail, out=v)
         v *= eps
         v += pos
-        if not step:
-            return v
-        # The slope sigmoid(a/eps): max(tail, [a > 0]) / (1 + tail), as tail is in [0, 1] or nan.
-        den = np.add(1.0, tail, out=pos)
-        np.maximum(tail, np.greater(a, 0.0, out=arena.empty(a.shape)), out=tail)
-        return _first_order(x, v, np.divide(tail, den, out=tail), out)
+        if slope is not None:
+            # max(tail, [a > 0]) / (1 + tail), as tail is in [0, 1] or nan.
+            np.maximum(tail, slope, out=slope)
+            slope /= np.add(1.0, tail, out=pos)
+        return v
 
 
 def dot(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:

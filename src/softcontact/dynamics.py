@@ -357,11 +357,13 @@ def _pose_groups(scene: Scene, state: SceneState) -> list[WorldAopc]:
     take pose and twist from q and v, kinematic ones from their motion."""
     t = state.time
     nb = len(scene.bodies)
-    # A real q poses real clouds under any v.
-    trans, quat = np.zeros((nb, 3), state.q.dtype), np.zeros((nb, 4), state.q.dtype)
-    twist = np.zeros((nb, 6), np.result_type(state.q.dtype, state.v.dtype))
+    # A complex q or v whose imaginary part is 0 carries no tangent, and
+    # poses as its real part; a real q poses real clouds under any v.
+    q, v = (x.real if np.iscomplexobj(x) and not x.imag.any() else x for x in (state.q, state.v))
+    trans, quat = np.zeros((nb, 3), q.dtype), np.zeros((nb, 4), q.dtype)
+    twist = np.zeros((nb, 6), np.result_type(q.dtype, v.dtype))
     free = scene.free_indices
-    trans[free], quat[free], twist[free] = state.q[:, :3], quat_normalize(state.q[:, 3:]), state.v.reshape(-1, 6)
+    trans[free], quat[free], twist[free] = q[:, :3], quat_normalize(q[:, 3:]), v.reshape(-1, 6)
     for i, body in enumerate(scene.bodies):
         if body.kind == "kinematic":
             pose = body.motion.pose(t)
@@ -675,6 +677,25 @@ def _check_stepping(dt: float, integrator: str):
         raise ValueError(f"unknown integrator {integrator!r} (use 'euler' or 'rk4')")
 
 
+def _check_n_steps(n_steps: int, state: SceneState):
+    """Reject a step count that rollout cannot take: one that is not a
+    nonnegative integer, or whose kept states, n_steps + 1 copies of q and
+    v, would not fit in physical memory (os.sysconf's page size times
+    pages, where it tells)."""
+    if not isinstance(n_steps, (int, np.integer)):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    kept = (int(n_steps) + 1) * (state.q.nbytes + state.v.nbytes)
+    if kept > memory:
+        raise ValueError(f"n_steps {n_steps} would keep {kept} bytes of states, more than the {memory} bytes "
+                         "of physical memory")
+
+
 def step(scene: Scene, state: SceneState, dt: float, integrator: str = "rk4", *, _with_separation: bool = False, _helper=None):
     """One explicit step. Euler or classical RK4 on (q, v); orientation is
     advanced on the group via the exponential map, with RK4 combining the
@@ -729,10 +750,7 @@ def rollout(scene: Scene, state: SceneState, dt: float, n_steps: int, integrator
     evaluation. Where core._may_fork allows, the scene's helper process
     (_ContactHelper) computes one direction of every pair chunk meanwhile,
     with the serial results bit for bit."""
-    if not isinstance(n_steps, (int, np.integer)):
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    _check_n_steps(n_steps, state)
     _check_stepping(dt, integrator)
     states = [state.copy()]
     seps = []

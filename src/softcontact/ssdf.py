@@ -3,7 +3,9 @@
 The soft variant replaces the nearest-plane argmin with a softmin over
 squared point distances, yielding a value that is smooth in the query, the
 cloud points, and the normals. The hard variant is the brute-force argmin
-oracle realizing the zero-temperature limit.
+oracle realizing the zero-temperature limit. A complex-step query or cloud
+is split into real parts and real tangents, so the block runs in real
+arithmetic and the tangents follow the first-order rule.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _CHUNK_ENTRIES, _EXP_TAIL, _exp, _quotient, check_temperature, softmax
+from .core import _ARENA, _CHUNK_ENTRIES, _EXP_TAIL, _check_step, _dual, _exp, _parts, _quotient, _tangent_scale, check_temperature, softmax
 
 
 @dataclass(frozen=True)
@@ -81,10 +83,27 @@ def ssdf(aopc, p, eps1: float) -> SsdfResult:
     check_temperature(eps1, "eps1")
     q, single = _as_batch(p)
     pts, nrm = _cloud(aopc)
-    value, e, sums, nphi = _block(_ssdf_matrix(pts, nrm, eps1), _query_rows(q))
-    w, s = np.empty((2,) + value.shape + e.shape[:1], e.dtype)
-    _quotient(e, sums, out=np.moveaxis(w, -1, 0))
-    np.negative(nphi, out=np.moveaxis(s, -1, 0))
+    S, rows = _ssdf_matrix(pts, nrm, eps1), _query_rows(q)
+    step = np.iscomplexobj(S) or np.iscomplexobj(rows)
+    scale = _tangent_scale(S, rows) if step else 1.0
+    if step:
+        S = _dual(S, scale, np.empty(S.shape[:-2] + (8,) + S.shape[-1:]))
+        rows = _dual(rows, scale, np.empty(rows.shape[:-2] + (8,) + rows.shape[-1:]), tangent_first=True)
+    value = np.empty(np.broadcast_shapes(S.shape[:-3], rows.shape[:-2]) + rows.shape[-1:], complex) if step else None
+    v, sums, out = _block(S, rows, _parts(value) if step else None, scale=scale)
+    # [w, s], (..., Q, I) each, and its parts (real, imaginary) planes first.
+    ws = np.empty((2,) + out.shape[2:] + out.shape[1:2], complex if step else float)
+    parts = np.moveaxis(_parts(ws) if step else ws[None], -1, 2)
+    np.negative(out[1::2], out=parts[:, 1])
+    if step:
+        parts[1, 0] = out[2]
+        _quotient(out[0], sums[0], out=parts[0, 0], dnum=parts[1, 0], dden=sums[1])
+        parts[1] *= 1.0 / scale
+        v[1] *= 1.0 / scale
+    else:
+        _quotient(out[0], sums, out=parts[0, 0])
+        value = v
+    w, s = ws
     return SsdfResult(value[0], w[0], s[0]) if single else SsdfResult(value, w, s)
 
 
@@ -125,34 +144,58 @@ def _stacked(x):
 _LIFT = 230.0
 
 
-def _block(S, rows, value=None, sums=None, out=None):
+def _block(S, rows, value=None, sums=None, out=None, scale=1.0):
     """ssdf's block, shared with contact's query blocks so that their values
     are ssdf's bit for bit. Against a cloud's _ssdf_matrix S and the query
     rows [q, 1] of _query_rows (..., 4, Q), returns the value (..., Q), the
-    unnormalised softmin weights e = exp(s - max_i s + _LIFT) of the logits
-    s (I, ..., Q), their sums over the planes (..., Q) and the negated plane
-    distances -phi (I, ..., Q); value = sum e phi / sum e. Planes lead, so
-    every sum over them runs along the stack and query axes at once. e and
-    -phi are out (2, I, ..., Q), and value and sums are written into the
-    given arrays; each is fresh when not given."""
+    sums over the planes (..., Q) of the unnormalised softmin weights
+    e = exp(s - max_i s + _LIFT) of the logits s, and out (2, I, ..., Q):
+    e and the negated plane distances -phi; value = sum e phi / sum e.
+    Planes lead, so every sum over them runs along the stack and query axes
+    at once. value, sums and out are written into the given arrays; each is
+    fresh when not given.
+
+    A complex step comes split into real arrays (core._dual): S
+    (..., 2, 8, I) is the matrix over its tangent times scale and rows
+    (..., 8, Q) the rows' tangent over the rows, so one matmul against both
+    gives the tangents of the logits and of -phi. Then out is (4, I, ..., Q),
+    [e, -phi] over their tangents, and value and sums are (2, ..., Q), the
+    real part over the tangent. The real parts take the real block's
+    operations, and every tangent, times scale, follows the first-order
+    rule."""
+    step = S.shape[-2] == 8
     if out is None:
         lead = np.broadcast_shapes(S.shape[:-3], rows.shape[:-2])
-        out = np.empty((2, S.shape[-1]) + lead + rows.shape[-1:], np.result_type(S, rows))
+        out = np.empty((2 + 2 * step, S.shape[-1]) + lead + rows.shape[-1:])
     # An overflowing body gives inf - inf, in the matmul or in the shift: the
     # caller names the pair.
     with np.errstate(invalid="ignore"):
-        np.matmul(np.swapaxes(S, -1, -2), rows[..., None, :, :], out=_stacked(out))
-        e, nphi = out
-        logits = e.real
-        logits -= np.max(logits, axis=0) - _LIFT
+        np.matmul(np.swapaxes(S[..., :4, :], -1, -2), rows[..., None, -4:, :], out=_stacked(out[:2]))
+        if step:
+            np.matmul(np.swapaxes(S, -1, -2), rows[..., None, :, :], out=_stacked(out[2:]))
+        e, nphi = out[:2]
+        e -= np.max(e, axis=0) - _LIFT
     # The log(I) margin on the exp cutoff keeps the normalised weights normal,
     # as the sum is at most I; the entries dropped weigh under 1e-305 of the
     # largest.
     _exp(e, _EXP_TAIL + _LIFT + math.log(e.shape[0]), out=e)
-    sums = np.sum(e, axis=0, out=sums)
-    value = np.einsum("i...,i...->...", e, nphi, out=value)
-    np.negative(_quotient(value, sums, out=value), out=value)
-    return value, e, sums, nphi
+    shape = out.shape[2:]
+    value = np.empty((2,) + shape if step else shape) if value is None else value
+    sums = np.empty((2,) + shape if step else shape) if sums is None else sums
+    num, den = (value[0], sums[0]) if step else (value, sums)
+    np.sum(e, axis=0, out=den)
+    np.einsum("i...,i...->...", e, nphi, out=num)
+    if step:
+        de, dnphi = out[2:]
+        _check_step(de, scale)
+        de *= e
+        np.sum(de, axis=0, out=sums[1])
+        np.einsum("i...,i...->...", de, nphi, out=value[1])
+        with _ARENA.scratch as arena:
+            value[1] += np.einsum("i...,i...->...", e, dnphi, out=arena.empty(shape))
+    _quotient(num, den, out=num, dnum=value[1] if step else None, dden=sums[1] if step else None)
+    np.negative(value, out=value)
+    return value, sums, out
 
 
 def hard_sdf(aopc, p):

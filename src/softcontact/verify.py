@@ -133,11 +133,18 @@ def _cs_column(f, x, i, h):
     return np.asarray(f(xc)).imag / h
 
 
+def _check_h(h):
+    """Reject a complex step h that is not positive and finite."""
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
+
+
 def cs_gradient(f, x, h: float = 1e-30):
     """Complex-step Jacobian: Im f(x + i h e_j) / h, exact to machine
     precision for the analytic kernels in this package. As in fd_gradient,
     the columns are spread over the available CPUs, with the serial loop's
     result bit for bit."""
+    _check_h(h)
     x = np.asarray(x, dtype=float)
     return np.stack(_map_columns(lambda i: _cs_column(f, x, i, h), x.size), axis=-1)
 
@@ -146,16 +153,18 @@ def cs_hessian_diag(f, x, delta=None, h: float = 1e-30):
     """Diagonal second derivatives of a scalar f: a central difference of the
     exact complex-step gradient (one cancellation-free differentiation plus
     one short difference). delta defaults to 1e-4 * (1 + |x_i|) per
-    coordinate."""
+    coordinate. As in cs_gradient, the entries are spread over the available
+    CPUs, with the serial loop's result bit for bit."""
+    _check_h(h)
     x = np.asarray(x, dtype=float)
-    n = x.size
     delta = _steps(x, delta, 1e-4)
-    out = np.empty(n)
-    for i in range(n):
+
+    def entry(i):
         e = np.zeros(x.shape)
         e.flat[i] = delta.flat[i]
-        out[i] = (_cs_column(f, x + e, i, h) - _cs_column(f, x - e, i, h)) / (2.0 * delta.flat[i])
-    return out
+        return (_cs_column(f, x + e, i, h) - _cs_column(f, x - e, i, h)) / (2.0 * delta.flat[i])
+
+    return np.array(_map_columns(entry, x.size), dtype=float)
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -147,6 +147,17 @@ def test_cli_simulate_duration_zero(tmp_path):
     assert len(lines) == 1 + len(doc["bodies"])  # header + initial state only
 
 
+def test_cli_simulate_refuses_a_duration_it_cannot_keep(tmp_path, capsys):
+    # 10^15 steps of sphere_drop would keep more states than physical memory:
+    # one error line and exit 1, with nothing run or written.
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", os.path.join(CONFIG_DIR, "sphere_drop.json"), "--out", str(out),
+               "--duration", "1e12"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error: n_steps ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, flags, steps", [
     ("sphere_drop.json", ["--dt", "0.03"], 26),  # 0.8 / 0.03 = 26.7: end at 0.78 s, not 0.81 s
     ("sphere_drop.json", ["--dt", "0.1", "--duration", "0.3"], 3),  # 0.3 / 0.1 = 2.9999999999999996

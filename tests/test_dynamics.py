@@ -576,6 +576,27 @@ def test_rollout_rejects_a_negative_step_count():
     assert len(rollout(scene, st, 2e-3, 0).states) == 1
 
 
+def test_rollout_refuses_steps_whose_states_cannot_fit_in_memory():
+    # 10^15 kept states of 16 boxes hold far more than physical memory: the
+    # call is refused at once, before any step or helper.
+    scene, st = _batching_scene()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^n_steps 1000000000000000 would keep .* bytes of physical memory$"):
+        rollout(scene, st, 2e-3, 10**15)
+    assert time.perf_counter() - start < 5.0
+    assert scene._helper is None
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_every_bundled_duration_fits_in_memory(name):
+    # The step count simulate takes for each bundled config passes the check.
+    from softcontact.config import load_config
+    from softcontact.dynamics import _check_n_steps
+
+    cfg = load_config(os.path.join(CONFIG_DIR, name))
+    _check_n_steps(int(cfg.world.duration / cfg.world.dt * (1.0 + 1e-9)), cfg.state)
+
+
 def _config_state(name, complex_v=False):
     from softcontact.config import load_config
 
@@ -744,6 +765,96 @@ def test_complex_step_arena_is_no_larger_than_the_real_one():
 
     points = sum(b.aopc.num_points for b in scene.bodies)
     assert warm(cs) <= warm(st) + 32 * np.dtype(complex).itemsize * points
+
+
+def _complex_query_sums(cloud, points, velocities, params, out=None):
+    # contact._query_sums in complex arithmetic throughout, as the kernel
+    # computed a complex step before it carried tangents as real arrays:
+    # one block of every query, complex matmuls, np.exp, complex division,
+    # and the first-order softplus and dissipation_factor. Planes are on
+    # axis -2 here.
+    from softcontact.contact import _plane_matrices, dissipation_factor
+    from softcontact.core import Scratch
+    from softcontact.ssdf import _query_rows
+
+    geo = np.result_type(cloud.points, cloud.normals, points)
+    dtype = np.result_type(geo, cloud.arms, cloud.velocities, velocities)
+    S, F, M = _plane_matrices(cloud, params, geo, dtype, Scratch())
+    L = np.swapaxes(S, -1, -2) @ _query_rows(points)[..., None, :, :]
+    logits, nphi = L[..., 0, :, :], L[..., 1, :, :]
+    e = np.exp(logits - np.max(logits.real, axis=-2, keepdims=True))
+    w = e / np.sum(e, axis=-2, keepdims=True)
+    X = np.swapaxes(F, -1, -2) @ _query_rows(velocities, -1.0)[..., None, :, :]
+    x, a, b = X[..., 0, :, :], X[..., 1, :, :], X[..., 2, :, :]
+    W = w * softplus(nphi, params.eps3, check=False) * dissipation_factor(x)
+    r = W / np.sqrt(1.0 + a * a + b * b)
+    gt = params.k * np.sum(M @ np.stack([W, a * r, b * r], axis=-3), axis=-3)
+    return -np.sum(w * nphi, axis=-2), np.swapaxes(gt, -1, -2)
+
+
+def _complex_step(st, part, seed):
+    # st with a 1e-30j step along a random direction of q or of v.
+    cs = st.copy()
+    x = getattr(cs, part).astype(complex)
+    x += 1e-30j * np.random.default_rng(seed).standard_normal(x.shape)
+    setattr(cs, part, x)
+    return cs
+
+
+@pytest.mark.parametrize("name", ["sphere_pair", "stacked_boxes", "push_t_1", "batching"])
+@pytest.mark.parametrize("part", ["q", "v"])
+def test_complex_step_contact_matches_all_complex_arithmetic(monkeypatch, name, part):
+    # The kernel runs a complex step as real parts with real tangents beside
+    # them; its per-pair result must be the all-complex arithmetic's to
+    # 1e-12 of each output's largest magnitude, real and imaginary parts
+    # alike. The configs' states get velocities, so that the dissipation
+    # factor and the friction vary; the batching scene has them, stacked
+    # chunks and one-row sides.
+    from softcontact import contact, dynamics
+
+    if name == "batching":
+        scene, st = _batching_scene()
+    else:
+        scene, st = _config_state(name + ".json")
+        st.v = 0.05 * np.random.default_rng(2).standard_normal(st.v.shape)
+    cs = _complex_step(st, part, 3)
+    got = dynamics._contact_force(scene, cs, per_pair=True)
+    monkeypatch.setattr(contact, "_query_sums", _complex_query_sums)
+    want = dynamics._contact_force(scene, cs, per_pair=True)
+    assert np.max(np.abs(want[0].imag)) > 0
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.dtype == w.dtype
+        for gp, wp in ((g.real, w.real), (g.imag, w.imag)):
+            assert np.max(np.abs(gp - wp)) <= 1e-12 * np.max(np.abs(wp))
+
+
+def test_complex_step_query_blocks_take_only_real_arrays(monkeypatch):
+    # Every array a complex-step _query_sums takes from the arena inside its
+    # query blocks (two levels below its entry) is real, for a step in q and
+    # one in v: the tangent rides in real arrays.
+    from softcontact import contact, core, dynamics
+
+    scene, st = _config_state("sphere_pair.json")
+    taken = []
+    empty = core.Scratch.empty
+
+    def recording(self, shape, dtype=float):
+        taken.append((len(self._marks), np.dtype(dtype)))
+        return empty(self, shape, dtype)
+
+    monkeypatch.setattr(core.Scratch, "empty", recording)
+    for part in ("q", "v"):
+        (_, _, a, b), = dynamics._pair_walk(scene, _complex_step(st, part, 5))
+
+        def run():
+            taken.clear()
+            value, gt = contact._query_sums(a, b.points, b.velocities, scene.params)
+            return value.dtype, gt.dtype, [dtype for depth, dtype in taken if depth >= 2]
+
+        value_dtype, gt_dtype, in_blocks = _in_new_thread(run)
+        assert gt_dtype == complex and value_dtype == (complex if part == "q" else float)
+        assert in_blocks and all(dtype.kind == "f" for dtype in in_blocks)
 
 
 def test_consecutive_chunk_rows_are_cut_as_views():

@@ -194,6 +194,42 @@ def test_gradient_columns_survive_frequent_thread_switches(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def _serially(fn):
+    """fn() with a second thread alive, so core._may_fork refuses and every
+    derivative inside runs its serial loop."""
+    done = threading.Event()
+    t = threading.Thread(target=done.wait, args=(120,))
+    t.start()
+    try:
+        return fn()
+    finally:
+        done.set()
+        t.join(timeout=120)
+        assert not t.is_alive()
+
+
+def test_hessian_diagonal_entries_spread_over_processes_bit_for_bit(monkeypatch):
+    # Entry i of the Hessian diagonal of sum(x^2) / 2 * pid is the pid of the
+    # process that computed it: the caller and one child on two CPUs. The
+    # diagonal of a nonlinear f is the serial loop's bit for bit.
+    _cpus(monkeypatch, 2)
+    f = lambda x: np.sum(np.sin(x) * np.cumsum(x))
+    x = np.linspace(0.1, 2.0, 7)
+    want = _serially(lambda: cs_hessian_diag(f, x))
+    assert cs_hessian_diag(f, x).tobytes() == want.tobytes()
+    pids = np.rint(cs_hessian_diag(lambda y: 0.5 * np.sum(y * y) * os.getpid(), x))
+    assert set(pids[::2]) == {os.getpid()}
+    assert len(set(pids[1::2])) == 1 and os.getpid() not in pids[1::2]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("derivative", [cs_gradient, cs_hessian_diag])
+@pytest.mark.parametrize("h", [0.0, -1e-30, np.nan, np.inf])
+def test_complex_step_h_must_be_positive_and_finite(derivative, h):
+    with pytest.raises(ValueError, match=rf"^h must be positive and finite, got {h!r}$"):
+        derivative(lambda x: np.sum(x * x), np.array([1.0, 2.0]), h=h)
+
+
 def test_cs_gradient_exactness():
     f = lambda x: np.sin(x[0]) * np.exp(x[1])
     x = np.array([0.3, -0.7])
