@@ -21,9 +21,9 @@ The pair's force is linear in the separation distribution, so once both
 directions' values are in and their softmax is taken, each body's wrench
 (sum f, sum (p - t) x f) enters its 6-DOF block, which is J^T f without the
 Jacobian. Stacks of P pairs (a leading pair axis on every array) run through
-the same code. So does a complex step: its matrices and query rows are split
-into real parts and real tangents, and the blocks carry the tangents beside
-the real arithmetic by the first-order rule.
+the same code. So does a complex step of K directions: its matrices and
+query rows are split into the one real part and K real tangents, and the
+blocks carry the tangents beside the real arithmetic by the first-order rule.
 """
 from __future__ import annotations
 
@@ -160,22 +160,28 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
     power of two (core._tangent_scale, core._dual); the blocks run the real
     code on the real parts and carry the tangents beside them by the
     first-order rule, and the complex (value, gt) is put back together once
-    per query (core._parts). A step in q carries a tangent through the SSDF
-    and the forces, one in v through the forces only. Each block's
-    (I, ..., Q_block) arrays hold at most _CHUNK_ENTRIES float64 entries'
-    bytes, real parts and tangents together.
+    per query (core._parts). A batch of K directions that share one real part
+    has a leading K axis on its complex arrays beyond cloud.dof_start's, as
+    have value and gt where complex: the real part is computed once, and the
+    tangent stages run on (K, I, ..., Q_block) arrays; one direction without
+    that axis is K = 1. A step in q carries a tangent through the SSDF and
+    the forces, one in v through the forces only. Each block's arrays hold
+    at most _CHUNK_ENTRIES float64 entries' bytes, all K + 1 parts together.
     """
     I, Q = cloud.num_points, points.shape[-2]
-    lead = np.broadcast_shapes(cloud.points.shape[:-2], points.shape[:-2])
+    full = np.broadcast_shapes(cloud.points.shape[:-2], points.shape[:-2], cloud.velocities.shape[:-2],
+                               velocities.shape[:-2])
+    nk = len(full) - np.ndim(cloud.dof_start)  # 1 with a batch's axis of K
+    K, lead = full[0] if nk else 1, full[nk:]
     # The SSDF takes the geometry's dtype, as ssdf does; the forces the
     # common one.
     geo = np.result_type(cloud.points, cloud.normals, points)
     dtype = np.result_type(geo, cloud.arms, cloud.velocities, velocities)
-    arena = _ARENA.scratch
-    value = (out or arena).empty(lead + (Q,), geo)
-    gt = (out or arena).empty(lead + (Q, 6), dtype)
     # Which of the SSDF and the forces carry a tangent.
     sq, sf = geo.kind == "c", dtype.kind == "c"
+    arena = _ARENA.scratch
+    value = (out or arena).empty((K,) * (nk and sq) + lead + (Q,), geo)
+    gt = (out or arena).empty((K,) * (nk and sf) + lead + (Q, 6), dtype)
     with arena:
         # A complex step's matrices and rows are fresh arrays, dropped once
         # split; the arena holds the split ones.
@@ -188,52 +194,63 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
         # The SSDF's inputs carry a step in q on either body, the velocity
         # columns one in v.
         scale = _tangent_scale(*((S, rows) if sq else (F, vel))) if sf else 1.0
+
+        def split(z, tangent_first=False):
+            """z (K, ..., k, m), or without the axis of K, as core._dual's
+            real (K, ..., 2k, m)."""
+            stack = z.shape[nk * np.iscomplexobj(z):-2]
+            return _dual(z, scale, arena.empty((K,) + stack + (2 * z.shape[-2], z.shape[-1])), tangent_first)
+
         if sq:
-            S = _dual(S, scale, arena.empty(S.shape[:-2] + (8, I)))
-            rows = _dual(rows, scale, arena.empty(rows.shape[:-2] + (8, Q)), tangent_first=True)
+            S, rows = split(S), split(rows, True)
         if sf:
-            F = _dual(F, scale, arena.empty(F.shape[:-2] + (8, I)))
-            vel = _dual(vel, scale, arena.empty(vel.shape[:-2] + (8, Q)), tangent_first=True)
+            F, vel = split(F), split(vel, True)
         if sm:
-            M = _dual(M, scale, arena.empty(M.shape[:-2] + (12, I)))
+            M = split(M)
         elif np.iscomplexobj(M):
-            M = np.ascontiguousarray(M.real)
+            M = np.ascontiguousarray(M.real[(0,) * nk])
+        F0, vel0 = (F[0, ..., :4, :], vel[0, ..., 4:, :]) if sf else (F, vel)
+        M0 = M[0, ..., :6, :] if sm else M
         # The real parts over the tangents of the values, sums and gt.
-        val = _parts(value) if sq else value
-        sums = arena.empty((2,) * sq + lead + (Q,))
-        gts = _parts(gt) if sf else gt[None]
-        step = max(1, _CHUNK_ENTRIES * 8 // (np.dtype(dtype).itemsize * math.prod(lead) * I))
+        val = _parts(value).reshape((2, K) + lead + (Q,)) if sq else value
+        sums = (arena.empty(lead + (Q,)), arena.empty((K,) + lead + (Q,))) if sq else arena.empty(lead + (Q,))
+        gts = _parts(gt).reshape((2, K) + lead + (Q, 6)) if sf else gt[None, None]
+        step = max(1, _CHUNK_ENTRIES // ((1 + K * sf) * math.prod(lead) * I))
         for start in range(0, Q, step):
             blk = slice(start, start + step)
             n = min(Q, start + step) - start
             with arena:
-                B = _block(S, rows[..., blk], val[..., blk], sums[..., blk],
-                           arena.empty((2 + 2 * sq, I) + lead + (n,)), scale)[2]
+                B = arena.empty((2 + 2 * K * sq, I) + lead + (n,))
+                _block(S, rows[..., blk], (val[0, 0][..., blk], val[1][..., blk]) if sq else val[..., blk],
+                       (sums[0][..., blk], sums[1][..., blk]) if sq else sums[..., blk], B, scale)
                 e, lam = B[:2]
-                V = arena.empty((3 + 3 * sf, I) + lead + (n,))
-                np.matmul(np.swapaxes(F[..., :4, :], -1, -2), vel[..., None, -4:, blk], out=_stacked(V[:3]))
+                V = arena.empty((3 + 3 * K * sf, I) + lead + (n,))
+                np.matmul(np.swapaxes(F0, -1, -2), vel0[..., None, :, blk], out=_stacked(V[:3]))
                 if sf:
-                    np.matmul(np.swapaxes(F, -1, -2), vel[..., None, :, blk], out=_stacked(V[3:]))
+                    dV = V[3:].reshape((K, 3) + V.shape[1:])
+                    np.matmul(np.swapaxes(F, -1, -2), vel[..., None, :, blk], out=_stacked(dV, 1))
                 x, ab = V[0], V[1:3]
                 slope = arena.empty(x.shape) if sf else None
                 if sq:
-                    de, dlam = B[2:]
+                    dB = B[2:].reshape((K, 2) + B.shape[1:])
+                    de, dlam = dB[:, 0], dB[:, 1]
                     _check_step(dlam, params.eps3 * scale)
                 _softplus(lam, params.eps3, out=lam, slope=slope if sq else None)
                 if sq:
                     dlam *= slope
                 _dissipation(x, out=x, slope=slope)
                 if sf:
-                    # dW = e softplus d(dissipation) + dissipation d(e softplus).
-                    dx, dab = V[3], V[4:]
+                    # dW = e softplus d(dissipation) + dissipation d(e softplus),
+                    # the real factors multiplied out before they meet the K
+                    # tangents.
+                    dx, dab = dV[:, 0], dV[:, 1:]
+                    slope *= lam
+                    slope *= e
                     dx *= slope
-                    dx *= lam
-                    dx *= e
                     if sq:
-                        de *= lam
-                        dlam *= e
-                        dlam += de
-                        dlam *= x
+                        de *= np.multiply(lam, x, out=slope)
+                        dlam *= np.multiply(e, x, out=slope)
+                        dx += de
                         dx += dlam
                 x *= lam
                 x *= e
@@ -241,9 +258,8 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
                 r += 1.0
                 if sf:
                     # dr = (dW - W (alpha dalpha + beta dbeta) / s^2) / s, s^2 in r.
-                    u = np.einsum("k...,k...->...", ab, dab, out=slope)
-                    u /= r
-                    u *= x
+                    u = np.einsum("j...,kj...->k...", ab, dab, out=arena.empty(dx.shape))
+                    u *= np.divide(x, r, out=slope)
                     np.subtract(dx, u, out=u)
                 np.sqrt(r, out=r)
                 if sf:
@@ -251,28 +267,30 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
                 np.divide(x, r, out=r)
                 if sf:
                     dab *= r
-                    dab += np.multiply(ab, u, out=arena.empty(ab.shape))
+                    dab += np.multiply(ab, u[:, None], out=arena.empty(dab.shape))
                 ab *= r
-                G = np.matmul(M[..., :6, :], _stacked(V[:3]), out=arena.empty(lead + (3, 6, n)))
-                np.sum(G, axis=-3, out=np.swapaxes(gts[0][..., blk, :], -1, -2))
+                G = np.matmul(M0, _stacked(V[:3]), out=arena.empty(lead + (3, 6, n)))
+                np.sum(G, axis=-3, out=np.swapaxes(gts[0, 0][..., blk, :], -1, -2))
                 if sf:
-                    np.matmul(M[..., :6, :], _stacked(V[3:]), out=G)
+                    G = np.matmul(M0, _stacked(dV, 1), out=arena.empty((K,) + G.shape))
                     if sm:
                         G += np.matmul(M[..., 6:, :], _stacked(V[:3]), out=arena.empty(G.shape))
                     np.sum(G, axis=-3, out=np.swapaxes(gts[1][..., blk, :], -1, -2))
         # k waits for the division, so the lifted weights of ssdf._block
         # never meet it.
-        _quotient(gts[0], (sums[0] if sq else sums)[..., None], out=gts[0], dnum=gts[1] if sf else None,
+        _quotient(gts[0, 0], (sums[0] if sq else sums)[..., None], out=gts[0, 0], dnum=gts[1] if sf else None,
                   dden=sums[1][..., None] if sq else None)
+        gts[0, 1:] = gts[0, :1]
         gts *= params.k
         if sf:
             gts[1] *= 1.0 / scale
         if sq:
             val[1] *= 1.0 / scale
+            val[0, 1:] = val[0, :1]
     # Any non-finite entry of a block reaches these sums or the values.
     if not (np.isfinite(value).all() and np.isfinite(gt).all()):
         bad = ~(np.isfinite(value) & np.isfinite(gt).all(axis=-1)).all(axis=-1)
-        raise NonFiniteContact(int(np.argmax(bad.reshape(-1))))
+        raise NonFiniteContact(int(np.argmax(bad.reshape(-1))) % math.prod(lead))
     return value, gt
 
 
@@ -286,7 +304,7 @@ def _plane_matrices(cloud, params: ContactParams, geo, dtype, arena):
     pts, nrm, tng, arms, vel = cloud.points, cloud.normals, cloud.tangents, cloud.arms, cloud.velocities
     lead, I = pts.shape[:-2], pts.shape[-2]
     S = _ssdf_matrix(pts, nrm, params.eps1, arena.empty(lead + (2, 4, I), geo))
-    F = arena.empty(lead + (3, 4, I), dtype)
+    F = arena.empty(np.broadcast_shapes(lead, vel.shape[:-2]) + (3, 4, I), dtype)
     M = arena.empty(lead + (3, 6, I), np.result_type(nrm, tng, arms))
     nrm, tng, arms = np.swapaxes(nrm, -1, -2), _columns(tng), _columns(arms)
     np.divide(nrm, params.v_d, out=F[..., 0, :3, :])

@@ -3,15 +3,15 @@
 Every function here is written to be complex-step safe: passing inputs with a
 tiny imaginary perturbation propagates exact first derivatives through the
 whole pipeline (branch decisions are taken on real parts only, norms are
-computed as sqrt(sum(x*x)) rather than via abs); exp and softplus apply the
-first-order rule f(a + ib) = f(a) + i b f'(a) to such inputs at the cost of
-one real evaluation. The contact kernel goes further: it splits a complex
-step into real parts and real tangents (_tangent_scale, _dual), runs its
-blocks on real arrays and writes the result into the parts of a complex
-array (_parts). All functions are pure and safe to call from any number of
-concurrent workers: the kernels take their temporaries from the calling
-thread's Scratch, the only mutable state here, and return fresh arrays or
-the caller's out.
+computed as sqrt(sum(x*x)) rather than via abs); softplus and softmax apply
+the first-order rule f(a + ib) = f(a) + i b f'(a) to such inputs at the cost
+of one real evaluation. The contact kernel goes further: it splits a complex
+step of K directions that share one real part into the real part and K real
+tangents (_tangent_scale, _dual), runs its blocks on real arrays and writes
+the result into the parts of a complex array (_parts). All functions are
+pure and safe to call from any number of concurrent workers: the kernels
+take their temporaries from the calling thread's Scratch, the only mutable
+state here, and return fresh arrays or the caller's out.
 """
 from __future__ import annotations
 
@@ -163,29 +163,24 @@ def _first_order(z: np.ndarray, value: np.ndarray, slope: np.ndarray, out: np.nd
     return out
 
 
-def _exp(z: np.ndarray, cutoff: float = _EXP_TAIL, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(z) with an exact 0 wherever Re z < cutoff, written into out when
-    given (z itself allowed)."""
+def _exp(a: np.ndarray, cutoff: float = _EXP_TAIL, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(a) of a real a with an exact 0 wherever a < cutoff, written into
+    out when given (a itself allowed)."""
     # np.exp is tens of times slower on its subnormal and underflow range,
     # and at the bare cutoff -708 itself, but not from -707.7 up. Entries
-    # whose real part is below the cutoff are clamped to it, zeroed before
-    # exp only at the bare cutoff, and zeroed after it: computed rather than
-    # skipped, the cost stays the same however many entries are far, which
-    # is the contact-count independence. A NaN passes np.maximum and the
-    # float 0/1 mask (NaN * 0 is NaN); a bool one is cast.
-    a = z.real
-    step = np.iscomplexobj(z)
+    # below the cutoff are clamped to it, zeroed before exp only at the bare
+    # cutoff, and zeroed after it: computed rather than skipped, the cost
+    # stays the same however many entries are far, which is the
+    # contact-count independence. A NaN passes np.maximum and the float 0/1
+    # mask (NaN * 0 is NaN); a bool one is cast.
     with _ARENA.scratch as arena:
         live = np.greater_equal(a, cutoff, out=arena.empty(a.shape))
-        e = np.maximum(a, cutoff, out=arena.empty(a.shape) if step else out)
+        e = np.maximum(a, cutoff, out=out)
         if cutoff <= _EXP_TAIL:
             e *= live
         np.exp(e, out=e)
         e *= live
-        if not step:
-            return e
-        _check_step(z.imag)
-        return _first_order(z, e, e, out)
+        return e
 
 
 def _quotient(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None, dnum: np.ndarray | None = None,

@@ -267,7 +267,7 @@ def pose_all(scene: Scene, state: SceneState) -> list[WorldAopc]:
 def _free_inertia(scene: Scene, q: np.ndarray):
     """Masses (nf,), rotations R (nf, 3, 3) and world rotational inertias
     R I_body R^T (nf, 3, 3) of the free bodies at poses q."""
-    R = quat_to_matrix(q[:, 3:])
+    R = quat_to_matrix(q[..., 3:])
     m = np.array([scene.bodies[i].mass for i in scene.free_indices], dtype=float)
     return m, R, R @ scene._inertia @ np.swapaxes(R, -1, -2)
 
@@ -300,9 +300,9 @@ def _bias(scene: Scene, v: np.ndarray, m: np.ndarray, R: np.ndarray) -> np.ndarr
     the value is the same, and it is exactly 0 for spheres and cubes, where
     the full product leaves a rounding residue that finite differences
     divide by their step."""
-    w = v.reshape(-1, 6)[:, 3:, None]
+    w = v.reshape(v.shape[:-1] + (-1, 6))[..., 3:, None]
     gyro = R @ (scene._gyro @ (np.swapaxes(R, -1, -2) @ w))
-    return np.concatenate([-m[:, None] * scene.gravity, np.cross(w[..., 0], gyro[..., 0])], axis=1)
+    return np.concatenate(np.broadcast_arrays(-m[:, None] * scene.gravity, np.cross(w[..., 0], gyro[..., 0])), axis=-1)
 
 
 def total_contact_force(scene: Scene, state: SceneState) -> np.ndarray:
@@ -358,18 +358,23 @@ def _pose_groups(scene: Scene, state: SceneState) -> list[WorldAopc]:
     t = state.time
     nb = len(scene.bodies)
     # A complex q or v whose imaginary part is 0 carries no tangent, and
-    # poses as its real part; a real q poses real clouds under any v.
-    q, v = (x.real if np.iscomplexobj(x) and not x.imag.any() else x for x in (state.q, state.v))
-    trans, quat = np.zeros((nb, 3), q.dtype), np.zeros((nb, 4), q.dtype)
-    twist = np.zeros((nb, 6), np.result_type(q.dtype, v.dtype))
+    # poses as its real part (one of a batch's); a real q poses real clouds
+    # under any v.
+    q, v = (x.real[(0,) * (x.ndim - d)] if np.iscomplexobj(x) and not x.imag.any() else x
+            for x, d in ((state.q, 2), (state.v, 1)))
+    trans, quat = np.zeros(q.shape[:-2] + (nb, 3), q.dtype), np.zeros(q.shape[:-2] + (nb, 4), q.dtype)
+    twist = np.zeros(np.broadcast_shapes(q.shape[:-2], v.shape[:-1]) + (nb, 6), np.result_type(q.dtype, v.dtype))
     free = scene.free_indices
-    trans[free], quat[free], twist[free] = q[:, :3], quat_normalize(q[:, 3:]), v.reshape(-1, 6)
+    trans[..., free, :], quat[..., free, :] = q[..., :3], quat_normalize(q[..., 3:])
+    twist[..., free, :] = v.reshape(v.shape[:-1] + (-1, 6))
     for i, body in enumerate(scene.bodies):
         if body.kind == "kinematic":
             pose = body.motion.pose(t)
-            trans[i], quat[i], twist[i] = pose.translation, pose.quaternion, body.motion.velocity(t)
+            trans[..., i, :], quat[..., i, :] = pose.translation, pose.quaternion
+            twist[..., i, :] = body.motion.velocity(t)
     R = quat_to_matrix(quat)
-    return [WorldAopc(*posed_arrays(R[idx], trans[idx], twist[idx], *local), trans[idx], dof_start, scene.n)
+    return [WorldAopc(*posed_arrays(R[..., idx, :, :], trans[..., idx, :], twist[..., idx, :], *local),
+                      trans[..., idx, :], dof_start, scene.n)
             for idx, dof_start, *local in scene._groups]
 
 
@@ -378,7 +383,8 @@ def _rows(stack: WorldAopc, rows) -> WorldAopc:
     (one row for a body on every row of its side), copies for an index
     array."""
     arrays = (stack.points, stack.normals, stack.tangents, stack.arms, stack.velocities)
-    return WorldAopc(*(x[..., rows, :, :] for x in arrays), stack.origin[rows], stack.dof_start[rows], stack.num_dofs)
+    return WorldAopc(*(x[..., rows, :, :] for x in arrays), stack.origin[..., rows, :], stack.dof_start[rows],
+                     stack.num_dofs)
 
 
 def _pair_walk(scene: Scene, state: SceneState):
@@ -402,8 +408,9 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False, help
     chunk is computed there meanwhile; results and errors are the serial
     ones, as an evaluation either process fails is redone serially."""
     dtype = np.result_type(state.q.dtype, state.v.dtype)
-    out = np.zeros(scene.n, dtype=dtype)
-    seps = np.zeros(len(scene.pair_indices), dtype=dtype)
+    batch = np.broadcast_shapes(state.q.shape[:-2], state.v.shape[:-1])
+    out = np.zeros(batch + (scene.n,), dtype=dtype)
+    seps = np.zeros(batch + (len(scene.pair_indices),), dtype=dtype)
     min_sep = np.inf
     walk = None if helper is None else helper.walk(scene, state)
     for pos, chunk, a, b, sums in walk or ((*c, None) for c in _pair_walk(scene, state)):
@@ -415,7 +422,7 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False, help
         out += force
         min_sep = min(min_sep, float(np.min(values.real)))
         if per_pair:
-            seps[pos] = np.sum(coeff * values, axis=-1)
+            seps[..., pos] = np.sum(coeff * values, axis=-1)
     return (out, min_sep, seps) if per_pair else (out, min_sep)
 
 
@@ -606,13 +613,13 @@ def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = N
 def _accelerate(scene: Scene, state: SceneState, tau: np.ndarray, contact: np.ndarray) -> np.ndarray:
     """forward_dynamics' solve, given the controls and the contact force."""
     m, R, Iw = _free_inertia(scene, state.q)
-    rhs = (tau - _bias(scene, state.v, m, R).reshape(-1) + contact).reshape(-1, 6)
+    rhs = tau.reshape(-1, 6) - _bias(scene, state.v, m, R) + contact.reshape(contact.shape[:-1] + (-1, 6))
     try:
-        angular = np.linalg.solve(Iw, rhs[:, 3:, None])[..., 0]
+        angular = np.linalg.solve(Iw, rhs[..., 3:, None])[..., 0]
     except np.linalg.LinAlgError:
-        k = int(np.argmin(np.abs(np.linalg.det(Iw))))
+        k = int(np.argmin(np.abs(np.linalg.det(Iw)))) % len(scene.free_indices)
         raise ValueError(f"body {scene.bodies[scene.free_indices[k]].name}: rotational inertia is singular") from None
-    return np.concatenate([rhs[:, :3] / m[:, None], angular], axis=1).reshape(-1)
+    return np.concatenate([rhs[..., :3] / m[:, None], angular], axis=-1).reshape(rhs.shape[:-2] + (-1,))
 
 
 def _separation_force_acceleration(scene: Scene, state: SceneState):
@@ -647,7 +654,7 @@ def _bad_entry(scene: Scene, arr: np.ndarray, coords: tuple, limit: float = np.i
     if ok.all():
         return None
     k, j = np.unravel_index(int(np.argmin(ok)), arr.shape)
-    return f"coordinate {coords[j]} of body {scene.bodies[scene.free_indices[k]].name}"
+    return f"coordinate {coords[j]} of body {scene.bodies[scene.free_indices[k % len(scene.free_indices)]].name}"
 
 
 def _bad_coordinate(state: SceneState, scene: Scene, limit: float = np.inf) -> str | None:

@@ -140,7 +140,9 @@ class WorldAopc:
     the num_dofs generalized velocities starts at dof_start and refers to
     the body origin t; kinematic bodies have dof_start -1. The point Jacobian
     [I3 | -skew(p - t)] is never built. A stack of P same-size clouds adds a
-    pair axis before each array's (I, 3) and has no vertices or faces.
+    pair axis before each array's (I, 3) and has no vertices or faces. A
+    batch of K complex-step directions adds a leading K axis to the complex
+    arrays (after tangents' 2 and arms' 3), beyond dof_start's axes.
     """
 
     points: np.ndarray
@@ -172,13 +174,15 @@ class WorldAopc:
     def wrench_force(self, wrench: np.ndarray) -> np.ndarray:
         """The (n,) generalized force of wrenches (..., 6), [force; torque
         about the origin t], each added into its body's 6-DOF block, the
-        stack broadcast against them; kinematic bodies' go to a dump block past n."""
+        stack broadcast against them; kinematic bodies' go to a dump block past n.
+        Axes of wrench beyond the stack's (a batch's K) lead the result."""
         n = self.num_dofs
-        out = np.zeros(n + 6, dtype=wrench.dtype)
-        idx = np.empty(wrench.shape, dtype=int)
+        batch = wrench.shape[:wrench.ndim - 1 - np.ndim(self.dof_start)]
+        out = np.zeros(batch + (n + 6,), dtype=wrench.dtype)
+        idx = np.empty(wrench.shape[len(batch):], dtype=int)
         idx[...] = np.where(self.dof_start < 0, n, self.dof_start)[..., None] + np.arange(6)
-        np.add.at(out, idx, wrench)
-        return out[:n]
+        np.add.at(out, (..., idx), wrench)
+        return out[..., :n]
 
 
 def moment(r: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -195,13 +199,15 @@ def posed_arrays(R, t, twist, points, normals, tangents, arms):
     world twist [v; w] at t, where w x R crosses w with each column of R.
 
     R (..., 3, 3), t (..., 3), twist (..., 6); points and normals
-    (..., I, 3), tangents (2, ..., I, 3), arms (3, ..., I, 3). Returns
-    (points, normals, tangents, arms, velocities).
+    (..., I, 3), tangents (2, ..., I, 3), arms (3, ..., I, 3); the axes of R
+    beyond the points' (a batch's K) follow the 2 and 3. Returns (points,
+    normals, tangents, arms, velocities).
     """
     Rt = np.swapaxes(R, -1, -2)
     w = twist[..., 3:, None]
     wR = w[..., [1, 2, 0], :] * R[..., [2, 0, 1], :] - w[..., [2, 0, 1], :] * R[..., [1, 2, 0], :]
     vel = points @ np.swapaxes(wR, -1, -2) + twist[..., None, :3]
+    tangents, arms = (x.reshape(x.shape[:1] + (1,) * (R.ndim + 1 - x.ndim) + x.shape[1:]) for x in (tangents, arms))
     return points @ Rt + t[..., None, :], normals @ Rt, tangents @ Rt, arms @ Rt, vel
 
 

@@ -3,9 +3,10 @@
 The soft variant replaces the nearest-plane argmin with a softmin over
 squared point distances, yielding a value that is smooth in the query, the
 cloud points, and the normals. The hard variant is the brute-force argmin
-oracle realizing the zero-temperature limit. A complex-step query or cloud
-is split into real parts and real tangents, so the block runs in real
-arithmetic and the tangents follow the first-order rule.
+oracle realizing the zero-temperature limit. A complex step (one direction
+here, K in contact's batches) is split into the real part and real tangents,
+so the block runs in real arithmetic and the tangents follow the first-order
+rule.
 """
 from __future__ import annotations
 
@@ -86,20 +87,21 @@ def ssdf(aopc, p, eps1: float) -> SsdfResult:
     S, rows = _ssdf_matrix(pts, nrm, eps1), _query_rows(q)
     step = np.iscomplexobj(S) or np.iscomplexobj(rows)
     scale = _tangent_scale(S, rows) if step else 1.0
-    if step:
-        S = _dual(S, scale, np.empty(S.shape[:-2] + (8,) + S.shape[-1:]))
-        rows = _dual(rows, scale, np.empty(rows.shape[:-2] + (8,) + rows.shape[-1:]), tangent_first=True)
-    value = np.empty(np.broadcast_shapes(S.shape[:-3], rows.shape[:-2]) + rows.shape[-1:], complex) if step else None
-    v, sums, out = _block(S, rows, _parts(value) if step else None, scale=scale)
+    if step:  # one direction, K = 1
+        S = _dual(S, scale, np.empty((1,) + S.shape[:-2] + (8,) + S.shape[-1:]))
+        rows = _dual(rows, scale, np.empty((1,) + rows.shape[:-2] + (8,) + rows.shape[-1:]), tangent_first=True)
+    lead = np.broadcast_shapes(S.shape[step:-3], rows.shape[step:-2])
+    value = np.empty(lead + rows.shape[-1:], complex) if step else None
+    v, sums, out = _block(S, rows, (_parts(value)[0], _parts(value)[1:]) if step else None, scale=scale)
     # [w, s], (..., Q, I) each, and its parts (real, imaginary) planes first.
     ws = np.empty((2,) + out.shape[2:] + out.shape[1:2], complex if step else float)
     parts = np.moveaxis(_parts(ws) if step else ws[None], -1, 2)
     np.negative(out[1::2], out=parts[:, 1])
     if step:
         parts[1, 0] = out[2]
-        _quotient(out[0], sums[0], out=parts[0, 0], dnum=parts[1, 0], dden=sums[1])
+        _quotient(out[0], sums[0], out=parts[0, 0], dnum=parts[1, 0], dden=sums[1][0])
         parts[1] *= 1.0 / scale
-        v[1] *= 1.0 / scale
+        _parts(value)[1] *= 1.0 / scale
     else:
         _quotient(out[0], sums, out=parts[0, 0])
         value = v
@@ -131,9 +133,10 @@ def _ssdf_matrix(pts, nrm, eps1: float, out=None):
     return out
 
 
-def _stacked(x):
-    """x (k, I, ..., Q) as (..., k, I, Q), the order batched matmuls take."""
-    return x.transpose(tuple(range(2, x.ndim - 1)) + (0, 1, x.ndim - 1))
+def _stacked(x, k=0):
+    """x (K..., c, I, ..., Q), with k leading axes K, as (K..., ..., c, I, Q),
+    the order batched matmuls take."""
+    return x.transpose(tuple(range(k)) + tuple(range(k + 2, x.ndim - 1)) + (k, k + 1, x.ndim - 1))
 
 
 # The unnormalised weights peak at exp(_LIFT), about 1e100, not at 1, so
@@ -155,24 +158,28 @@ def _block(S, rows, value=None, sums=None, out=None, scale=1.0):
     at once. value, sums and out are written into the given arrays; each is
     fresh when not given.
 
-    A complex step comes split into real arrays (core._dual): S
-    (..., 2, 8, I) is the matrix over its tangent times scale and rows
-    (..., 8, Q) the rows' tangent over the rows, so one matmul against both
-    gives the tangents of the logits and of -phi. Then out is (4, I, ..., Q),
-    [e, -phi] over their tangents, and value and sums are (2, ..., Q), the
-    real part over the tangent. The real parts take the real block's
-    operations, and every tangent, times scale, follows the first-order
-    rule."""
+    A complex step of K directions that share one real part comes split
+    into real arrays (core._dual), each with a leading axis of K (or 1):
+    S (K, ..., 2, 8, I) is the matrix over its tangent times scale and rows
+    (K, ..., 8, Q) the rows' tangent over the rows, so one batched matmul
+    gives every direction's tangents of the logits and of -phi. Then out is
+    (2 + 2K, I, ..., Q), [e, -phi] and per direction their tangents, and
+    value and sums are pairs of the real part (..., Q) and the tangents
+    (K, ..., Q). The real parts take the real block's operations, and every
+    tangent, times scale, follows the first-order rule."""
     step = S.shape[-2] == 8
+    K = max(S.shape[0], rows.shape[0]) if step else 0
     if out is None:
-        lead = np.broadcast_shapes(S.shape[:-3], rows.shape[:-2])
-        out = np.empty((2 + 2 * step, S.shape[-1]) + lead + rows.shape[-1:])
+        lead = np.broadcast_shapes(S.shape[step:-3], rows.shape[step:-2])
+        out = np.empty((2 + 2 * K, S.shape[-1]) + lead + rows.shape[-1:])
     # An overflowing body gives inf - inf, in the matmul or in the shift: the
     # caller names the pair.
     with np.errstate(invalid="ignore"):
-        np.matmul(np.swapaxes(S[..., :4, :], -1, -2), rows[..., None, -4:, :], out=_stacked(out[:2]))
+        re_S, re_rows = (S[0, ..., :4, :], rows[0, ..., 4:, :]) if step else (S, rows)
+        np.matmul(np.swapaxes(re_S, -1, -2), re_rows[..., None, :, :], out=_stacked(out[:2]))
         if step:
-            np.matmul(np.swapaxes(S, -1, -2), rows[..., None, :, :], out=_stacked(out[2:]))
+            tangents = out[2:].reshape((K, 2) + out.shape[1:])
+            np.matmul(np.swapaxes(S, -1, -2), rows[..., None, :, :], out=_stacked(tangents, 1))
         e, nphi = out[:2]
         e -= np.max(e, axis=0) - _LIFT
     # The log(I) margin on the exp cutoff keeps the normalised weights normal,
@@ -180,21 +187,25 @@ def _block(S, rows, value=None, sums=None, out=None, scale=1.0):
     # largest.
     _exp(e, _EXP_TAIL + _LIFT + math.log(e.shape[0]), out=e)
     shape = out.shape[2:]
-    value = np.empty((2,) + shape if step else shape) if value is None else value
-    sums = np.empty((2,) + shape if step else shape) if sums is None else sums
+    fresh = (lambda: (np.empty(shape), np.empty((K,) + shape))) if step else (lambda: np.empty(shape))
+    value, sums = (fresh() if x is None else x for x in (value, sums))
     num, den = (value[0], sums[0]) if step else (value, sums)
     np.sum(e, axis=0, out=den)
     np.einsum("i...,i...->...", e, nphi, out=num)
     if step:
-        de, dnphi = out[2:]
+        (de, dnphi), dnum, dden = tangents.swapaxes(0, 1), value[1], sums[1]
         _check_step(de, scale)
         de *= e
-        np.sum(de, axis=0, out=sums[1])
-        np.einsum("i...,i...->...", de, nphi, out=value[1])
+        # Each direction's sum over the planes as one matmul against ones.
+        dden[...] = np.matmul(np.ones(e.shape[0]), de.reshape(K, e.shape[0], -1)).reshape(dden.shape)
+        np.einsum("ki...,i...->k...", de, nphi, out=dnum)
         with _ARENA.scratch as arena:
-            value[1] += np.einsum("i...,i...->...", e, dnphi, out=arena.empty(shape))
-    _quotient(num, den, out=num, dnum=value[1] if step else None, dden=sums[1] if step else None)
-    np.negative(value, out=value)
+            dnum += np.einsum("i...,ki...->k...", e, dnphi, out=arena.empty(dnum.shape))
+        _quotient(num, den, out=num, dnum=dnum, dden=dden)
+        np.negative(dnum, out=dnum)
+    else:
+        _quotient(num, den, out=num)
+    np.negative(num, out=num)
     return value, sums, out
 
 

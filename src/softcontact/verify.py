@@ -5,14 +5,17 @@ differences (the independent oracle, never used by the library itself) and
 complex-step differentiation (the implementation-provided algorithmic
 derivative; every kernel in this package is written to be analytic under a
 tiny imaginary perturbation, so the complex step is exact to machine
-precision, and exp and softplus take it through the first-order rule at real
-cost). The pipeline check differentiates one map that evaluates contact once
-per perturbed state, each route computing its columns on the available CPUs.
+precision, and softplus and softmax take it through the first-order rule at
+real cost). The pipeline check differentiates one map with both routes, on
+the available CPUs: central differences evaluate contact once per perturbed
+state, the complex step once per batch of directions (a body's pose or its
+velocity), which share one real part.
 The hard pipeline oracle realizes the zero-temperature limit of collision
 detection and contact by brute force.
 """
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
@@ -21,12 +24,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .contact import point_plane_force
-from .core import _fork, _may_fork, softmax
+from .core import _ARENA, _CHUNK_ENTRIES, _fork, _may_fork, softmax
 from .dynamics import Scene, SceneState, _pair_walk, _separation_force_acceleration, pose_all
 # Bound here for perfbench/tracer.py, which wraps them as verify attributes.
 from .collision import separation_field  # noqa: F401
 from .dynamics import forward_dynamics, total_contact_force  # noqa: F401
-from .ssdf import hard_sdf, ssdf
+from .ssdf import _block, _query_rows, _ssdf_matrix, hard_sdf
 
 
 def _map_columns(column, n: int) -> list:
@@ -139,14 +142,32 @@ def _check_h(h):
         raise ValueError(f"h must be positive and finite, got {h!r}")
 
 
-def cs_gradient(f, x, h: float = 1e-30):
+def cs_gradient(f, x, h: float = 1e-30, batches=None):
     """Complex-step Jacobian: Im f(x + i h e_j) / h, exact to machine
     precision for the analytic kernels in this package. As in fd_gradient,
     the columns are spread over the available CPUs, with the serial loop's
-    result bit for bit."""
+    result bit for bit. batches, index arrays that partition the
+    coordinates of a 1-D x, takes the columns of each from one evaluation
+    of f on the (K, n) stack of the states x + i h e_j, j in the batch,
+    which share one real part; f must then map it to (K, ...). The batches
+    are spread over the CPUs instead."""
     _check_h(h)
     x = np.asarray(x, dtype=float)
-    return np.stack(_map_columns(lambda i: _cs_column(f, x, i, h), x.size), axis=-1)
+    if batches is None:
+        return np.stack(_map_columns(lambda i: _cs_column(f, x, i, h), x.size), axis=-1)
+    if x.ndim != 1 or not np.array_equal(np.sort(np.concatenate(batches)), np.arange(x.size)):
+        raise ValueError("batches must partition the coordinates of a 1-D x")
+
+    def batch(k):
+        xc = np.repeat(x[None].astype(complex), len(batches[k]), axis=0)
+        xc[np.arange(len(batches[k])), batches[k]] += 1j * h
+        return np.moveaxis(np.asarray(f(xc)).imag, 0, -1) / h
+
+    blocks = _map_columns(batch, len(batches))
+    jac = np.empty(blocks[0].shape[:-1] + x.shape)
+    for cols, block in zip(batches, blocks):
+        jac[..., cols] = block
+    return jac
 
 
 def cs_hessian_diag(f, x, delta=None, h: float = 1e-30):
@@ -184,7 +205,7 @@ def flatten_state(state: SceneState) -> np.ndarray:
 def unflatten_state(scene: Scene, state: SceneState, theta: np.ndarray) -> SceneState:
     nf = len(scene.free_indices)
     theta = np.asarray(theta)
-    return SceneState(state.time, theta[: 7 * nf].reshape(nf, 7), theta[7 * nf :])
+    return SceneState(state.time, theta[..., : 7 * nf].reshape(theta.shape[:-1] + (nf, 7)), theta[..., 7 * nf :])
 
 
 def _checked_map(scene: Scene, state: SceneState):
@@ -192,11 +213,13 @@ def _checked_map(scene: Scene, state: SceneState):
     separation distances, total contact force and forward dynamics under
     scene.tau, from one contact evaluation; and each function's (rows,
     columns) block of the map's Jacobian. The separation's keeps the pose
-    columns only, as its velocity gradient is identically zero."""
+    columns only, as its velocity gradient is identically zero. The map
+    also takes a batch (K, n) of complex-step states that share one real
+    part, in one contact evaluation, and returns (K, m)."""
     n_pairs, n_pose = len(scene.pair_indices), 7 * len(scene.free_indices)
 
     def joint(theta):
-        return np.concatenate(_separation_force_acceleration(scene, unflatten_state(scene, state, theta)))
+        return np.concatenate(_separation_force_acceleration(scene, unflatten_state(scene, state, theta)), axis=-1)
 
     blocks = {
         "soft_separation_distance": (slice(0, n_pairs), slice(0, n_pose)),
@@ -255,17 +278,24 @@ def check_pipeline_gradients(scene: Scene, state: SceneState, h: float = 1e-6, t
     separation distance, total contact force, and forward dynamics with
     respect to the free-body poses and velocities.
 
-    All three come from one map of the flattened state that evaluates contact
-    once per state, differentiated once by each route with the steps
-    h (1 + |theta_i|); its rows are then split into the three functions, the
-    separation keeping its pose columns only. The state should sit away from
+    All three come from one map of the flattened state, differentiated once
+    by each route: central differences with the steps h (1 + |theta_i|), one
+    contact evaluation per perturbed state, and the complex step in batches
+    fixed by the scene, each free body's pose block and then each one's
+    velocity block, one contact evaluation per batch. Its rows
+    are then split into the three functions, the separation keeping its
+    pose columns only. The state should sit away from
     the dissipation-factor kinks (normal rates near 0 or 2 v_d) and softmin
     ties; `sample_nondegenerate_state` produces such states.
     """
     if not (np.isfinite(h) and h > 0 and np.isfinite(tol) and tol >= 0):
         raise ValueError(f"need a finite h > 0 and a finite tol >= 0, got h={h!r}, tol={tol!r}")
     theta, joint, blocks = _checked_map(scene, state)
-    jac_cs = cs_gradient(joint, theta)
+    # Each body's 7 pose coordinates, then each one's 6 velocity ones: pose
+    # batches first, so the round robin of _map_columns gives every process
+    # a share of both kinds, whatever the CPU count.
+    nf = len(scene.free_indices)
+    jac_cs = cs_gradient(joint, theta, 1e-30, np.split(np.arange(theta.size), np.cumsum([7] * nf + [6] * nf)[:-1]))
     jac_fd = fd_gradient(joint, theta, h * (1.0 + np.abs(theta)))
     report = GradCheckReport(0.0, ("", 0, 0), h, 1, tol, True)
     for name, block in blocks.items():
@@ -286,7 +316,14 @@ def sample_nondegenerate_state(scene: Scene, rng: np.random.Generator, base: Sce
                                pos_scale: float = 0.1, vel_scale: float = 0.5,
                                margin: float = 0.05, max_tries: int = 200) -> SceneState:
     """Randomize the free-body state, rejecting samples where any
-    significantly weighted point-plane pair sits near a dissipation kink."""
+    significantly weighted point-plane pair sits near a dissipation kink.
+    Raises ValueError for a pos_scale, vel_scale or margin that is not
+    finite and nonnegative, or a max_tries that is not a positive integer."""
+    for name, value in (("pos_scale", pos_scale), ("vel_scale", vel_scale), ("margin", margin)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    if not isinstance(max_tries, (int, np.integer)) or max_tries < 1:
+        raise ValueError(f"max_tries must be a positive integer, got {max_tries!r}")
     nf = len(scene.free_indices)
     for _ in range(max_tries):
         q = base.q.copy()
@@ -303,17 +340,41 @@ def sample_nondegenerate_state(scene: Scene, rng: np.random.Generator, base: Sce
 def _state_clear_of_kinks(scene: Scene, state: SceneState, margin: float) -> bool:
     """False when a point-plane entry that weighs over 1e-8 in its pair force
     (separation weight of the query times softmin weight of the plane) has
-    x = v_n / v_d within margin of a dissipation kink, 0 or 2."""
-    params = scene.params
+    x = v_n / v_d within margin of a dissipation kink, 0 or 2. Queries run in
+    ssdf's blocks of _CHUNK_ENTRIES entries from the thread's arena, twice:
+    for the SSDF values, then for the softmin weights and x."""
+    params, arena = scene.params, _ARENA.scratch
     for _, _, a, b in _pair_walk(scene, state):
-        sides = ((a, b, ssdf(a, b.points, params.eps1)), (b, a, ssdf(b, a.points, params.eps1)))
-        coeff = softmax(-np.concatenate([r.value for _, _, r in sides], axis=-1), params.eps2)
-        for (cloud, qs, r), c in zip(sides, np.split(coeff, [b.num_points], axis=-1)):
-            x = qs.velocities @ np.swapaxes(cloud.normals, -1, -2)  # v_n / v_d, (..., queries, planes)
-            x -= np.sum(cloud.velocities * cloud.normals, axis=-1)[..., None, :]
-            x /= params.v_d
-            if np.any((c[..., None] * r.weights > 1e-8) & ((np.abs(x) < margin) | (np.abs(x - 2.0) < margin))):
-                return False
+        lead = np.broadcast_shapes(a.points.shape[:-2], b.points.shape[:-2])
+        with arena:
+            values, coeff = arena.empty(lead + (b.num_points + a.num_points,)), None
+            for _ in range(2):
+                for cloud, qs, off in ((a, b, 0), (b, a, b.num_points)):
+                    I = cloud.num_points
+                    S = _ssdf_matrix(cloud.points, cloud.normals, params.eps1,
+                                     arena.empty(cloud.points.shape[:-2] + (2, 4, I)))
+                    step = max(1, _CHUNK_ENTRIES // (math.prod(lead) * I))
+                    for start in range(0, qs.num_points, step):
+                        with arena:
+                            pts = qs.points[..., start:start + step, :]
+                            n = pts.shape[-2]
+                            blk = slice(off + start, off + start + n)
+                            sums = arena.empty(lead + (n,))
+                            e = _block(S, _query_rows(pts, 1.0, arena.empty(pts.shape[:-2] + (4, n))),
+                                       arena.empty(lead + (n,)) if coeff is not None else values[..., blk], sums,
+                                       arena.empty((2, I) + lead + (n,)))[2][0]
+                            if coeff is None:
+                                continue
+                            w = np.moveaxis(e, 0, -1)  # the softmin weights, (..., queries, planes)
+                            w /= sums[..., None]
+                            w *= coeff[..., blk, None]
+                            x = np.matmul(qs.velocities[..., start:start + step, :], np.swapaxes(cloud.normals, -1, -2),
+                                          out=arena.empty(lead + (n, I)))  # v_n / v_d
+                            x -= np.sum(cloud.velocities * cloud.normals, axis=-1)[..., None, :]
+                            x /= params.v_d
+                            if np.any((w > 1e-8) & ((np.abs(x) < margin) | (np.abs(x - 2.0) < margin))):
+                                return False
+                coeff = softmax(-values, params.eps2, out=values)
     return True
 
 

@@ -1371,3 +1371,74 @@ if {ending == "SIGKILL"}:
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == (0 if ending == "exit" else -signal.SIGKILL), proc.stderr
     assert _gone(int(proc.stdout.split()[0]))
+
+
+def _checked_state(name):
+    # A sampled state of a config, as the gradient check draws them, or the
+    # batching scene's own.
+    from softcontact import verify
+
+    if name == "batching":
+        return _batching_scene()
+    scene, st = _config_state(name + ".json")
+    return scene, verify.sample_nondegenerate_state(scene, np.random.default_rng(4), st, vel_scale=scene.params.v_d)
+
+
+@pytest.mark.parametrize("name", ["sphere_pair", "stacked_boxes", "push_t_1", "batching"])
+def test_batched_complex_step_jacobian_matches_the_column_by_column_one(monkeypatch, name):
+    # check_pipeline_gradients takes its complex-step columns in batches, one
+    # contact evaluation each; with every column evaluated on its own
+    # instead, the Jacobian agrees to 1e-12 of each block's largest entry,
+    # and the report passes or fails alike at the same worst coordinate.
+    from softcontact import verify
+
+    scene, st = _checked_state(name)
+    batched = verify.check_pipeline_gradients(scene, st)
+    cs_gradient = verify.cs_gradient
+    monkeypatch.setattr(verify, "cs_gradient", lambda f, x, h, batches: cs_gradient(f, x, h))
+    single = verify.check_pipeline_gradients(scene, st)
+    assert (batched.passed, batched.worst_coordinate) == (single.passed, single.worst_coordinate)
+    for fn in batched.per_function:
+        got, want = (np.array([row[3] for row in report.rows if row[0] == fn]) for report in (batched, single))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _batch(scene, st, cols, steps):
+    # The (K, n) complex-step states of verify._cs_batch, direction k
+    # stepping coordinate cols[k] by steps[k].
+    from softcontact import verify
+
+    theta = verify.flatten_state(st)
+    x = np.repeat(theta[None].astype(complex), len(cols), axis=0)
+    x[np.arange(len(cols)), cols] += 1j * np.asarray(steps)
+    return verify.unflatten_state(scene, st, x)
+
+
+def test_a_nan_in_one_tangent_of_a_batch_reaches_the_finiteness_checks():
+    # In the state it names the body; in a posed cloud, past that check, it
+    # reaches the kernel's sums.
+    from softcontact import contact, dynamics
+
+    scene, st = _config_state("sphere_pair.json")
+    steps = np.full(7, 1e-30)
+    steps[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite pose coordinate qw of body small"):
+        dynamics._contact_force(scene, _batch(scene, st, np.arange(7, 14), steps))
+    (_, _, a, b), = dynamics._pair_walk(scene, _batch(scene, st, np.arange(7, 14), np.full(7, 1e-30)))
+    pts = b.points.copy()
+    pts.imag[3] = np.nan
+    with pytest.raises(contact.NonFiniteContact):
+        contact._query_sums(a, pts, b.velocities, scene.params)
+    contact._query_sums(a, b.points, b.velocities, scene.params)
+
+
+@pytest.mark.parametrize("k", [0, 4, 6])
+def test_a_step_at_the_bound_in_any_one_direction_of_a_batch_raises(k):
+    from softcontact import dynamics
+
+    scene, st = _config_state("sphere_pair.json")
+    steps = np.full(7, 1e-30)
+    dynamics._contact_force(scene, _batch(scene, st, np.arange(7), steps))
+    steps[k] = 1e-6
+    with pytest.raises(ValueError, match="complex-step perturbation"):
+        dynamics._contact_force(scene, _batch(scene, st, np.arange(7), steps))

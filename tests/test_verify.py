@@ -316,6 +316,48 @@ def test_sample_nondegenerate_state_avoids_kinks():
         assert _state_clear_of_kinks(scene, st, 0.05)
 
 
+def test_sampler_peak_allocation_is_one_query_block_plus_rows():
+    # Two 864-point spheres near contact: a dense (Q, I) array of one
+    # direction is 6 MiB. The kink test runs its queries in blocks from the
+    # thread's arena, so the sampler's peak allocation, arena included (a
+    # new thread's starts empty), is the kernel's block bound, a few arrays
+    # of _CHUNK_ENTRIES float64 entries, plus rows of O(I + Q) entries.
+    import threading
+    import tracemalloc
+
+    from softcontact.core import _CHUNK_ENTRIES
+
+    ball = sphere_aopc(0.3, 864)
+    scene = Scene([Body(name, ball, "free", 1.0, sphere_inertia(1.0, 0.3)) for name in "ab"], [("a", "b")],
+                  gravity=np.zeros(3), params=ContactParams(eps1=1e-3, eps2=1e-2, eps3=1e-2))
+    base = make_state(scene, {"b": Pose(np.array([0.0, 0.0, 0.58]), np.array([1.0, 0, 0, 0]))})
+    peak = []
+
+    def sample():
+        tracemalloc.start()
+        try:
+            sample_nondegenerate_state(scene, np.random.default_rng(0), base, pos_scale=0.01, vel_scale=0.05)
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    t = threading.Thread(target=sample)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive() and len(peak) == 1
+    points = 2 * ball.num_points
+    assert peak[0] <= 8 * 8 * _CHUNK_ENTRIES + 64 * 8 * points, peak[0]
+
+
+@pytest.mark.parametrize("name, value", [("pos_scale", -1.0), ("pos_scale", np.inf), ("vel_scale", np.nan),
+                                         ("margin", -1.0), ("margin", np.nan), ("max_tries", 2.5),
+                                         ("max_tries", 0)])
+def test_sampler_rejects_a_bad_argument_by_name(name, value):
+    cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
+    with pytest.raises(ValueError, match=name):
+        sample_nondegenerate_state(cfg.scene, np.random.default_rng(0), cfg.state, **{name: value})
+
+
 def test_hard_oracle_two_spheres():
     s = sphere_aopc(1.0, 216)
     bodies = [Body("a", s, "free", 1.0, sphere_inertia(1.0, 1.0)),
@@ -363,9 +405,11 @@ def test_relative_error_floor():
 
 
 def test_check_pipeline_gradients_evaluates_contact_once_per_perturbation(monkeypatch):
-    # One shared map per perturbed state: 26 complex steps and 2 x 26 central
-    # differences on the two spheres; every pair is evaluated inside those
-    # contact evaluations, and no separation field is built. Counts made in
+    # One shared map per perturbed state: the 26 complex steps in 4 batches
+    # (each sphere's 7 pose and 6 velocity coordinates), one evaluation
+    # each, and 2 x 26 central differences on the two spheres; every pair is
+    # evaluated inside those contact evaluations, and no separation field is
+    # built. Counts made in
     # worker processes do not reach the caller, so the count runs on one
     # CPU; on two the report is the same.
     cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
@@ -398,7 +442,7 @@ def test_check_pipeline_gradients_evaluates_contact_once_per_perturbation(monkey
     report = check_pipeline_gradients(cfg.scene, st)
     assert report.passed
     assert flatten_state(st).size == 26
-    assert calls == {"contact": 78, "inside": 78, "outside": 0, "field": 0, "depth": 0}
+    assert calls == {"contact": 56, "inside": 56, "outside": 0, "field": 0, "depth": 0}
     _cpus(monkeypatch, 2)
     assert check_pipeline_gradients(cfg.scene, st) == report
 
