@@ -237,6 +237,26 @@ def test_cs_gradient_exactness():
     np.testing.assert_allclose(g, [np.cos(0.3) * np.exp(-0.7), np.sin(0.3) * np.exp(-0.7)], rtol=1e-15)
 
 
+def test_cs_gradient_by_batches_takes_each_batch_from_one_evaluation(monkeypatch):
+    # f maps a (K, 3) stack of states to (K, 2); each batch is one call (on
+    # one CPU, so that every call is counted here), and the Jacobian is the
+    # column-by-column one. Batches must partition x.
+    _cpus(monkeypatch, 1)
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.stack([np.sin(x[..., 0]) * np.exp(x[..., 1]), x[..., 1] * x[..., 2] ** 2], axis=-1)
+
+    x = np.array([0.3, -0.7, 1.1])
+    got = cs_gradient(f, x, batches=[np.array([2]), np.array([0, 1])])
+    assert sorted(calls) == [(1, 3), (2, 3)]
+    np.testing.assert_allclose(got, cs_gradient(f, x), rtol=1e-15)
+    for bad in ([np.array([0, 1])], [np.array([0, 1]), np.array([1, 2])]):
+        with pytest.raises(ValueError, match="partition"):
+            cs_gradient(f, x, batches=bad)
+
+
 def test_ssdf_symmetric_point_gradient_is_zero():
     # two opposing planes: at the midpoint the hand-derived gradient vanishes
     cloud = LocalAopc(
