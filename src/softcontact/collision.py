@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_temperature, softmax
-from .ssdf import ssdf
+from .ssdf import _ssdf_blocks, ssdf  # noqa: F401 (ssdf: bound here for perfbench/tracer.py)
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,12 @@ def separation_field(a, b, eps1: float, eps2: float) -> SeparationField:
     """Evaluate both directional SSDFs and the softmin distribution.
 
     a and b are posed WorldAopc's (LocalAopc works for purely geometric
-    queries), or two stacks of P posed clouds for P pairs at once.
+    queries), or two stacks of P posed clouds for P pairs at once. The
+    queries run in blocks (ssdf._ssdf_blocks): no (Q, I) array is held.
     """
     check_temperature(eps1, "eps1")
     check_temperature(eps2, "eps2")
-    values = np.concatenate([ssdf(a, b.points, eps1).value, ssdf(b, a.points, eps1).value], axis=-1)
+    values = np.concatenate([r.value for c, q in ((a, b), (b, a)) for _, r in _ssdf_blocks(c, q.points, eps1)], axis=-1)
     return SeparationField(values, softmax(-values, eps2), float(eps1), float(eps2))
 
 

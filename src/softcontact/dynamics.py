@@ -221,7 +221,8 @@ class SceneState:
 def make_state(scene: Scene, poses: dict[str, Pose] | None = None, velocities: dict[str, np.ndarray] | None = None, time: float = 0.0) -> SceneState:
     """The state at time with the given poses and velocities of free bodies,
     by name; the others rest at the identity pose. A name that is not a free
-    body of the scene raises ValueError."""
+    body of the scene, a non-finite time, or a velocity that is not 6 finite
+    numbers raises ValueError, naming the body and coordinate."""
     poses = poses or {}
     velocities = velocities or {}
     free = {scene.bodies[i].name: k for k, i in enumerate(scene.free_indices)}
@@ -234,8 +235,15 @@ def make_state(scene: Scene, poses: dict[str, Pose] | None = None, velocities: d
     for name, p in poses.items():
         q[free[name]] = np.concatenate([p.translation, p.quaternion])
     for name, vel in velocities.items():
-        v[6 * free[name] : 6 * free[name] + 6] = np.asarray(vel, dtype=float).reshape(6)
-    return SceneState(time, q, v)
+        vel = np.asarray(vel, dtype=float)
+        if vel.size != 6:
+            raise ValueError(f"velocity of body {name!r} must be 6 numbers, got {vel.size}")
+        v[6 * free[name] : 6 * free[name] + 6] = vel.reshape(6)
+    state = SceneState(time, q, v)
+    bad = _bad_coordinate(state, scene) if np.isfinite(time) else "time"
+    if bad:
+        raise ValueError(f"state has a non-finite {bad}")
+    return state
 
 
 def separated_state(scene: Scene, state: SceneState) -> SceneState:
@@ -426,7 +434,7 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False, help
     return (out, min_sep, seps) if per_pair else (out, min_sep)
 
 
-# A helper's status byte for a chunk, and the dtypes its request area carries.
+# A helper's status byte per evaluation, and the dtypes its request area carries.
 _OK, _FAILED = b"\x01", b"\x00"
 _CARRIED = {np.dtype(float), np.dtype(complex)}
 
@@ -447,8 +455,8 @@ class _ContactHelper:
     until the next evaluation. The owner fills the request area and sends one byte
     (bit 0: q is complex, bit 1: v is); the helper walks _pair_walk on its
     fork-time copy of the scene, fills each chunk's slot and answers with
-    one status byte per chunk, _FAILED from the first chunk it fails on.
-    Nothing is pickled. An exchange that breaks off stops the helper for
+    one status byte: _OK once every slot is filled, else _FAILED. Nothing is
+    pickled. An exchange that breaks off stops the helper for
     good; EOF or a broken pipe raises RuntimeError naming it. stop, a
     weakref.finalize on the scene that also runs at interpreter exit, kills
     and reaps it; the mapping goes with this object."""
@@ -488,7 +496,7 @@ class _ContactHelper:
         gt): b in a from the helper, and a in b computed here meanwhile, for
         every chunk before the first reply is read. None, for the caller to
         evaluate serially, where the request area cannot carry the state or
-        either process fails; every status byte is read first."""
+        either process fails; the status byte is read first."""
         q, v = state.q, state.v
         if (q.shape, v.shape) != self._shapes or not {q.dtype, v.dtype} <= _CARRIED or np.iscomplexobj(state.time):
             return None
@@ -502,7 +510,7 @@ class _ContactHelper:
         except ValueError:  # the state check or a non-finite direction, raised again serially
             chunks = None
         finally:
-            ok = self._talk(self._statuses)
+            ok = self._talk(self._status)
         if chunks is None or not ok:
             return None
         walk = []
@@ -513,15 +521,12 @@ class _ContactHelper:
             walk.append((pos, chunk, a, b, (theirs, (value, gt))))
         return walk
 
-    def _statuses(self) -> bool:
-        """Read the evaluation's status bytes: whether all are _OK."""
-        n, got = len(self._theirs), b""
-        while len(got) < n:
-            more = self._replies.read(n - len(got))
-            if not more:
-                raise EOFError
-            got += more
-        return got == _OK * n
+    def _status(self) -> bool:
+        """Read the evaluation's status byte: whether it is _OK."""
+        got = self._replies.read(1)
+        if not got:
+            raise EOFError
+        return got == _OK
 
     def _talk(self, fn, *args):
         try:
@@ -537,7 +542,7 @@ class _ContactHelper:
         closes."""
         nq = 1 + 7 * len(scene.free_indices)
         while flags := os.read(requests, 1):
-            r, done = self._request, 0
+            r, status = self._request, _FAILED
             try:
                 q, v = r[1:nq], r[nq:-7]
                 q, v = (x if flags[0] & bit else x.real for x, bit in ((q, 1), (v, 2)))
@@ -546,10 +551,10 @@ class _ContactHelper:
                 for (_, _, a, b), slot in zip(_pair_walk(scene, state), self._theirs):
                     with slot:
                         _query_sums(a, b.points, b.velocities, scene.params, out=slot)
-                    done += os.write(replies, _OK)
+                status = _OK
             except Exception:  # the owner's serial redo meets it again
                 pass
-            os.write(replies, _FAILED * (len(self._theirs) - done))
+            os.write(replies, status)
 
 
 def _stop_helper(pid: int, owner: int, *pipes):

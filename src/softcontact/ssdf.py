@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ARENA, _CHUNK_ENTRIES, _EXP_TAIL, _check_step, _dual, _exp, _parts, _quotient, _tangent_scale, check_temperature, softmax
+from .core import _ARENA, _CHUNK_ENTRIES, _EXP_TAIL, _check_step, _dual, _exp, _parts, _quotient, _reject_nonfinite, _tangent_scale, check_temperature, softmax
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,12 @@ def _cloud(aopc):
 
 
 def _as_batch(p):
+    """p as a batch of queries, and whether it was one (3,) query."""
     p = np.asarray(p)
-    if p.ndim == 1:
-        return p[None, :], True
-    if p.ndim < 2 or p.shape[-1] != 3:
+    if p.ndim < 1 or p.shape[-1] != 3:
         raise ValueError("query must be (3,), (Q, 3) or (P, Q, 3)")
-    return p, False
+    _reject_nonfinite(p.real, "query")
+    return (p[None, :], True) if p.ndim == 1 else (p, False)
 
 
 def plane_distances(aopc, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -79,7 +79,8 @@ def ssdf(aopc, p, eps1: float) -> SsdfResult:
 
     eps1 carries units of squared meters (it divides squared distances);
     1e-4 is a reasonable default for meter-scale geometry. A stack of clouds
-    (P, I, 3) takes a (P, Q, 3) query.
+    (P, I, 3) takes a (P, Q, 3) query. A query with a non-finite coordinate
+    (in its real part: a complex step's tangent is carried) raises ValueError.
     """
     check_temperature(eps1, "eps1")
     q, single = _as_batch(p)
@@ -107,6 +108,17 @@ def ssdf(aopc, p, eps1: float) -> SsdfResult:
         value = v
     w, s = ws
     return SsdfResult(value[0], w[0], s[0]) if single else SsdfResult(value, w, s)
+
+
+def _ssdf_blocks(cloud, points, eps1: float):
+    """(slice, ssdf of points[..., slice, :] against cloud) over blocks of
+    at most _CHUNK_ENTRIES entries, stack x block x planes: the block rule
+    of every SSDF reader outside the contact kernel."""
+    lead = np.broadcast_shapes(cloud.points.shape[:-2], points.shape[:-2])
+    step = max(1, _CHUNK_ENTRIES // (math.prod(lead) * cloud.num_points))
+    for start in range(0, points.shape[-2], step):
+        sl = slice(start, start + step)
+        yield sl, ssdf(cloud, points[..., sl, :], eps1)
 
 
 def _query_rows(q, last=1.0, out=None):
@@ -213,7 +225,7 @@ def hard_sdf(aopc, p):
     """Nearest-point plane distance: the zero-temperature oracle.
 
     Returns (value, index) where index is the argmin of |p - p_i|^2 with
-    lowest-index tie-breaking (0-based).
+    lowest-index tie-breaking (0-based). A non-finite query raises ValueError.
     """
     q, single = _as_batch(p)
     d = squared_distances(aopc, q)
@@ -291,7 +303,7 @@ def sample_sdf_grid(aopc, bounds, resolution, eps1: float, slice_axis: int | Non
     with points in row-major (x slowest) order, shape (N, 3) and (N,).
 
     Pure function; lattice chunks are independent, so callers may shard the
-    node set across workers and concatenate. Chunks of _CHUNK_ENTRIES.
+    node set across workers and concatenate.
     """
     lo = np.asarray(bounds[0], dtype=float)
     hi = np.asarray(bounds[1], dtype=float)
@@ -312,12 +324,7 @@ def sample_sdf_grid(aopc, bounds, resolution, eps1: float, slice_axis: int | Non
         axes.append(np.linspace(lo[ax], hi[ax], res[ax]))
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
-    values = np.empty(pts.shape[0])
-    chunk = max(1, _CHUNK_ENTRIES // aopc.num_points)
-    for start in range(0, pts.shape[0], chunk):
-        sl = slice(start, start + chunk)
-        values[sl] = ssdf(aopc, pts[sl], eps1).value
-    return pts, values
+    return pts, np.concatenate([r.value for _, r in _ssdf_blocks(aopc, pts, eps1)])
 
 
 def grid_to_csv(points: np.ndarray, values: np.ndarray) -> str:

@@ -15,7 +15,6 @@ detection and contact by brute force.
 """
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import signal
@@ -24,12 +23,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .contact import point_plane_force
-from .core import _ARENA, _CHUNK_ENTRIES, _fork, _may_fork, softmax
+from .core import _fork, _may_fork, softmax
 from .dynamics import Scene, SceneState, _pair_walk, _separation_force_acceleration, pose_all
 # Bound here for perfbench/tracer.py, which wraps them as verify attributes.
 from .collision import separation_field  # noqa: F401
 from .dynamics import forward_dynamics, total_contact_force  # noqa: F401
-from .ssdf import _block, _query_rows, _ssdf_matrix, hard_sdf
+from .ssdf import _ssdf_blocks, hard_sdf
 
 
 def _map_columns(column, n: int) -> list:
@@ -340,41 +339,25 @@ def sample_nondegenerate_state(scene: Scene, rng: np.random.Generator, base: Sce
 def _state_clear_of_kinks(scene: Scene, state: SceneState, margin: float) -> bool:
     """False when a point-plane entry that weighs over 1e-8 in its pair force
     (separation weight of the query times softmin weight of the plane) has
-    x = v_n / v_d within margin of a dissipation kink, 0 or 2. Queries run in
-    ssdf's blocks of _CHUNK_ENTRIES entries from the thread's arena, twice:
-    for the SSDF values, then for the softmin weights and x."""
-    params, arena = scene.params, _ARENA.scratch
+    x = v_n / v_d within margin of a dissipation kink, 0 or 2. One walk of
+    ssdf's blocks (_ssdf_blocks) per direction keeps each query's SSDF value
+    and its peak, the largest softmin weight over its planes near a kink;
+    the separation weight is nonnegative and rounding monotone, so testing
+    it times the peak decides as testing every entry does."""
+    params = scene.params
     for _, _, a, b in _pair_walk(scene, state):
-        lead = np.broadcast_shapes(a.points.shape[:-2], b.points.shape[:-2])
-        with arena:
-            values, coeff = arena.empty(lead + (b.num_points + a.num_points,)), None
-            for _ in range(2):
-                for cloud, qs, off in ((a, b, 0), (b, a, b.num_points)):
-                    I = cloud.num_points
-                    S = _ssdf_matrix(cloud.points, cloud.normals, params.eps1,
-                                     arena.empty(cloud.points.shape[:-2] + (2, 4, I)))
-                    step = max(1, _CHUNK_ENTRIES // (math.prod(lead) * I))
-                    for start in range(0, qs.num_points, step):
-                        with arena:
-                            pts = qs.points[..., start:start + step, :]
-                            n = pts.shape[-2]
-                            blk = slice(off + start, off + start + n)
-                            sums = arena.empty(lead + (n,))
-                            e = _block(S, _query_rows(pts, 1.0, arena.empty(pts.shape[:-2] + (4, n))),
-                                       arena.empty(lead + (n,)) if coeff is not None else values[..., blk], sums,
-                                       arena.empty((2, I) + lead + (n,)))[2][0]
-                            if coeff is None:
-                                continue
-                            w = np.moveaxis(e, 0, -1)  # the softmin weights, (..., queries, planes)
-                            w /= sums[..., None]
-                            w *= coeff[..., blk, None]
-                            x = np.matmul(qs.velocities[..., start:start + step, :], np.swapaxes(cloud.normals, -1, -2),
-                                          out=arena.empty(lead + (n, I)))  # v_n / v_d
-                            x -= np.sum(cloud.velocities * cloud.normals, axis=-1)[..., None, :]
-                            x /= params.v_d
-                            if np.any((w > 1e-8) & ((np.abs(x) < margin) | (np.abs(x - 2.0) < margin))):
-                                return False
-                coeff = softmax(-values, params.eps2, out=values)
+        values, peaks = [], []
+        for cloud, qs in ((a, b), (b, a)):
+            cloud_speed = np.sum(cloud.velocities * cloud.normals, axis=-1)[..., None, :]
+            for sl, r in _ssdf_blocks(cloud, qs.points, params.eps1):
+                x = np.matmul(qs.velocities[..., sl, :], np.swapaxes(cloud.normals, -1, -2))  # v_n / v_d
+                x -= cloud_speed
+                x /= params.v_d
+                values.append(r.value)
+                peaks.append(np.max(r.weights * ((np.abs(x) < margin) | (np.abs(x - 2.0) < margin)), axis=-1))
+        coeff = softmax(-np.concatenate(values, axis=-1), params.eps2)
+        if np.any(coeff * np.concatenate(peaks, axis=-1) > 1e-8):
+            return False
     return True
 
 

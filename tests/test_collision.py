@@ -53,6 +53,29 @@ def test_report_csv_takes_the_split_from_the_bodies():
         collision_report_csv(fld, a, a, 1.0, 1.0)
 
 
+def test_separation_field_over_several_query_blocks_is_the_one_block_field(monkeypatch):
+    # A box of 54 points against a sphere of 96, alone and as a stack of two
+    # pairs: blocks of 400 entries (7 or 4 queries, the last ragged; 3 or 2
+    # in the stack) give the values and distribution of one block per
+    # direction bit for bit. No block holds a single query, whose
+    # matrix-vector product may round differently in the last bit.
+    import importlib
+
+    box, ball = box_aopc([0.3, 0.3, 0.3], 54), sphere_aopc(0.2, 96)
+    a = posed(box, (0.0, 0.0, 0.0), (1.0, 0.1, 0.0, 0.05), name="a")
+    b = posed(ball, (0.02, 0.01, 0.33), dof=6, name="b")
+    c = posed(ball, (0.33, 0.01, 0.02), dof=6, name="c")
+    stack = [dataclasses.replace(a, points=np.stack([a.points] * 2), normals=np.stack([a.normals] * 2)),
+             dataclasses.replace(b, points=np.stack([b.points, c.points]), normals=np.stack([b.normals, c.normals]))]
+    fields = [separation_field(x, y, 1e-4, 1e-3) for x, y in ((a, b), stack)]
+    monkeypatch.setattr(importlib.import_module("softcontact.ssdf"), "_CHUNK_ENTRIES", 400)
+    for (x, y), want in zip(((a, b), stack), fields):
+        got = separation_field(x, y, 1e-4, 1e-3)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.distribution.tobytes() == want.distribution.tobytes()
+    assert fields[1].values.shape == (2, 150)
+
+
 def test_swap_is_a_block_permutation():
     s1 = sphere_aopc(0.5, 96)
     s2 = box_aopc([0.7, 0.7, 0.7], 96)

@@ -272,6 +272,19 @@ def test_make_state_rejects_names_that_are_not_free_bodies(poses, velocities, na
         make_state(scene, poses, velocities)
 
 
+@pytest.mark.parametrize("velocities, time, message", [
+    ({"ball": [0, 0, np.nan, 0, 0, 0]}, 0.0, "state has a non-finite velocity coordinate vz of body ball"),
+    ({"middle": [0, 0, 0, 0, np.inf, 0]}, 0.0, "state has a non-finite velocity coordinate wy of body middle"),
+    ({"lower": [0.0] * 5}, 0.0, "velocity of body 'lower' must be 6 numbers, got 5"),
+    (None, np.nan, "state has a non-finite time"),
+    (None, -np.inf, "state has a non-finite time"),
+])
+def test_make_state_rejects_a_nonfinite_time_or_velocity(velocities, time, message):
+    scene, _ = _batching_scene()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_state(scene, None, velocities, time)
+
+
 def test_kinematic_motions():
     lin = LinearMotion(Pose(np.zeros(3), np.array([1.0, 0, 0, 0])), [1.0, 0, 0], [0, 0, 0.5])
     p = lin.pose(2.0)
@@ -917,6 +930,17 @@ def test_kink_test_on_the_pair_walk_matches_the_pair_by_pair_rule(monkeypatch):
             assert got == _clear_of_kinks_pair_by_pair(scene, st, margin)
             decisions.add(got)
         assert decisions == {True, False}
+
+
+def test_kink_test_matches_the_pair_by_pair_rule_across_query_blocks(monkeypatch):
+    # The same states and decisions with the kink test's query blocks cut
+    # to 600 entries: every direction of every scene spans several blocks
+    # of 2 to 12 queries (two 54 x 54 pairs take 5 a block), so the values
+    # and peaks that meet in the softmax come from many blocks.
+    import importlib
+
+    monkeypatch.setattr(importlib.import_module("softcontact.ssdf"), "_CHUNK_ENTRIES", 600)
+    test_kink_test_on_the_pair_walk_matches_the_pair_by_pair_rule(monkeypatch)
 
 
 def test_repeated_chunk_sides_are_cut_once_as_broadcast_views(monkeypatch):

@@ -243,6 +243,28 @@ def test_grid_csv_format():
     assert first[:3] == [-1.0, -1.0, -1.0]
 
 
+@pytest.mark.parametrize("query, index", [
+    ([np.nan, 0.0, 0.0], "0"),
+    ([[0.1, 0.0, 0.0], [0.0, np.inf, 0.0]], r"\(1, 1\)"),
+    ([[0.1, 0.0, 0.0], [0.0, 0.0, complex(-np.inf, 1e-30)]], r"\(1, 2\)"),
+])
+def test_a_nonfinite_query_is_rejected_by_index(query, index):
+    # Raised before any arithmetic, so no RuntimeWarning comes first. A NaN
+    # in a complex-step tangent is not rejected: it propagates to its query.
+    box = box_aopc([0.4, 0.3, 0.2], 24)
+    query = np.array(query)
+    calls = [lambda: ssdf(box, query, 1e-3)]
+    if not np.iscomplexobj(query):
+        calls += [lambda: hard_sdf(box, query), lambda: ssdf_general(box, query, IsotropicGaussianBasis(1e-3))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^query contains a non-finite entry at index {index}$"):
+                call()
+        got = ssdf(box, np.array([[0.1, 0.0, 0.3], [0.0, 0.05, complex(0.3, np.nan)]]), 1e-3)
+    assert np.isfinite(got.value.real).all() and np.isnan(got.value.imag[1])
+
+
 def test_out_arguments_write_in_place_and_match_fresh_results():
     # squared_distances, plane_distances, softmax and softplus given out=
     # write their result there (x itself allowed for softmax and softplus)
