@@ -13,11 +13,6 @@ import os
 import sys
 import time
 
-try:
-    import resource
-except ImportError:  # not on every platform: bench then reports no fault counts
-    resource = None
-
 import numpy as np
 
 from .collision import (
@@ -32,14 +27,13 @@ from .dynamics import (
     body_pose,
     pose_all,
     rollout,
-    separated_state,
-    step,
     total_contact_force,
     trajectory_csv,
 )
 from .ssdf import grid_to_csv, sample_sdf_grid
 from .verify import (
     check_pipeline_gradients,
+    contact_count_timing,
     cs_gradient,
     hard_pipeline_oracle,
     sample_nondegenerate_state,
@@ -394,11 +388,6 @@ def cmd_gradcheck(args) -> int:
     return 0 if worst.passed else 1
 
 
-def _minor_faults() -> float:
-    """Minor page faults of this process so far; NaN without `resource`."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else float("nan")
-
-
 def cmd_bench(args) -> int:
     doc, base_dir = _document(args)
     cfg = parse_config(doc, base_dir)
@@ -414,28 +403,14 @@ def cmd_bench(args) -> int:
                 if "kind" in b["aopc"]:
                     b["aopc"]["resolution"] = res
             cfg = parse_config(doc, base_dir)
-        scene, contact_state = cfg.scene, cfg.state
         label = res if res is not None else "config"
-        total_points = sum(b.aopc.num_points for b in scene.bodies)
-        apart = separated_state(scene, contact_state)
-        times = {"contact": [], "separated": []}
-        faults = {"contact": 0, "separated": 0}
-        # One warm-up round, then the variants alternate step by step, so the
-        # machine's speed swings reach both alike and cancel in each pair.
-        for rep in range(args.repetitions + 1):
-            for variant, st in (("contact", contact_state), ("separated", apart)):
-                f0 = _minor_faults()
-                t0 = time.perf_counter()
-                step(scene, st, cfg.world.dt, cfg.world.integrator)
-                if rep:
-                    times[variant].append(time.perf_counter() - t0)
-                    faults[variant] += _minor_faults() - f0
-        minflt = {variant: n / args.repetitions for variant, n in faults.items()}
-        for variant, t in times.items():
-            ms = np.sort(t) * 1e3
+        total_points = sum(b.aopc.num_points for b in cfg.scene.bodies)
+        times, minflt = contact_count_timing(cfg.scene, cfg.state, cfg.world.dt, args.repetitions, cfg.world.integrator)
+        for variant in ("contact", "separated"):
+            ms = np.sort(times[variant]) * 1e3
             rows.append("%s,%s,%d,%.4f,%.4f,%.4f,%.1f" % (variant, label, total_points, np.median(ms),
                                                           ms[int(0.1 * len(ms))], ms[int(0.9 * len(ms))], minflt[variant]))
-        contact, separated = np.asarray(times["contact"]), np.asarray(times["separated"])
+        contact, separated = times["contact"], times["separated"]
         summaries.append(
             "resolution %s (%d points): median contact %.3f ms, separated %.3f ms, paired ratio %.3f, "
             "minor faults per step contact %.1f, separated %.1f"

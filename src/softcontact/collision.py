@@ -48,7 +48,7 @@ def separation_field(a, b, eps1: float, eps2: float) -> SeparationField:
     """
     check_temperature(eps1, "eps1")
     check_temperature(eps2, "eps2")
-    values = np.concatenate([r.value for c, q in ((a, b), (b, a)) for _, r in _ssdf_blocks(c, q.points, eps1)], axis=-1)
+    values = np.concatenate([v for c, q in ((a, b), (b, a)) for _, v, _, _ in _ssdf_blocks(c, q.points, eps1)], axis=-1)
     return SeparationField(values, softmax(-values, eps2), float(eps1), float(eps2))
 
 

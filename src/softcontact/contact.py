@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import SeparationField
-from .core import (_ARENA, _CHUNK_ENTRIES, Scratch, _check_step, _dual, _first_order, _parts, _quotient, _softplus,
-                   _tangent_scale, check_temperature, dot, softmax, softplus, squared_norm)
+from .core import (_ARENA, _CHUNK_ENTRIES, Scratch, _broadcast, _check_step, _dual, _first_order, _parts, _quotient,
+                   _softplus, _tangent_scale, check_temperature, dot, softmax, softplus, squared_norm)
 from .geometry import moment
 from .ssdf import _block, _query_rows, _ssdf_matrix, _stacked
 
@@ -98,7 +98,7 @@ def _dissipation(x, out, slope=None):
     with _ARENA.scratch as arena:
         # min(x, 0) is taken before out may overwrite x.
         low = np.minimum(x, 0.0, out=arena.empty(x.shape))
-        c = np.clip(x, 0.0, 2.0, out=out)
+        c = np.minimum(np.maximum(x, 0.0, out=out), 2.0, out=out)
         c -= 2.0
         if slope is not None:
             np.multiply(c, 0.5, out=slope)
@@ -169,7 +169,7 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
     at most _CHUNK_ENTRIES float64 entries' bytes, all K + 1 parts together.
     """
     I, Q = cloud.num_points, points.shape[-2]
-    full = np.broadcast_shapes(cloud.points.shape[:-2], points.shape[:-2], cloud.velocities.shape[:-2],
+    full = _broadcast(cloud.points.shape[:-2], points.shape[:-2], cloud.velocities.shape[:-2],
                                velocities.shape[:-2])
     nk = len(full) - np.ndim(cloud.dof_start)  # 1 with a batch's axis of K
     K, lead = full[0] if nk else 1, full[nk:]
@@ -184,9 +184,10 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
     gt = (out or arena).empty((K,) * (nk and sf) + lead + (Q, 6), dtype)
     with arena:
         # A complex step's matrices and rows are fresh arrays, dropped once
-        # split; the arena holds the split ones.
+        # split; the arena holds the split ones. A posed group's matrices
+        # come with the cloud, cut by row (dynamics._pose_groups).
         src = Scratch() if sf else arena
-        S, F, M = _plane_matrices(cloud, params, geo, dtype, src)
+        S, F, M = cloud.planes or _plane_matrices(cloud, params, geo, dtype, src)
         rows = _query_rows(points, 1.0, src.empty(points.shape[:-2] + (4, Q), points.dtype))
         vel = _query_rows(velocities, -1.0, src.empty(velocities.shape[:-2] + (4, Q), velocities.dtype))
         # A moment matrix of an unmoved cloud has no tangent to carry.
@@ -225,10 +226,10 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
                        (sums[0][..., blk], sums[1][..., blk]) if sq else sums[..., blk], B, scale)
                 e, lam = B[:2]
                 V = arena.empty((3 + 3 * K * sf, I) + lead + (n,))
-                np.matmul(np.swapaxes(F0, -1, -2), vel0[..., None, :, blk], out=_stacked(V[:3]))
+                np.matmul(F0.swapaxes(-1, -2), vel0[..., None, :, blk], out=_stacked(V[:3]))
                 if sf:
                     dV = V[3:].reshape((K, 3) + V.shape[1:])
-                    np.matmul(np.swapaxes(F, -1, -2), vel[..., None, :, blk], out=_stacked(dV, 1))
+                    np.matmul(F.swapaxes(-1, -2), vel[..., None, :, blk], out=_stacked(dV, 1))
                 x, ab = V[0], V[1:3]
                 slope = arena.empty(x.shape) if sf else None
                 if sq:
@@ -270,17 +271,18 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
                     dab += np.multiply(ab, u[:, None], out=arena.empty(dab.shape))
                 ab *= r
                 G = np.matmul(M0, _stacked(V[:3]), out=arena.empty(lead + (3, 6, n)))
-                np.sum(G, axis=-3, out=np.swapaxes(gts[0, 0][..., blk, :], -1, -2))
+                G.sum(axis=-3, out=gts[0, 0][..., blk, :].swapaxes(-1, -2))
                 if sf:
                     G = np.matmul(M0, _stacked(dV, 1), out=arena.empty((K,) + G.shape))
                     if sm:
                         G += np.matmul(M[..., 6:, :], _stacked(V[:3]), out=arena.empty(G.shape))
-                    np.sum(G, axis=-3, out=np.swapaxes(gts[1][..., blk, :], -1, -2))
+                    G.sum(axis=-3, out=gts[1][..., blk, :].swapaxes(-1, -2))
         # k waits for the division, so the lifted weights of ssdf._block
         # never meet it.
         _quotient(gts[0, 0], (sums[0] if sq else sums)[..., None], out=gts[0, 0], dnum=gts[1] if sf else None,
                   dden=sums[1][..., None] if sq else None)
-        gts[0, 1:] = gts[0, :1]
+        if sf:
+            gts[0, 1:] = gts[0, :1]
         gts *= params.k
         if sf:
             gts[1] *= 1.0 / scale
@@ -300,16 +302,17 @@ def _plane_matrices(cloud, params: ContactParams, geo, dtype, arena):
     the force matrix (..., 3, 4, I) whose columns [e, v_i . e] / s, for
     e = n, t1, t2 and s = v_d, v_s, v_s, give x, alpha and beta against
     [u_q, -1]; and the moment matrix (..., 3, 6, I) of the columns
-    c [e, (p_i - t) x e], c = 1, -mu, -mu, real where the pose is."""
+    c [e, (p_i - t) x e], c = 1, -mu, -mu, real where the pose is. The SSDF
+    matrix takes dtype geo, the force matrix dtype."""
     pts, nrm, tng, arms, vel = cloud.points, cloud.normals, cloud.tangents, cloud.arms, cloud.velocities
     lead, I = pts.shape[:-2], pts.shape[-2]
     S = _ssdf_matrix(pts, nrm, params.eps1, arena.empty(lead + (2, 4, I), geo))
-    F = arena.empty(np.broadcast_shapes(lead, vel.shape[:-2]) + (3, 4, I), dtype)
+    F = arena.empty(_broadcast(lead, vel.shape[:-2]) + (3, 4, I), dtype)
     M = arena.empty(lead + (3, 6, I), np.result_type(nrm, tng, arms))
-    nrm, tng, arms = np.swapaxes(nrm, -1, -2), _columns(tng), _columns(arms)
+    nrm, tng, arms = nrm.swapaxes(-1, -2), _columns(tng), _columns(arms)
     np.divide(nrm, params.v_d, out=F[..., 0, :3, :])
     np.divide(tng, params.v_s, out=F[..., 1:, :3, :])
-    np.einsum("...ji,...kji->...ki", np.swapaxes(vel, -1, -2), F[..., :3, :], out=F[..., 3, :])
+    np.einsum("...ji,...kji->...ki", vel.swapaxes(-1, -2), F[..., :3, :], out=F[..., 3, :])
     M[..., 0, :3, :] = nrm
     np.multiply(tng, -params.mu, out=M[..., 1:, :3, :])
     np.multiply(arms, np.array([1.0, -params.mu, -params.mu])[:, None, None], out=M[..., 3:, :])

@@ -152,6 +152,11 @@ def _check_step(b: np.ndarray, scale: float = 1.0) -> None:
         raise ValueError(f"complex-step perturbation {m:.3g} is not below {_STEP_BOUND:g}")
 
 
+def _broadcast(*shapes: tuple) -> tuple:
+    """np.broadcast_shapes(*shapes), without its cost when all are equal."""
+    return shapes[0] if shapes.count(shapes[0]) == len(shapes) else np.broadcast_shapes(*shapes)
+
+
 def _first_order(z: np.ndarray, value: np.ndarray, slope: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """f(a + ib) = value + i b slope, with value = f(a) and slope = f'(a).
     Set part by part: complex arithmetic would carry a NaN in b into the
@@ -244,7 +249,7 @@ def softmax(x: np.ndarray, eps: float, axis: int = -1, out: np.ndarray | None = 
         # Shift by the (real-part) max so the largest exponent is exactly 0. For
         # astronomically spread inputs the shifted tail saturates to -inf, which
         # lands in the zero tail below, so the overflow is benign.
-        shift = np.max(x.real, axis=axis, keepdims=True)
+        shift = x.real.max(axis=axis, keepdims=True)
         with np.errstate(over="ignore"):
             e = np.subtract(x.real, shift, dtype=float, out=arena.empty(x.shape) if step else out)
             e /= eps
@@ -252,7 +257,7 @@ def softmax(x: np.ndarray, eps: float, axis: int = -1, out: np.ndarray | None = 
         # too, as the sum is at most N; products of subnormals are slow as well.
         # The entries dropped weigh under 1e-305 of the largest.
         _exp(e, _EXP_TAIL + math.log(x.shape[axis]), out=e)
-        s = np.sum(e, axis=axis, keepdims=True)
+        s = e.sum(axis=axis, keepdims=True)
         if not step:
             e /= s
             return e
@@ -336,38 +341,37 @@ def norm(v: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q)
-    return q / np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
+    return q / np.sqrt((q * q).sum(axis=-1, keepdims=True))
+
+
+# Quaternion products and rotation matrices as linear maps of outer
+# products: (a_w b_w - u.v, a_w v + b_w u + u x v) of a = (a_w, u) and
+# b = (b_w, v) from a b^T, and R - Id of a unit q = (w, v), R_ij =
+# delta_ij (1 - 2 v.v) + 2 v_i v_j - 2 eps_ijk w v_k, from q q^T.
+_EYE, _EPS = np.eye(3), np.cross(np.eye(3)[:, None], np.eye(3)[None, :])  # eps_ijk
+_PRODUCT_TERMS, _ROTATION_TERMS = np.zeros((4, 4, 4)), np.zeros((4, 4, 3, 3))
+_PRODUCT_TERMS[0], _PRODUCT_TERMS[1:, 0, 1:], _PRODUCT_TERMS[1:, 1:, 1:] = np.eye(4), _EYE, _EPS
+_PRODUCT_TERMS[1:, 1:, 0] = -_EYE
+_ROTATION_TERMS[1:, 1:] = 2.0 * (_EYE[:, None, :, None] * _EYE[None, :, None, :] - _EYE[:, :, None, None] * _EYE)
+_ROTATION_TERMS[0, 1:] = -2.0 * _EPS
+_PRODUCT_TERMS, _ROTATION_TERMS = _PRODUCT_TERMS.reshape(16, 4), _ROTATION_TERMS.reshape(16, 9)
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    """Quaternion product a b: one matmul of a b^T against its terms."""
+    outer = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (16,)) @ _PRODUCT_TERMS
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a quaternion (normalized internally)."""
-    q = quat_normalize(q)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
-    wx, wy, wz = w * x, w * y, w * z
-    return np.stack(
-        [
-            np.stack([1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)], axis=-1),
-            np.stack([2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)], axis=-1),
-            np.stack([2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)], axis=-1),
-        ],
-        axis=-2,
-    )
+    """Rotation matrix of a quaternion (normalized internally): one matmul
+    of q q^T / q.q against the rotation's quadratic terms."""
+    q = np.asarray(q)
+    outer = q[..., :, None] * q[..., None, :]
+    outer /= (q * q).sum(axis=-1)[..., None, None]
+    R = outer.reshape(q.shape[:-1] + (16,)) @ _ROTATION_TERMS
+    R[..., ::4] += 1.0
+    return R.reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_from_rotvec(rv: np.ndarray) -> np.ndarray:
@@ -377,7 +381,7 @@ def quat_from_rotvec(rv: np.ndarray) -> np.ndarray:
     through zero.
     """
     rv = np.asarray(rv)
-    th2 = np.sum(rv * rv, axis=-1, keepdims=True)
+    th2 = (rv * rv).sum(axis=-1, keepdims=True)
     th = np.sqrt(th2)
     small = th.real < 1e-8
     th_safe = np.where(small, 1.0, th)

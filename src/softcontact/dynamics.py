@@ -23,11 +23,11 @@ from scipy.interpolate import CubicSpline
 
 # Bound here for perfbench/tracer.py, which wraps dynamics.separation_field.
 from .collision import separation_field  # noqa: F401
-from .contact import ContactParams, NonFiniteContact, _pair_contact, _query_sums
+from .contact import ContactParams, NonFiniteContact, _pair_contact, _plane_matrices, _query_sums
 # Bound here for perfbench/tracer.py, which wraps dynamics.ssdf_ssdf_force.
 from .contact import ssdf_ssdf_force  # noqa: F401
-from .core import _CHUNK_ENTRIES, Scratch, _fork, _may_fork, _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
-from .geometry import LocalAopc, Pose, WorldAopc, pose_aopc, posed_arrays
+from .core import _ARENA, _CHUNK_ENTRIES, Scratch, _broadcast, _fork, _may_fork, _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
+from .geometry import _NEXT, _PREV, LocalAopc, Pose, WorldAopc, pose_aopc, posed_arrays
 
 
 class DivergenceError(RuntimeError):
@@ -174,11 +174,14 @@ class Scene:
             seen.add(key)
             self.pair_indices.append((ia, ib))
         self.free_indices = [i for i, b in enumerate(self.bodies) if b.kind == "free"]
+        self._free = np.array(self.free_indices, dtype=int)  # for indexing, converted once
         self._dof_start = {i: 6 * k for k, i in enumerate(self.free_indices)}
         self._inertia = np.array([self.bodies[i].inertia for i in self.free_indices], dtype=float).reshape(-1, 3, 3)
         # The inertias less their isotropic part I_body[0, 0] Id, which adds
-        # nothing to the gyroscopic torque (see _bias).
+        # nothing to the gyroscopic torque (see _bias), and the inverses less
+        # Id / I_body[0, 0] (see _accelerate): both 0 for spheres and cubes.
         self._gyro = self._inertia - self._inertia[:, :1, :1] * np.eye(3)
+        self._inverse = np.linalg.inv(self._inertia) - np.eye(3) / self._inertia[:, :1, :1]
         self._pair_chunks = _group_pairs(self.bodies, self.pair_indices)
         self._groups, self._chunk_sides = _posing_plan(self.bodies, self._dof_start, self._pair_chunks)
         self._helper = None  # rollout's _ContactHelper, started on first use
@@ -272,18 +275,16 @@ def pose_all(scene: Scene, state: SceneState) -> list[WorldAopc]:
     ]
 
 
-def _free_inertia(scene: Scene, q: np.ndarray):
-    """Masses (nf,), rotations R (nf, 3, 3) and world rotational inertias
-    R I_body R^T (nf, 3, 3) of the free bodies at poses q."""
-    R = quat_to_matrix(q[..., 3:])
-    m = np.array([scene.bodies[i].mass for i in scene.free_indices], dtype=float)
-    return m, R, R @ scene._inertia @ np.swapaxes(R, -1, -2)
+def _masses(scene: Scene) -> np.ndarray:
+    """The free bodies' masses (nf,), read from the bodies at each call."""
+    return np.array([scene.bodies[i].mass for i in scene.free_indices], dtype=float)
 
 
 def mass_matrix(scene: Scene, state: SceneState) -> np.ndarray:
     """Block-diagonal generalized inertia: diag(m I3, R I_body R^T) per free
     body."""
-    m, _, Iw = _free_inertia(scene, state.q)
+    R = _frames(scene, state)[1][scene._free]
+    m, Iw = _masses(scene), R @ scene._inertia @ R.swapaxes(-1, -2)
     nf = m.shape[0]
     M = np.zeros((nf, 6, nf, 6), dtype=Iw.dtype)
     k = np.arange(nf)
@@ -295,8 +296,7 @@ def mass_matrix(scene: Scene, state: SceneState) -> np.ndarray:
 def bias_force(scene: Scene, state: SceneState) -> np.ndarray:
     """Gravity and gyroscopic bias, with signs such that free fall gives
     vdot = g when tau and contact are zero."""
-    m, R, _ = _free_inertia(scene, state.q)
-    return _bias(scene, state.v, m, R).reshape(-1)
+    return _bias(scene, state.v, _masses(scene), _frames(scene, state)[1][..., scene._free, :, :]).reshape(-1)
 
 
 def _bias(scene: Scene, v: np.ndarray, m: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -308,9 +308,12 @@ def _bias(scene: Scene, v: np.ndarray, m: np.ndarray, R: np.ndarray) -> np.ndarr
     the value is the same, and it is exactly 0 for spheres and cubes, where
     the full product leaves a rounding residue that finite differences
     divide by their step."""
-    w = v.reshape(v.shape[:-1] + (-1, 6))[..., 3:, None]
-    gyro = R @ (scene._gyro @ (np.swapaxes(R, -1, -2) @ w))
-    return np.concatenate(np.broadcast_arrays(-m[:, None] * scene.gravity, np.cross(w[..., 0], gyro[..., 0])), axis=-1)
+    w = v.reshape(v.shape[:-1] + (-1, 6))[..., 3:]
+    g = (R @ (scene._gyro @ (R.swapaxes(-1, -2) @ w[..., None])))[..., 0]
+    out = np.empty(g.shape[:-1] + (6,), g.dtype)
+    out[..., :3] = -m[:, None] * scene.gravity
+    out[..., 3:] = w[..., _NEXT] * g[..., _PREV] - w[..., _PREV] * g[..., _NEXT]
+    return out
 
 
 def total_contact_force(scene: Scene, state: SceneState) -> np.ndarray:
@@ -359,10 +362,16 @@ def _posing_plan(bodies, dof_start, chunks):
     return groups, sides
 
 
-def _pose_groups(scene: Scene, state: SceneState) -> list[WorldAopc]:
-    """Every group of Scene._groups posed at state as one stack, with one
-    rotation matrix per body from a single quat_to_matrix call. Free bodies
-    take pose and twist from q and v, kinematic ones from their motion."""
+def _frames(scene: Scene, state: SceneState, checked: bool = False):
+    """Every body's origin t (..., nb, 3), rotation R (..., nb, 3, 3), from
+    one quat_to_matrix call, and world twist (..., nb, 6) at state: free
+    bodies' from q and v, kinematic ones' from their motion. One evaluation
+    takes them once, for posing and for the dynamics. A non-finite q or v
+    entry raises ValueError naming its body and coordinate, unless checked
+    (the caller has scanned the state)."""
+    bad = None if checked else _bad_coordinate(state, scene)
+    if bad:
+        raise ValueError(f"state has a non-finite {bad}")
     t = state.time
     nb = len(scene.bodies)
     # A complex q or v whose imaginary part is 0 carries no tangent, and
@@ -371,8 +380,8 @@ def _pose_groups(scene: Scene, state: SceneState) -> list[WorldAopc]:
     q, v = (x.real[(0,) * (x.ndim - d)] if np.iscomplexobj(x) and not x.imag.any() else x
             for x, d in ((state.q, 2), (state.v, 1)))
     trans, quat = np.zeros(q.shape[:-2] + (nb, 3), q.dtype), np.zeros(q.shape[:-2] + (nb, 4), q.dtype)
-    twist = np.zeros(np.broadcast_shapes(q.shape[:-2], v.shape[:-1]) + (nb, 6), np.result_type(q.dtype, v.dtype))
-    free = scene.free_indices
+    twist = np.zeros(_broadcast(q.shape[:-2], v.shape[:-1]) + (nb, 6), np.result_type(q.dtype, v.dtype))
+    free = scene._free
     trans[..., free, :], quat[..., free, :] = q[..., :3], quat_normalize(q[..., 3:])
     twist[..., free, :] = v.reshape(v.shape[:-1] + (-1, 6))
     for i, body in enumerate(scene.bodies):
@@ -380,57 +389,71 @@ def _pose_groups(scene: Scene, state: SceneState) -> list[WorldAopc]:
             pose = body.motion.pose(t)
             trans[..., i, :], quat[..., i, :] = pose.translation, pose.quaternion
             twist[..., i, :] = body.motion.velocity(t)
-    R = quat_to_matrix(quat)
-    return [WorldAopc(*posed_arrays(R[..., idx, :, :], trans[..., idx, :], twist[..., idx, :], *local),
-                      trans[..., idx, :], dof_start, scene.n)
-            for idx, dof_start, *local in scene._groups]
+    return trans, quat_to_matrix(quat), twist
+
+
+def _pose_groups(scene: Scene, state: SceneState, frames=None, arena=None) -> list[WorldAopc]:
+    """Every group of Scene._groups posed at state as one stack, from
+    frames (taken here when not given), with its contact._plane_matrices
+    for Scene.params: real ones from the Scratch arena when given, in the
+    caller's block, others fresh."""
+    trans, R, twist = frames or _frames(scene, state)
+    groups = []
+    for idx, dof_start, *local in scene._groups:
+        posed = (*posed_arrays(R[..., idx, :, :], trans[..., idx, :], twist[..., idx, :], *local), trans[..., idx, :],
+                 dof_start, scene.n)
+        cloud = WorldAopc(*posed)
+        geo, dtype = np.result_type(cloud.points, cloud.normals), np.result_type(*posed[:5])
+        src = arena if arena is not None and dtype.kind != "c" else Scratch()
+        groups.append(WorldAopc(*posed, planes=_plane_matrices(cloud, scene.params, geo, dtype, src)))
+    return groups
 
 
 def _rows(stack: WorldAopc, rows) -> WorldAopc:
-    """The bodies at rows of a posed group as a stack: views for a slice
-    (one row for a body on every row of its side), copies for an index
-    array."""
+    """The bodies at rows of a posed group as a stack, plane matrices too:
+    views for a slice (one row for a body on every row of its side), copies
+    for an index array."""
     arrays = (stack.points, stack.normals, stack.tangents, stack.arms, stack.velocities)
     return WorldAopc(*(x[..., rows, :, :] for x in arrays), stack.origin[..., rows, :], stack.dof_start[rows],
-                     stack.num_dofs)
+                     stack.num_dofs, planes=tuple(x[..., rows, :, :, :] for x in stack.planes))
 
 
-def _pair_walk(scene: Scene, state: SceneState):
+def _pair_walk(scene: Scene, state: SceneState, frames=None, arena=None) -> list:
     """(positions in pair_indices (P,), body indices (P, 2), sides a, b) per chunk
-    of Scene._pair_chunks, each side cut by row out of its group, posed once."""
-    bad = _bad_coordinate(state, scene)
-    if bad:
-        raise ValueError(f"state has a non-finite {bad}")
-    posed = _pose_groups(scene, state) if scene.pair_indices else []
-    for (pos, chunk), ((ga, rows_a), (gb, rows_b)) in zip(scene._pair_chunks, scene._chunk_sides):
-        yield pos, chunk, _rows(posed[ga], rows_a), _rows(posed[gb], rows_b)
+    of Scene._pair_chunks, each side cut by row out of its group, posed once
+    (_pose_groups, with frames and arena)."""
+    posed = _pose_groups(scene, state, frames, arena) if scene.pair_indices else []
+    return [(pos, chunk, _rows(posed[ga], rows_a), _rows(posed[gb], rows_b))
+            for (pos, chunk), ((ga, rows_a), (gb, rows_b)) in zip(scene._pair_chunks, scene._chunk_sides)]
 
 
-def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False, helper=None):
+def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False, helper=None, frames=None):
     """Sum of pair forces plus the minimum separation seen (diagnostics);
     per_pair also returns each pair's soft separation distance, in
-    pair_indices order, from the same evaluation of _pair_walk's chunks. A
-    non-finite q or v entry raises ValueError naming its body and coordinate,
-    and non-finite contact at a finite state one naming the pair's bodies.
+    pair_indices order, from the same evaluation of _pair_walk's chunks,
+    posed from frames (taken here when not given, see _frames). Non-finite
+    contact raises ValueError naming the pair's bodies.
     With a helper (a rollout's _ContactHelper) the b-in-a direction of every
     chunk is computed there meanwhile; results and errors are the serial
     ones, as an evaluation either process fails is redone serially."""
+    frames = frames or _frames(scene, state)
     dtype = np.result_type(state.q.dtype, state.v.dtype)
-    batch = np.broadcast_shapes(state.q.shape[:-2], state.v.shape[:-1])
+    batch = _broadcast(state.q.shape[:-2], state.v.shape[:-1])
     out = np.zeros(batch + (scene.n,), dtype=dtype)
     seps = np.zeros(batch + (len(scene.pair_indices),), dtype=dtype)
     min_sep = np.inf
-    walk = None if helper is None else helper.walk(scene, state)
-    for pos, chunk, a, b, sums in walk or ((*c, None) for c in _pair_walk(scene, state)):
-        try:
-            force, values, coeff = _pair_contact(a, b, scene.params, sums=sums)
-        except NonFiniteContact as err:
-            names = tuple(scene.bodies[i].name for i in chunk[err.row])
-            raise ValueError("contact between %s and %s is not finite" % names) from None
-        out += force
-        min_sep = min(min_sep, float(np.min(values.real)))
-        if per_pair:
-            seps[..., pos] = np.sum(coeff * values, axis=-1)
+    with _ARENA.scratch as arena:  # the group plane matrices' block
+        walk = None if helper is None else helper.walk(scene, state, frames, arena)
+        for pos, chunk, a, b, *sums in walk or _pair_walk(scene, state, frames, arena):
+            try:
+                force, values, coeff = _pair_contact(a, b, scene.params, sums=sums[0] if sums else None)
+            except NonFiniteContact as err:
+                names = tuple(scene.bodies[i].name for i in chunk[err.row])
+                raise ValueError("contact between %s and %s is not finite" % names) from None
+            out += force
+            min_sep = min(min_sep, float(values.real.min()))
+            if per_pair:
+                seps[..., pos] = np.sum(coeff * values, axis=-1)
     return (out, min_sep, seps) if per_pair else (out, min_sep)
 
 
@@ -473,6 +496,7 @@ class _ContactHelper:
         ends = np.cumsum(sizes)
         buf = np.frombuffer(mmap.mmap(-1, int(ends[-1])), np.uint8)
         self._request = buf[:sizes[0]].view(complex)[:8 + 13 * nf]
+        self._params = None  # the ContactParams last written into the request area
         slots = [Scratch(buf[start:end]) for start, end in zip(ends[:-1], ends[1:])]
         self._theirs, self._ours = slots[0::2], slots[1::2]
         (req_r, req_w), (rep_r, rep_w) = os.pipe(), os.pipe()
@@ -491,19 +515,22 @@ class _ContactHelper:
         self._requests, self._replies = open(req_w, "wb", buffering=0), open(rep_r, "rb", buffering=0)
         self.stop = weakref.finalize(scene, _stop_helper, self.pid, self.owner, self._requests, self._replies)
 
-    def walk(self, scene: Scene, state: SceneState):
-        """_pair_walk's chunks at state, each with its two directions' (value,
-        gt): b in a from the helper, and a in b computed here meanwhile, for
-        every chunk before the first reply is read. None, for the caller to
-        evaluate serially, where the request area cannot carry the state or
-        either process fails; the status byte is read first."""
+    def walk(self, scene: Scene, state: SceneState, frames=None, arena=None):
+        """_pair_walk's chunks at state (with frames and arena), each with its
+        two directions' (value, gt): b in a from the helper, and a in b
+        computed here meanwhile, for every chunk before the first reply is
+        read. None, for the caller to evaluate serially, where the request
+        area cannot carry the state or either process fails; the status byte
+        is read first. Scene.params is written only when it changed."""
         q, v = state.q, state.v
         if (q.shape, v.shape) != self._shapes or not {q.dtype, v.dtype} <= _CARRIED or np.iscomplexobj(state.time):
             return None
-        np.concatenate(([state.time], q.ravel(), v, astuple(scene.params)), out=self._request)
+        if scene.params is not self._params:
+            self._request[-7:], self._params = astuple(scene.params), scene.params
+        np.concatenate(([state.time], q.ravel(), v), out=self._request[:-7])
         self._talk(self._requests.write, bytes([np.iscomplexobj(q) + 2 * np.iscomplexobj(v)]))
         try:
-            chunks, ours = list(_pair_walk(scene, state)), []
+            chunks, ours = _pair_walk(scene, state, frames, arena), []
             for (_, _, a, b), slot in zip(chunks, self._ours):
                 with slot:
                     ours.append(_query_sums(b, a.points, a.velocities, scene.params, out=slot))
@@ -540,17 +567,22 @@ class _ContactHelper:
     def _serve(self, scene: Scene, requests: int, replies: int):
         """The helper's loop: answer each request until the owner's end
         closes."""
-        nq = 1 + 7 * len(scene.free_indices)
+        nq, params = 1 + 7 * len(scene.free_indices), None
         while flags := os.read(requests, 1):
             r, status = self._request, _FAILED
             try:
                 q, v = r[1:nq], r[nq:-7]
                 q, v = (x if flags[0] & bit else x.real for x, bit in ((q, 1), (v, 2)))
-                scene.params = ContactParams(*r[-7:].real.tolist())
+                sent = r[-7:].real.tolist()
+                if sent != params:  # rebuilt only when the owner's changed
+                    scene.params, params = ContactParams(*sent), sent
                 state = SceneState(float(r[0].real), q.reshape(-1, 7).copy(), v.copy())
-                for (_, _, a, b), slot in zip(_pair_walk(scene, state), self._theirs):
-                    with slot:
-                        _query_sums(a, b.points, b.velocities, scene.params, out=slot)
+                with _ARENA.scratch as arena:
+                    # The owner checked the state.
+                    for (_, _, a, b), slot in zip(_pair_walk(scene, state, _frames(scene, state, True), arena),
+                                                  self._theirs):
+                        with slot:
+                            _query_sums(a, b.points, b.velocities, scene.params, out=slot)
                 status = _OK
             except Exception:  # the owner's serial redo meets it again
                 pass
@@ -590,18 +622,22 @@ def inverse_dynamics(scene: Scene, state: SceneState, vdot: np.ndarray) -> np.nd
     bad = _bad_entry(scene, vdot, _DOF_COORDS)
     if bad:
         raise ValueError(f"vdot has a non-finite {bad}")
-    contact = total_contact_force(scene, state)
-    m, R, Iw = _free_inertia(scene, state.q)
+    frames = _frames(scene, state)
+    contact = _contact_force(scene, state, frames=frames)[0]
+    m, R = _masses(scene), frames[1][..., scene._free, :, :]
     a = vdot.reshape(-1, 6)
-    inertial = np.concatenate([m[:, None] * a[:, :3], (Iw @ a[:, 3:, None])[..., 0]], axis=1)
+    inertial = np.concatenate([m[:, None] * a[:, :3], (R @ scene._inertia @ R.swapaxes(-1, -2) @ a[:, 3:, None])[..., 0]],
+                              axis=1)
     return (inertial + _bias(scene, state.v, m, R)).reshape(-1) - contact
 
 
-def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = None, *, _with_separation: bool = False, _helper=None):
-    """Acceleration under controls, bias, and contact. The mass matrix is
-    inverted per 6x6 block (diagonal linear part, one batched 3x3 solve).
-    _with_separation (private) returns (vdot, minimum separation at state);
-    _helper (private) is rollout's contact helper."""
+def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = None, *, _with_separation: bool = False,
+                     _helper=None, _checked: bool = False):
+    """Acceleration under controls, bias, and contact, the body frames
+    taken once for both. The mass matrix is inverted per 6x6 block, without
+    a solve (see _accelerate). _with_separation (private) returns (vdot,
+    minimum separation at state); _helper (private) is rollout's contact
+    helper; _checked (private): step's divergence check scanned the state."""
     if tau is None:
         tau = scene.tau(state.time)
     tau = np.asarray(tau)
@@ -610,28 +646,34 @@ def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = N
     bad = _bad_entry(scene, tau, _DOF_COORDS)
     if bad:
         raise ValueError(f"tau has a non-finite {bad}")
-    contact, min_sep = _contact_force(scene, state, helper=_helper)
-    vdot = _accelerate(scene, state, tau, contact)
+    frames = _frames(scene, state, _checked)
+    contact, min_sep = _contact_force(scene, state, helper=_helper, frames=frames)
+    vdot = _accelerate(scene, state, tau, contact, frames[1][..., scene._free, :, :])
     return (vdot, min_sep) if _with_separation else vdot
 
 
-def _accelerate(scene: Scene, state: SceneState, tau: np.ndarray, contact: np.ndarray) -> np.ndarray:
-    """forward_dynamics' solve, given the controls and the contact force."""
-    m, R, Iw = _free_inertia(scene, state.q)
+def _accelerate(scene: Scene, state: SceneState, tau: np.ndarray, contact: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """forward_dynamics' block inversion, given the controls, the contact
+    force and the free bodies' rotations R. With E = Scene._inverse, the
+    inverse inertia less Id / I_00, (R I_body R^T)^-1 rhs = rhs / I_00 +
+    R E R^T rhs: no solve runs, and isotropic bodies (E = 0) take rhs / I_00
+    exactly."""
+    m = _masses(scene)
     rhs = tau.reshape(-1, 6) - _bias(scene, state.v, m, R) + contact.reshape(contact.shape[:-1] + (-1, 6))
-    try:
-        angular = np.linalg.solve(Iw, rhs[..., 3:, None])[..., 0]
-    except np.linalg.LinAlgError:
-        k = int(np.argmin(np.abs(np.linalg.det(Iw)))) % len(scene.free_indices)
-        raise ValueError(f"body {scene.bodies[scene.free_indices[k]].name}: rotational inertia is singular") from None
-    return np.concatenate([rhs[..., :3] / m[:, None], angular], axis=-1).reshape(rhs.shape[:-2] + (-1,))
+    torque = rhs[..., 3:, None]
+    angular = torque / scene._inertia[:, :1, :1] + R @ (scene._inverse @ (R.swapaxes(-1, -2) @ torque))
+    rhs[..., :3] /= m[:, None]
+    rhs[..., 3:] = angular[..., 0]
+    return rhs.reshape(rhs.shape[:-2] + (-1,))
 
 
 def _separation_force_acceleration(scene: Scene, state: SceneState):
     """(soft separation per pair, total contact force, forward dynamics under
     scene.tau) from one contact evaluation: the gradient check's map."""
-    contact, _, seps = _contact_force(scene, state, per_pair=True)
-    return seps, contact, _accelerate(scene, state, scene.tau(state.time), contact)
+    frames = _frames(scene, state)
+    contact, _, seps = _contact_force(scene, state, per_pair=True, frames=frames)
+    return seps, contact, _accelerate(scene, state, scene.tau(state.time), contact,
+                                      frames[1][..., scene._free, :, :])
 
 
 def _advance_q(q: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
@@ -655,6 +697,9 @@ def _bad_entry(scene: Scene, arr: np.ndarray, coords: tuple, limit: float = np.i
     per free body, that is non-finite or not below limit in magnitude; None
     when there is none."""
     arr = arr.reshape(-1, len(coords))
+    # One pass when all is well: a NaN fails the comparison too.
+    if np.abs(arr).max(initial=0.0) < limit:
+        return None
     ok = np.isfinite(arr) & (np.abs(arr) < limit)
     if ok.all():
         return None
@@ -724,9 +769,9 @@ def step(scene: Scene, state: SceneState, dt: float, integrator: str = "rk4", *,
         vs, accs = [state.v], [a1]
         for h in (dt / 2, dt / 2, dt):
             s = SceneState(t + h, _advance_q(state.q, vs[-1], h), state.v + h * accs[-1])
-            _check_finite(s, scene)
+            _check_finite(s, scene)  # the stage state's one scan
             vs.append(s.v)
-            accs.append(forward_dynamics(scene, s, scene.tau(t + h), _helper=_helper))
+            accs.append(forward_dynamics(scene, s, scene.tau(t + h), _helper=_helper, _checked=True))
         v_eff = (vs[0] + 2 * vs[1] + 2 * vs[2] + vs[3]) / 6.0
         a_eff = (accs[0] + 2 * accs[1] + 2 * accs[2] + accs[3]) / 6.0
     q_new = _advance_q(state.q, v_eff, dt)
@@ -807,16 +852,25 @@ def trajectory_csv(scene: Scene, result: RolloutResult) -> str:
 # center of mass)
 
 
+def _positive(name: str, x) -> np.ndarray:
+    """x as floats, each positive and finite, else ValueError naming it."""
+    x = np.asarray(x, dtype=float)
+    if not (np.isfinite(x).all() and (x > 0).all()):
+        raise ValueError(f"{name} must be positive and finite, got {x.tolist()!r}")
+    return x
+
+
 def box_inertia(mass: float, size) -> np.ndarray:
-    sx, sy, sz = np.asarray(size, dtype=float)
+    (sx, sy, sz), mass = _positive("box size", size).reshape(3), float(_positive("mass", mass))
     return mass / 12.0 * np.diag([sy**2 + sz**2, sx**2 + sz**2, sx**2 + sy**2])
 
 
 def sphere_inertia(mass: float, radius: float) -> np.ndarray:
-    return 0.4 * mass * radius**2 * np.eye(3)
+    return 0.4 * float(_positive("mass", mass)) * float(_positive("radius", radius))**2 * np.eye(3)
 
 
 def cylinder_inertia(mass: float, radius: float, height: float) -> np.ndarray:
+    mass, radius, height = (float(_positive(*arg)) for arg in (("mass", mass), ("radius", radius), ("height", height)))
     ixy = mass * (3 * radius**2 + height**2) / 12.0
     return np.diag([ixy, ixy, 0.5 * mass * radius**2])
 
@@ -825,6 +879,7 @@ def composite_box_inertia(mass: float, members) -> tuple[np.ndarray, np.ndarray]
     """Center of mass and inertia (about that COM) of a set of uniform-
     density member boxes given as (size, offset) pairs. Overlap between
     members is double counted; keep overlaps small."""
+    mass = float(_positive("mass", mass))
     sizes = [np.asarray(s, dtype=float) for s, _ in members]
     offsets = [np.asarray(o, dtype=float) for _, o in members]
     vols = np.array([np.prod(s) for s in sizes])

@@ -143,6 +143,8 @@ class WorldAopc:
     pair axis before each array's (I, 3) and has no vertices or faces. A
     batch of K complex-step directions adds a leading K axis to the complex
     arrays (after tangents' 2 and arms' 3), beyond dof_start's axes.
+    planes, when given, are the contact kernel's plane matrices of the
+    cloud (contact._plane_matrices), which the kernel otherwise builds.
     """
 
     points: np.ndarray
@@ -156,6 +158,7 @@ class WorldAopc:
     vertices: np.ndarray | None = None
     faces: np.ndarray | None = None
     body_id: str = ""
+    planes: tuple | None = None
 
     @property
     def num_points(self) -> int:
@@ -180,16 +183,21 @@ class WorldAopc:
         batch = wrench.shape[:wrench.ndim - 1 - np.ndim(self.dof_start)]
         out = np.zeros(batch + (n + 6,), dtype=wrench.dtype)
         idx = np.empty(wrench.shape[len(batch):], dtype=int)
-        idx[...] = np.where(self.dof_start < 0, n, self.dof_start)[..., None] + np.arange(6)
+        idx[...] = np.where(self.dof_start < 0, n, self.dof_start)[..., None] + _BLOCK
         np.add.at(out, (..., idx), wrench)
         return out[..., :n]
+
+
+# Each axis's successor and predecessor in (x, y, z), for cross products,
+# and a 6-DOF block's offsets.
+_NEXT, _PREV, _BLOCK = np.array([1, 2, 0]), np.array([2, 0, 1]), np.arange(6)
 
 
 def moment(r: np.ndarray, f: np.ndarray) -> np.ndarray:
     """sum r x f over the point axis of (..., I, 3) arrays: the antisymmetric
     part of the 3 x 3 matrix sum r f^T."""
-    M = np.swapaxes(r, -1, -2) @ f
-    return M[..., [1, 2, 0], [2, 0, 1]] - M[..., [2, 0, 1], [1, 2, 0]]
+    M = r.swapaxes(-1, -2) @ f
+    return M[..., _NEXT, _PREV] - M[..., _PREV, _NEXT]
 
 
 def posed_arrays(R, t, twist, points, normals, tangents, arms):
@@ -203,10 +211,10 @@ def posed_arrays(R, t, twist, points, normals, tangents, arms):
     beyond the points' (a batch's K) follow the 2 and 3. Returns (points,
     normals, tangents, arms, velocities).
     """
-    Rt = np.swapaxes(R, -1, -2)
+    Rt = R.swapaxes(-1, -2)
     w = twist[..., 3:, None]
-    wR = w[..., [1, 2, 0], :] * R[..., [2, 0, 1], :] - w[..., [2, 0, 1], :] * R[..., [1, 2, 0], :]
-    vel = points @ np.swapaxes(wR, -1, -2) + twist[..., None, :3]
+    wR = w[..., _NEXT, :] * R[..., _PREV, :] - w[..., _PREV, :] * R[..., _NEXT, :]
+    vel = points @ wR.swapaxes(-1, -2) + twist[..., None, :3]
     tangents, arms = (x.reshape(x.shape[:1] + (1,) * (R.ndim + 1 - x.ndim) + x.shape[1:]) for x in (tangents, arms))
     return points @ Rt + t[..., None, :], normals @ Rt, tangents @ Rt, arms @ Rt, vel
 
@@ -225,13 +233,16 @@ def pose_aopc(
     at dof_start, ordered [world linear; world angular] at the body origin t,
     so point p moves at v + w x (p - t). Kinematic bodies pass dof_start=None
     and a prescribed world spatial velocity (6,) taken at the body origin.
+    A non-finite velocity entry raises ValueError naming it.
     """
     v = np.asarray(gen_velocity)
+    _reject_nonfinite(v, "gen_velocity")
     n = v.shape[0]
     R = quat_to_matrix(pose.quaternion)
     t = pose.translation
     if dof_start is None:
         s, twist = -1, np.zeros(6) if prescribed_velocity is None else np.asarray(prescribed_velocity)
+        _reject_nonfinite(twist, "prescribed_velocity")
     else:
         s = int(dof_start)
         if s < 0 or s + 6 > n:

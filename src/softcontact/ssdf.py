@@ -82,18 +82,9 @@ def ssdf(aopc, p, eps1: float) -> SsdfResult:
     (P, I, 3) takes a (P, Q, 3) query. A query with a non-finite coordinate
     (in its real part: a complex step's tangent is carried) raises ValueError.
     """
-    check_temperature(eps1, "eps1")
     q, single = _as_batch(p)
-    pts, nrm = _cloud(aopc)
-    S, rows = _ssdf_matrix(pts, nrm, eps1), _query_rows(q)
-    step = np.iscomplexobj(S) or np.iscomplexobj(rows)
-    scale = _tangent_scale(S, rows) if step else 1.0
-    if step:  # one direction, K = 1
-        S = _dual(S, scale, np.empty((1,) + S.shape[:-2] + (8,) + S.shape[-1:]))
-        rows = _dual(rows, scale, np.empty((1,) + rows.shape[:-2] + (8,) + rows.shape[-1:]), tangent_first=True)
-    lead = np.broadcast_shapes(S.shape[step:-3], rows.shape[step:-2])
-    value = np.empty(lead + rows.shape[-1:], complex) if step else None
-    v, sums, out = _block(S, rows, (_parts(value)[0], _parts(value)[1:]) if step else None, scale=scale)
+    (_, value, sums, out), = _ssdf_blocks(aopc, q, eps1, max(q.shape[-2], 1))
+    step = np.iscomplexobj(value)
     # [w, s], (..., Q, I) each, and its parts (real, imaginary) planes first.
     ws = np.empty((2,) + out.shape[2:] + out.shape[1:2], complex if step else float)
     parts = np.moveaxis(_parts(ws) if step else ws[None], -1, 2)
@@ -101,24 +92,42 @@ def ssdf(aopc, p, eps1: float) -> SsdfResult:
     if step:
         parts[1, 0] = out[2]
         _quotient(out[0], sums[0], out=parts[0, 0], dnum=parts[1, 0], dden=sums[1][0])
-        parts[1] *= 1.0 / scale
-        _parts(value)[1] *= 1.0 / scale
     else:
         _quotient(out[0], sums, out=parts[0, 0])
-        value = v
     w, s = ws
     return SsdfResult(value[0], w[0], s[0]) if single else SsdfResult(value, w, s)
 
 
-def _ssdf_blocks(cloud, points, eps1: float):
-    """(slice, ssdf of points[..., slice, :] against cloud) over blocks of
-    at most _CHUNK_ENTRIES entries, stack x block x planes: the block rule
-    of every SSDF reader outside the contact kernel."""
-    lead = np.broadcast_shapes(cloud.points.shape[:-2], points.shape[:-2])
-    step = max(1, _CHUNK_ENTRIES // (math.prod(lead) * cloud.num_points))
-    for start in range(0, points.shape[-2], step):
-        sl = slice(start, start + step)
-        yield sl, ssdf(cloud, points[..., sl, :], eps1)
+def _ssdf_blocks(cloud, points, eps1: float, n: int | None = None):
+    """(slice, value, sums, out) of _block over blocks of n queries of points
+    (by default as many as fit _CHUNK_ENTRIES entries, stack x block x
+    planes), from one _ssdf_matrix: the block rule of every SSDF reader
+    outside the contact kernel, ssdf's one block of all. value is ssdf's of
+    points[..., slice, :]; for a real query out[0] / sums are its weights.
+    A complex step is split once (K = 1) and its tangents given unscaled. A
+    non-finite query raises ValueError."""
+    check_temperature(eps1, "eps1")
+    q, _ = _as_batch(points)
+    pts, nrm = _cloud(cloud)
+    S = _ssdf_matrix(pts, nrm, eps1)
+    step = np.iscomplexobj(S) or np.iscomplexobj(q)
+    scale = _tangent_scale(S, q) if step else 1.0
+    if step:
+        S = _dual(S, scale, np.empty((1,) + S.shape[:-2] + (8,) + S.shape[-1:]))
+    lead = np.broadcast_shapes(pts.shape[:-2], q.shape[:-2])
+    n = n or max(1, _CHUNK_ENTRIES // (math.prod(lead) * pts.shape[-2]))
+    for start in range(0, q.shape[-2], n):
+        sl = slice(start, start + n)
+        rows = _query_rows(q[..., sl, :])
+        if not step:
+            yield (sl, *_block(S, rows))
+            continue
+        rows = _dual(rows, scale, np.empty((1,) + rows.shape[:-2] + (8,) + rows.shape[-1:]), tangent_first=True)
+        value = np.empty(lead + rows.shape[-1:], complex)
+        _, sums, out = _block(S, rows, (_parts(value)[0], _parts(value)[1:]), scale=scale)
+        for tangent in (_parts(value)[1], sums[1], out[2:]):
+            tangent *= 1.0 / scale
+        yield sl, value, sums, out
 
 
 def _query_rows(q, last=1.0, out=None):
@@ -126,7 +135,7 @@ def _query_rows(q, last=1.0, out=None):
     (..., 4, Q) array: [q, 1] is what _ssdf_matrix is taken against."""
     if out is None:
         out = np.empty(q.shape[:-2] + (4,) + q.shape[-2:-1], q.dtype)
-    out[..., :3, :], out[..., 3, :] = np.swapaxes(q, -1, -2), last
+    out[..., :3, :], out[..., 3, :] = q.swapaxes(-1, -2), last
     return out
 
 
@@ -138,9 +147,9 @@ def _ssdf_matrix(pts, nrm, eps1: float, out=None):
     the row constant |q|^2 / eps1, which the softmin is invariant to."""
     if out is None:
         out = np.empty(pts.shape[:-2] + (2, 4) + pts.shape[-2:-1], np.result_type(pts, nrm))
-    np.divide(np.swapaxes(pts, -1, -2), 0.5 * eps1, out=out[..., 0, :3, :])
+    np.divide(pts.swapaxes(-1, -2), 0.5 * eps1, out=out[..., 0, :3, :])
     np.divide(np.einsum("...j,...j->...", pts, pts), -eps1, out=out[..., 0, 3, :])
-    np.negative(np.swapaxes(nrm, -1, -2), out=out[..., 1, :3, :])
+    np.negative(nrm.swapaxes(-1, -2), out=out[..., 1, :3, :])
     np.einsum("...j,...j->...", pts, nrm, out=out[..., 1, 3, :])
     return out
 
@@ -188,12 +197,12 @@ def _block(S, rows, value=None, sums=None, out=None, scale=1.0):
     # caller names the pair.
     with np.errstate(invalid="ignore"):
         re_S, re_rows = (S[0, ..., :4, :], rows[0, ..., 4:, :]) if step else (S, rows)
-        np.matmul(np.swapaxes(re_S, -1, -2), re_rows[..., None, :, :], out=_stacked(out[:2]))
+        np.matmul(re_S.swapaxes(-1, -2), re_rows[..., None, :, :], out=_stacked(out[:2]))
         if step:
             tangents = out[2:].reshape((K, 2) + out.shape[1:])
-            np.matmul(np.swapaxes(S, -1, -2), rows[..., None, :, :], out=_stacked(tangents, 1))
+            np.matmul(S.swapaxes(-1, -2), rows[..., None, :, :], out=_stacked(tangents, 1))
         e, nphi = out[:2]
-        e -= np.max(e, axis=0) - _LIFT
+        e -= e.max(axis=0) - _LIFT
     # The log(I) margin on the exp cutoff keeps the normalised weights normal,
     # as the sum is at most I; the entries dropped weigh under 1e-305 of the
     # largest.
@@ -202,7 +211,7 @@ def _block(S, rows, value=None, sums=None, out=None, scale=1.0):
     fresh = (lambda: (np.empty(shape), np.empty((K,) + shape))) if step else (lambda: np.empty(shape))
     value, sums = (fresh() if x is None else x for x in (value, sums))
     num, den = (value[0], sums[0]) if step else (value, sums)
-    np.sum(e, axis=0, out=den)
+    e.sum(axis=0, out=den)
     np.einsum("i...,i...->...", e, nphi, out=num)
     if step:
         (de, dnphi), dnum, dden = tangents.swapaxes(0, 1), value[1], sums[1]
@@ -324,7 +333,7 @@ def sample_sdf_grid(aopc, bounds, resolution, eps1: float, slice_axis: int | Non
         axes.append(np.linspace(lo[ax], hi[ax], res[ax]))
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
-    return pts, np.concatenate([r.value for _, r in _ssdf_blocks(aopc, pts, eps1)])
+    return pts, np.concatenate([value for _, value, _, _ in _ssdf_blocks(aopc, pts, eps1)])
 
 
 def grid_to_csv(points: np.ndarray, values: np.ndarray) -> str:

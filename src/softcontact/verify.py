@@ -18,13 +18,20 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import time
 from dataclasses import dataclass, field as dc_field
+
+try:
+    import resource
+except ImportError:  # not on every platform: contact_count_timing then counts no faults
+    resource = None
 
 import numpy as np
 
 from .contact import point_plane_force
 from .core import _fork, _may_fork, softmax
-from .dynamics import Scene, SceneState, _pair_walk, _separation_force_acceleration, pose_all
+from .dynamics import (Scene, SceneState, _pair_walk, _separation_force_acceleration, pose_all, rollout,
+                       separated_state, step)
 # Bound here for perfbench/tracer.py, which wraps them as verify attributes.
 from .collision import separation_field  # noqa: F401
 from .dynamics import forward_dynamics, total_contact_force  # noqa: F401
@@ -349,16 +356,46 @@ def _state_clear_of_kinks(scene: Scene, state: SceneState, margin: float) -> boo
         values, peaks = [], []
         for cloud, qs in ((a, b), (b, a)):
             cloud_speed = np.sum(cloud.velocities * cloud.normals, axis=-1)[..., None, :]
-            for sl, r in _ssdf_blocks(cloud, qs.points, params.eps1):
+            for sl, value, sums, (e, *_) in _ssdf_blocks(cloud, qs.points, params.eps1):
                 x = np.matmul(qs.velocities[..., sl, :], np.swapaxes(cloud.normals, -1, -2))  # v_n / v_d
                 x -= cloud_speed
                 x /= params.v_d
-                values.append(r.value)
-                peaks.append(np.max(r.weights * ((np.abs(x) < margin) | (np.abs(x - 2.0) < margin)), axis=-1))
+                near = np.moveaxis((np.abs(x) < margin) | (np.abs(x - 2.0) < margin), -1, 0)
+                values.append(value)
+                peaks.append(np.max(e / sums * near, axis=0))  # e / sums: ssdf's weights, planes first
         coeff = softmax(-np.concatenate(values, axis=-1), params.eps2)
         if np.any(coeff * np.concatenate(peaks, axis=-1) > 1e-8):
             return False
     return True
+
+
+def _minor_faults() -> float:
+    """Minor page faults of this process so far; NaN without `resource`."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else float("nan")
+
+
+def contact_count_timing(scene: Scene, state: SceneState, dt: float, pairs: int, integrator: str = "rk4",
+                         through_rollout: bool = False):
+    """Claim (iii)'s measurement: steps from state, in contact, alternate
+    with steps from separated_state(scene, state), the same work with no
+    pair near contact, separated first, after one warm-up step of each, so
+    drift in machine speed cancels out of each pair's ratio separated /
+    contact. through_rollout takes each step as a one-step rollout, with the
+    scene's contact helper where a fork is allowed. Returns each variant's
+    seconds per step (pairs,) and mean minor page faults per step."""
+    states = {"separated": separated_state(scene, state), "contact": state}
+    run = ((lambda st: rollout(scene, st, dt, 1, integrator, record_separation=False)) if through_rollout
+           else (lambda st: step(scene, st, dt, integrator)))
+    for st in states.values():
+        run(st)
+    times, faults = {variant: np.empty(pairs) for variant in states}, dict.fromkeys(states, 0.0)
+    for k in range(pairs):
+        for variant, st in states.items():
+            f0, t0 = _minor_faults(), time.perf_counter()
+            run(st)
+            times[variant][k] = time.perf_counter() - t0
+            faults[variant] += _minor_faults() - f0
+    return times, {variant: n / pairs for variant, n in faults.items()}
 
 
 # ---------------------------------------------------------------------------

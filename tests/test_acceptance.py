@@ -31,15 +31,14 @@ from softcontact.dynamics import (
     make_state,
     pose_all,
     rollout,
-    separated_state,
     sphere_inertia,
-    step,
     total_contact_force,
 )
 from softcontact.geometry import Pose, box_aopc, pose_aopc, sphere_aopc
 from softcontact.ssdf import sample_sdf_grid, ssdf
 from softcontact.verify import (
     check_pipeline_gradients,
+    contact_count_timing,
     cs_gradient,
     cs_hessian_diag,
     hard_pipeline_oracle,
@@ -385,36 +384,23 @@ def test_criterion_6_contact_count_independence():
         bodies = [Body("lower", box, "free", 2.0, box_inertia(2.0, [0.5, 0.5, 0.2])),
                   Body("upper", box, "free", 2.0, box_inertia(2.0, [0.5, 0.5, 0.2]))]
         boxes = Scene(bodies, [("lower", "upper")], params=ContactParams(k=2e3))
-        overlap, separated = (
-            make_state(boxes, {"upper": Pose(np.array([0, 0, dz]), np.array([1.0, 0, 0, 0]))})
-            for dz in (0.15, 5.0)
-        )
-        cases = [("stacked boxes", boxes, overlap, separated, 2e-3)]
-        # The bundled simulation scenes, their free bodies pulled apart by
-        # separated_state, as `softcontact bench` does: most of their penalty
-        # entries then sit in softplus's clamped tail.
+        overlap = make_state(boxes, {"upper": Pose(np.array([0, 0, 0.15]), np.array([1.0, 0, 0, 0]))})
+        cases = [("stacked boxes", boxes, overlap, 2e-3)]
+        # The bundled simulation scenes. contact_count_timing pulls the free
+        # bodies apart with separated_state, as `softcontact bench` does: most
+        # of their penalty entries then sit in softplus's clamped tail.
         for name in ("sphere_pair", "sphere_drop", "push_t_1"):
             cfg = load_config(os.path.join(CONFIG_DIR, name + ".json"))
-            cases.append((name, cfg.scene, cfg.state, separated_state(cfg.scene, cfg.state), cfg.world.dt))
-        for name, scene, st_contact, st_apart, dt in cases:
+            cases.append((name, cfg.scene, cfg.state, cfg.world.dt))
+        for name, scene, st_contact, dt in cases:
             # A direct step runs serially; a one-step rollout takes the path
             # users run, with the scene's contact helper where a fork is
-            # allowed (the warm-up starts it).
-            for path, run, pairs in (("step", lambda st: step(scene, st, dt, "rk4"), 120),
-                                     ("rollout", lambda st: rollout(scene, st, dt, 1, record_separation=False), 60)):
-                for st in (st_contact, st_apart):
-                    run(st)  # warm-up
-                # The variants alternate step by step and each adjacent pair
-                # gives one ratio, so drift in machine speed cancels out of
-                # the median.
-                ratios = []
-                for _ in range(pairs):
-                    t0 = time.perf_counter()
-                    run(st_apart)
-                    t1 = time.perf_counter()
-                    run(st_contact)
-                    ratios.append((t1 - t0) / (time.perf_counter() - t1))
-                ratio = float(np.median(ratios))
+            # allowed. The variants alternate step by step and each adjacent
+            # pair gives one ratio, so drift in machine speed cancels out of
+            # the median.
+            for path, pairs in (("step", 120), ("rollout", 60)):
+                times, _ = contact_count_timing(scene, st_contact, dt, pairs, through_rollout=path == "rollout")
+                ratio = float(np.median(times["separated"] / times["contact"]))
                 assert 0.8 <= ratio <= 1.2, f"{name}, {path}: step-time ratio {ratio:.3f}"
 
 

@@ -34,7 +34,7 @@ from softcontact.dynamics import (
     total_contact_force,
     trajectory_csv,
 )
-from softcontact.geometry import AopcError, Pose, box_aopc, cylinder_aopc, sphere_aopc
+from softcontact.geometry import AopcError, Pose, box_aopc, cylinder_aopc, pose_aopc, sphere_aopc
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -1466,3 +1466,122 @@ def test_a_step_at_the_bound_in_any_one_direction_of_a_batch_raises(k):
     steps[k] = 1e-6
     with pytest.raises(ValueError, match="complex-step perturbation"):
         dynamics._contact_force(scene, _batch(scene, st, np.arange(7), steps))
+
+
+def _ball_cube_flat_scene():
+    # A sphere and a cube (isotropic inertias) and a 0.5 x 0.5 x 0.2 box
+    # (not), each pair near enough to touch at the sampled poses.
+    from softcontact.contact import ContactParams
+
+    bodies = [Body("ball", sphere_aopc(0.1, 24), "free", 0.5, sphere_inertia(0.5, 0.1)),
+              Body("cube", box_aopc([0.2, 0.2, 0.2], 24), "free", 1.0, box_inertia(1.0, [0.2, 0.2, 0.2])),
+              Body("flat", box_aopc([0.5, 0.5, 0.2], 24), "free", 2.0, box_inertia(2.0, [0.5, 0.5, 0.2]))]
+    return Scene(bodies, [("ball", "cube"), ("cube", "flat"), ("ball", "flat")], params=ContactParams(k=2e3, v_s=0.02))
+
+
+def _sampled_state(scene, rng):
+    # The ball beside the cube, both overlapping the flat box below.
+    st = make_state(scene)
+    st.q[:, :3] = [[0.0, 0.0, 0.0], [0.17, 0.0, 0.0], [0.05, 0.0, -0.17]] + 0.01 * rng.standard_normal((3, 3))
+    st.q[:, 3:] = quat_normalize(rng.standard_normal(st.q[:, 3:].shape))
+    st.v[:] = rng.standard_normal(scene.n)
+    return st
+
+
+def _solved_dynamics(scene, st, tau):
+    # forward_dynamics as the parent computed it: rhs = tau - bias + contact,
+    # divided by the mass and solved against R I_body R^T per free body.
+    rhs = (tau - bias_force(scene, st) + total_contact_force(scene, st)).reshape(-1, 6)
+    M = mass_matrix(scene, st).reshape(len(scene.free_indices), 6, len(scene.free_indices), 6)
+    k = np.arange(len(scene.free_indices))
+    angular = np.linalg.solve(M[k, 3:, k, 3:], rhs[:, 3:, None])[..., 0]
+    return np.concatenate([rhs[:, :3] / M[k, 0, k, 0][:, None], angular], axis=1).reshape(-1)
+
+
+def test_forward_dynamics_matches_the_solve_real_and_as_a_complex_step_batch():
+    # The angular solve is rhs / I_00 + R E R^T rhs with E = I_body^-1 -
+    # Id / I_00: the inverse of R I_body R^T for a rotation R.
+    scene = _ball_cube_flat_scene()
+    rng = np.random.default_rng(29)
+    for _ in range(8):
+        st = _sampled_state(scene, rng)
+        tau = rng.standard_normal(scene.n)
+        got, want = forward_dynamics(scene, st, tau), _solved_dynamics(scene, st, tau)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(total_contact_force(scene, st)).max() > 1e-3  # contact takes part
+        # Each direction of a batch against the solve of its own complex
+        # state. A tangent is measured against its own size plus the step
+        # times the value's: where the rotation is the only dependence (an
+        # isotropic body's quaternion), the solve's tangent is the rounding
+        # residue of R R^T = Id, which the E form does not have.
+        h, cols = 1e-30, np.arange(0, 7 * 3 + scene.n, 5)
+        batch = _batch(scene, st, cols, np.full(cols.size, h))
+        got = forward_dynamics(scene, batch, tau)
+        for k in range(cols.size):
+            want = _solved_dynamics(scene, SceneState(st.time, batch.q[k], batch.v[k]), tau)
+            assert np.abs(got[k].real - want.real).max() <= 1e-13 * np.abs(want.real).max()
+            size = np.abs(want.imag).max() + h * np.abs(want.real).max()
+            assert np.abs(got[k].imag - want.imag).max() <= 1e-13 * size
+
+
+def test_isotropic_bodies_accelerate_by_rhs_over_i00_bit_for_bit():
+    scene = _ball_cube_flat_scene()
+    i00 = scene._inertia[:2, 0, 0]
+    rng = np.random.default_rng(30)
+    for _ in range(10):
+        st = _sampled_state(scene, rng)
+        tau = rng.standard_normal(scene.n)
+        rhs = (tau - bias_force(scene, st) + total_contact_force(scene, st)).reshape(-1, 6)
+        got = forward_dynamics(scene, st, tau).reshape(-1, 6)
+        np.testing.assert_array_equal(got[:2, 3:], rhs[:2, 3:] / i00[:, None])
+
+
+def test_one_evaluation_builds_each_rotation_once(monkeypatch):
+    # One quat_to_matrix call poses every body, kinematic ones too, and
+    # gives the dynamics its free bodies' rotations.
+    from softcontact import dynamics
+
+    shapes = []
+    build = dynamics.quat_to_matrix
+    monkeypatch.setattr(dynamics, "quat_to_matrix", lambda q: shapes.append(q.shape) or build(q))
+    scene, st = _group_posing_scene()
+    for call in (lambda: forward_dynamics(scene, st), lambda: inverse_dynamics(scene, st, np.zeros(scene.n)),
+                 lambda: step(scene, st, 1e-3, "euler")):
+        shapes.clear()
+        call()
+        assert shapes == [(len(scene.bodies), 4)]
+
+
+def test_a_mass_set_after_the_scene_is_built_reaches_forward_dynamics():
+    scene = free_sphere_scene(gravity=(0, 0, 0))
+    st = make_state(scene)
+    tau = np.array([1.0, 0, 0, 0, 0, 0])
+    assert forward_dynamics(scene, st, tau)[0] == 1.0
+    scene.bodies[0].mass = 4.0
+    assert forward_dynamics(scene, st, tau)[0] == 0.25
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda scene, st: mass_matrix(scene, _with(st, "q", (1, 2))), "state has a non-finite pose coordinate tz of body middle"),
+    (lambda scene, st: bias_force(scene, _with(st, "v", 6)), "state has a non-finite velocity coordinate vx of body middle"),
+    (lambda scene, st: pose_aopc(box_aopc([0.2, 0.2, 0.2], 24), Pose.identity(), _with(st, "v", 2).v, 0),
+     r"gen_velocity contains a non-finite entry at index 2"),
+    (lambda scene, st: pose_aopc(box_aopc([0.2, 0.2, 0.2], 24), Pose.identity(), st.v, None, "k", [0, np.inf, 0, 0, 0, 0]),
+     r"prescribed_velocity contains a non-finite entry at index 1"),
+    (lambda scene, st: box_inertia(np.nan, [0.2, 0.2, 0.2]), "mass must be positive and finite, got nan"),
+    (lambda scene, st: box_inertia(1.0, [0.2, np.inf, 0.2]), r"box size must be positive and finite, got \[0\.2, inf, 0\.2\]"),
+    (lambda scene, st: sphere_inertia(-1.0, 0.1), r"mass must be positive and finite, got -1\.0"),
+    (lambda scene, st: sphere_inertia(1.0, np.nan), "radius must be positive and finite, got nan"),
+    (lambda scene, st: composite_box_inertia(np.nan, [((1, 1, 1), (0, 0, 0))]), "mass must be positive and finite, got nan"),
+])
+def test_non_finite_inputs_of_the_dynamics_helpers_raise_naming_them(call, message):
+    scene, st = _batching_scene()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(scene, st)
+
+
+def _with(st, array, index):
+    """A copy of st with a NaN at index of its q or v."""
+    out = st.copy()
+    getattr(out, array)[index] = np.nan
+    return out

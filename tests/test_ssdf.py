@@ -284,3 +284,25 @@ def test_out_arguments_write_in_place_and_match_fresh_results():
             fresh = f(x)
             buf = x.copy()
             assert f(buf, out=buf) is buf and buf.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("tangent", [0.0, 1e-30])
+def test_ssdf_blocks_build_the_matrix_once_and_give_ssdf_bit_for_bit(monkeypatch, tangent):
+    # Five blocks of at most 20 queries against one cloud matrix; each
+    # block's values, and for a real query its weights e / sums, are those
+    # of ssdf on the block's queries.
+    import importlib
+
+    module = importlib.import_module("softcontact.ssdf")  # the package binds ssdf to the function
+    cloud = box_aopc([0.3, 0.3, 0.3], 54)
+    queries = sphere_aopc(0.2, 96).points + np.array([0.1, 0.05, 0.2]) + (1j * tangent if tangent else 0.0)
+    built = []
+    matrix = module._ssdf_matrix
+    monkeypatch.setattr(module, "_ssdf_matrix", lambda *args: built.append(1) or matrix(*args))
+    monkeypatch.setattr(module, "_CHUNK_ENTRIES", 54 * 20)
+    blocks = list(module._ssdf_blocks(cloud, queries, 1e-3))
+    assert len(built) == 1 and [sl.start for sl, *_ in blocks] == [0, 20, 40, 60, 80]
+    for sl, value, sums, out in blocks:
+        want = ssdf(cloud, queries[sl], 1e-3)
+        np.testing.assert_array_equal(value, want.value)
+        np.testing.assert_array_equal(np.moveaxis(out[0] / (sums[0] if tangent else sums), 0, -1), want.weights.real)

@@ -553,3 +553,13 @@ def test_gradient_check_passes_where_isotropic_gyro_rounding_failed_it(seed, sam
     report = check_pipeline_gradients(cfg.scene, st)
     assert report.passed
     assert report.per_function["forward_dynamics"] < 1e-5
+
+
+@pytest.mark.parametrize("through_rollout", [False, True])
+def test_contact_count_timing_alternates_the_two_variants(through_rollout):
+    from softcontact.verify import contact_count_timing
+
+    cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
+    times, faults = contact_count_timing(cfg.scene, cfg.state, cfg.world.dt, 3, through_rollout=through_rollout)
+    assert set(times) == set(faults) == {"contact", "separated"}
+    assert all(t.shape == (3,) and (t > 0).all() for t in times.values())
