@@ -138,12 +138,12 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
 
     Query q, at points[q] moving at velocities[q], has softmin weights w_qi
     over the cloud's planes i and feels F_qi = point_plane_force against
-    plane i. Returns, taken from the Scratch out or else from the thread's
-    arena in the caller's block, value (..., Q), the SSDF sum_i w_qi phi_qi
-    bit for bit as ssdf computes it (both run ssdf._block), and gt
-    (..., Q, 6): g_q = sum_i w_qi F_qi beside tau_q = sum_i w_qi (p_i - t) x
-    F_qi about the cloud's origin t. Raises NonFiniteContact if any of them
-    is not finite.
+    plane i. Returns value (..., Q), the SSDF sum_i w_qi phi_qi bit for bit
+    as ssdf computes it (both run ssdf._block), and gt (..., Q, 6): g_q =
+    sum_i w_qi F_qi beside tau_q = sum_i w_qi (p_i - t) x F_qi about the
+    cloud's origin t; written into out = (value, gt), arrays of those shapes
+    and dtypes, when given, else taken from the thread's arena in the
+    caller's block. Raises NonFiniteContact if any of them is not finite.
 
     The constants ride in the three per-plane matrices of _plane_matrices,
     so the block's matmuls give the logits, -phi_qi, x = v_n / v_d and
@@ -180,8 +180,8 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
     # Which of the SSDF and the forces carry a tangent.
     sq, sf = geo.kind == "c", dtype.kind == "c"
     arena = _ARENA.scratch
-    value = (out or arena).empty((K,) * (nk and sq) + lead + (Q,), geo)
-    gt = (out or arena).empty((K,) * (nk and sf) + lead + (Q, 6), dtype)
+    value, gt = out or (arena.empty((K,) * (nk and sq) + lead + (Q,), geo),
+                        arena.empty((K,) * (nk and sf) + lead + (Q, 6), dtype))
     with arena:
         # A complex step's matrices and rows are fresh arrays, dropped once
         # split; the arena holds the split ones. A posed group's matrices

@@ -34,14 +34,13 @@ class Scratch:
     taken at once, so later calls of the same sizes allocate nothing. Views
     are cached by (offset, shape, dtype), and the buffer is viewed as
     whatever dtype a call needs. One scratch serves one thread at a time.
-    buf, a writable byte array, gives the buffer to start from.
     """
 
     __slots__ = ("_buf", "_size", "_top", "_high", "_marks", "_views")
 
-    def __init__(self, buf: np.ndarray | None = None):
-        self._buf = np.empty(0, np.uint8) if buf is None else buf
-        self._size = self._buf.size
+    def __init__(self):
+        self._buf = np.empty(0, np.uint8)
+        self._size = 0
         self._top = 0
         self._high = 0
         self._marks: list[int] = []

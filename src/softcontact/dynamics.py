@@ -42,6 +42,8 @@ class StaticMotion:
     """Hold a fixed pose with zero velocity."""
 
     def __init__(self, pose: Pose):
+        if not isinstance(pose, Pose):
+            raise ValueError(f"StaticMotion pose must be a Pose, got {pose!r}")
         self._pose = pose
 
     def pose(self, t: float) -> Pose:
@@ -56,10 +58,11 @@ class LinearMotion:
 
     def __init__(self, start: Pose, linear_velocity, angular_velocity=(0.0, 0.0, 0.0)):
         self._start = start
-        self._v = np.asarray(linear_velocity, dtype=float)
-        self._w = np.asarray(angular_velocity, dtype=float)
-        _reject_nonfinite(self._v, "LinearMotion linear_velocity")
-        _reject_nonfinite(self._w, "LinearMotion angular_velocity")
+        self._v, self._w = np.asarray(linear_velocity, dtype=float), np.asarray(angular_velocity, dtype=float)
+        for name, x in (("linear_velocity", self._v), ("angular_velocity", self._w)):
+            if x.shape != (3,):
+                raise ValueError(f"LinearMotion {name} must be 3 numbers, got shape {x.shape}")
+            _reject_nonfinite(x, f"LinearMotion {name}")
 
     def pose(self, t: float) -> Pose:
         trans = self._start.translation + t * self._v
@@ -433,9 +436,9 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False, help
     pair_indices order, from the same evaluation of _pair_walk's chunks,
     posed from frames (taken here when not given, see _frames). Non-finite
     contact raises ValueError naming the pair's bodies.
-    With a helper (a rollout's _ContactHelper) the b-in-a direction of every
-    chunk is computed there meanwhile; results and errors are the serial
-    ones, as an evaluation either process fails is redone serially."""
+    With a helper (a rollout's _ContactHelper) the b-in-a direction of each
+    chunk of float64 frames is computed there meanwhile; results and errors
+    are the serial ones, as a failed evaluation is redone serially."""
     frames = frames or _frames(scene, state)
     dtype = np.result_type(state.q.dtype, state.v.dtype)
     batch = _broadcast(state.q.shape[:-2], state.v.shape[:-1])
@@ -443,7 +446,7 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False, help
     seps = np.zeros(batch + (len(scene.pair_indices),), dtype=dtype)
     min_sep = np.inf
     with _ARENA.scratch as arena:  # the group plane matrices' block
-        walk = None if helper is None else helper.walk(scene, state, frames, arena)
+        walk = None if helper is None else helper.walk(scene, frames, arena)
         for pos, chunk, a, b, *sums in walk or _pair_walk(scene, state, frames, arena):
             try:
                 force, values, coeff = _pair_contact(a, b, scene.params, sums=sums[0] if sums else None)
@@ -457,48 +460,41 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False, help
     return (out, min_sep, seps) if per_pair else (out, min_sep)
 
 
-# A helper's status byte per evaluation, and the dtypes its request area carries.
+# A helper's status byte per evaluation.
 _OK, _FAILED = b"\x01", b"\x00"
-_CARRIED = {np.dtype(float), np.dtype(complex)}
-
-
-def _round64(nbytes: int) -> int:
-    return -(-nbytes // 64) * 64
 
 
 class _ContactHelper:
     """A forked process that computes the b-in-a half of each contact
     evaluation of a Scene for the process that forked it, its owner.
 
-    Both share one anonymous mapping made before the fork: a request area
-    of complex128 entries (time, q, v and the ContactParams fields), and per
-    chunk of Scene._pair_chunks one core.Scratch slot for each direction's
-    (value, gt) of _query_sums, the helper's b-in-a and the owner's a-in-b,
-    so that neither takes room in the owner's arena. A slot's arrays hold
-    until the next evaluation. The owner fills the request area and sends one byte
-    (bit 0: q is complex, bit 1: v is); the helper walks _pair_walk on its
-    fork-time copy of the scene, fills each chunk's slot and answers with
-    one status byte: _OK once every slot is filled, else _FAILED. Nothing is
-    pickled. An exchange that breaks off stops the helper for
-    good; EOF or a broken pipe raises RuntimeError naming it. stop, a
-    weakref.finalize on the scene that also runs at interpreter exit, kills
-    and reaps it; the mapping goes with this object."""
+    Both share one float64 anonymous mapping made before the fork: a request
+    area of the ContactParams fields and every body's frame as _frames took
+    it, and per chunk of Scene._pair_chunks a (value (P, I), gt (P, I, 6))
+    slot of _query_sums for each direction, the helper's b in a and the
+    owner's a in b, held outside the owner's arena until the next
+    evaluation. The owner fills the request area and sends one byte; the
+    helper poses _pair_walk from those frames, never from its fork-time copy
+    of a state or a motion, fills its slots and answers with one status
+    byte: _OK once every slot is filled, else _FAILED. Nothing is pickled.
+    An exchange that breaks off stops the helper for good; EOF or a broken
+    pipe raises RuntimeError naming it. stop, a weakref.finalize on the
+    scene that also runs at interpreter exit, kills and reaps it."""
 
     def __init__(self, scene: Scene):
-        nf = len(scene.free_indices)
-        self._shapes = ((nf, 7), (scene.n,))
-        # Byte sizes: the request area, then per chunk the slots for b in a
-        # (I_b queries) and a in b (I_a), each as (P, I) values and (P, I, 6)
-        # sums of complex128 at most.
+        nb = len(scene.bodies)
+        # The frames, then per chunk the (value, gt) slots for b in a (I_b
+        # queries) and a in b (I_a).
         slots = [(len(pos), scene._groups[g][2].shape[-2])
                  for (pos, _), sides in zip(scene._pair_chunks, scene._chunk_sides) for g, _ in reversed(sides)]
-        sizes = [_round64(16 * (8 + 13 * nf))] + [_round64(16 * P * I) + _round64(96 * P * I) for P, I in slots]
-        ends = np.cumsum(sizes)
-        buf = np.frombuffer(mmap.mmap(-1, int(ends[-1])), np.uint8)
-        self._request = buf[:sizes[0]].view(complex)[:8 + 13 * nf]
+        shapes = [(nb, 3), (nb, 3, 3), (nb, 6)] + [shape for P, I in slots for shape in ((P, I), (P, I, 6))]
+        ends = np.cumsum([7] + [int(np.prod(shape)) for shape in shapes])
+        buf = np.frombuffer(mmap.mmap(-1, 8 * int(ends[-1])), float)
+        views = [buf[start:end].reshape(shape) for shape, start, end in zip(shapes, ends[:-1], ends[1:])]
+        self._sent, self._frames = buf[:7], views[:3]
         self._params = None  # the ContactParams last written into the request area
-        slots = [Scratch(buf[start:end]) for start, end in zip(ends[:-1], ends[1:])]
-        self._theirs, self._ours = slots[0::2], slots[1::2]
+        slots = list(zip(views[3::2], views[4::2]))
+        self._sums = list(zip(slots[0::2], slots[1::2]))  # per chunk (b in a, a in b)
         (req_r, req_w), (rep_r, rep_w) = os.pipe(), os.pipe()
         self.owner, self.pid = os.getpid(), _fork()
         if self.pid == 0:  # the helper leaves only through os._exit
@@ -515,38 +511,29 @@ class _ContactHelper:
         self._requests, self._replies = open(req_w, "wb", buffering=0), open(rep_r, "rb", buffering=0)
         self.stop = weakref.finalize(scene, _stop_helper, self.pid, self.owner, self._requests, self._replies)
 
-    def walk(self, scene: Scene, state: SceneState, frames=None, arena=None):
-        """_pair_walk's chunks at state (with frames and arena), each with its
+    def walk(self, scene: Scene, frames, arena=None):
+        """_pair_walk's chunks posed from frames (with arena), each with its
         two directions' (value, gt): b in a from the helper, and a in b
         computed here meanwhile, for every chunk before the first reply is
-        read. None, for the caller to evaluate serially, where the request
-        area cannot carry the state or either process fails; the status byte
-        is read first. Scene.params is written only when it changed."""
-        q, v = state.q, state.v
-        if (q.shape, v.shape) != self._shapes or not {q.dtype, v.dtype} <= _CARRIED or np.iscomplexobj(state.time):
+        read. None, for the caller to evaluate serially, where frames are
+        not float64 arrays of the fork-time shapes (a complex step or a
+        batch) or either process fails; the status byte is read first."""
+        if any(x.dtype != float or x.shape != y.shape for x, y in zip(frames, self._frames)):
             return None
         if scene.params is not self._params:
-            self._request[-7:], self._params = astuple(scene.params), scene.params
-        np.concatenate(([state.time], q.ravel(), v), out=self._request[:-7])
-        self._talk(self._requests.write, bytes([np.iscomplexobj(q) + 2 * np.iscomplexobj(v)]))
+            self._sent[:], self._params = astuple(scene.params), scene.params
+        for x, y in zip(frames, self._frames):
+            np.copyto(y, x)
+        self._talk(self._requests.write, b"\x01")  # any one byte
         try:
-            chunks, ours = _pair_walk(scene, state, frames, arena), []
-            for (_, _, a, b), slot in zip(chunks, self._ours):
-                with slot:
-                    ours.append(_query_sums(b, a.points, a.velocities, scene.params, out=slot))
-        except ValueError:  # the state check or a non-finite direction, raised again serially
+            chunks = _pair_walk(scene, None, frames, arena)
+            for (_, _, a, b), (_, out) in zip(chunks, self._sums):
+                _query_sums(b, a.points, a.velocities, scene.params, out=out)
+        except ValueError:  # a non-finite direction, raised again serially
             chunks = None
         finally:
             ok = self._talk(self._status)
-        if chunks is None or not ok:
-            return None
-        walk = []
-        for (pos, chunk, a, b), (value, gt), slot in zip(chunks, ours, self._theirs):
-            with slot:
-                theirs = (slot.empty(value.shape[:-1] + (b.num_points,), value.dtype),
-                          slot.empty(gt.shape[:-2] + (b.num_points, 6), gt.dtype))
-            walk.append((pos, chunk, a, b, (theirs, (value, gt))))
-        return walk
+        return [(*chunk, sums) for chunk, sums in zip(chunks, self._sums)] if chunks is not None and ok else None
 
     def _status(self) -> bool:
         """Read the evaluation's status byte: whether it is _OK."""
@@ -567,25 +554,14 @@ class _ContactHelper:
     def _serve(self, scene: Scene, requests: int, replies: int):
         """The helper's loop: answer each request until the owner's end
         closes."""
-        nq, params = 1 + 7 * len(scene.free_indices), None
-        while flags := os.read(requests, 1):
-            r, status = self._request, _FAILED
-            try:
-                q, v = r[1:nq], r[nq:-7]
-                q, v = (x if flags[0] & bit else x.real for x, bit in ((q, 1), (v, 2)))
-                sent = r[-7:].real.tolist()
-                if sent != params:  # rebuilt only when the owner's changed
-                    scene.params, params = ContactParams(*sent), sent
-                state = SceneState(float(r[0].real), q.reshape(-1, 7).copy(), v.copy())
+        while os.read(requests, 1):
+            status = _FAILED
+            with contextlib.suppress(Exception):  # the owner's serial redo meets any error again
+                scene.params = ContactParams(*self._sent.tolist())
                 with _ARENA.scratch as arena:
-                    # The owner checked the state.
-                    for (_, _, a, b), slot in zip(_pair_walk(scene, state, _frames(scene, state, True), arena),
-                                                  self._theirs):
-                        with slot:
-                            _query_sums(a, b.points, b.velocities, scene.params, out=slot)
+                    for (_, _, a, b), (out, _) in zip(_pair_walk(scene, None, self._frames, arena), self._sums):
+                        _query_sums(a, b.points, b.velocities, scene.params, out=out)
                 status = _OK
-            except Exception:  # the owner's serial redo meets it again
-                pass
             os.write(replies, status)
 
 
@@ -805,8 +781,9 @@ def rollout(scene: Scene, state: SceneState, dt: float, n_steps: int, integrator
     Each state's separation comes from the first stage of the step that
     starts from it, so only the final state needs an extra contact
     evaluation. Where core._may_fork allows, the scene's helper process
-    (_ContactHelper) computes one direction of every pair chunk meanwhile,
-    with the serial results bit for bit."""
+    (_ContactHelper) computes one direction of every pair chunk of a real
+    state meanwhile, posed from this process's frames, with the serial
+    results bit for bit; complex-step and batch states run serially."""
     _check_n_steps(n_steps, state)
     _check_stepping(dt, integrator)
     states = [state.copy()]

@@ -322,7 +322,9 @@ def sample_sdf_grid(aopc, bounds, resolution, eps1: float, slice_axis: int | Non
         raise ValueError("bounds must be (lo, hi) with hi > lo on every axis")
     if not np.isfinite(slice_value):
         raise ValueError(f"slice_value must be finite, got {slice_value!r}")
-    res = [int(r) for r in np.broadcast_to(np.asarray(resolution), (3,))]
+    res = np.broadcast_to(np.asarray(resolution, dtype=float), (3,))
+    if not np.isfinite(res).all():
+        raise ValueError(f"resolution must be finite, got {res.tolist()!r}")
     axes = []
     for ax in range(3):
         if slice_axis is not None and ax == int(slice_axis):
@@ -330,7 +332,7 @@ def sample_sdf_grid(aopc, bounds, resolution, eps1: float, slice_axis: int | Non
             continue
         if res[ax] < 2:
             raise ValueError("resolution must be at least 2 per sampled axis")
-        axes.append(np.linspace(lo[ax], hi[ax], res[ax]))
+        axes.append(np.linspace(lo[ax], hi[ax], int(res[ax])))
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
     return pts, np.concatenate([value for _, value, _, _ in _ssdf_blocks(aopc, pts, eps1)])

@@ -383,6 +383,8 @@ def contact_count_timing(scene: Scene, state: SceneState, dt: float, pairs: int,
     contact. through_rollout takes each step as a one-step rollout, with the
     scene's contact helper where a fork is allowed. Returns each variant's
     seconds per step (pairs,) and mean minor page faults per step."""
+    if not isinstance(pairs, (int, np.integer)) or pairs < 1:
+        raise ValueError(f"pairs must be a positive integer, got {pairs!r}")
     states = {"separated": separated_state(scene, state), "contact": state}
     run = ((lambda st: rollout(scene, st, dt, 1, integrator, record_separation=False)) if through_rollout
            else (lambda st: step(scene, st, dt, integrator)))

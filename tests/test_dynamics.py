@@ -318,10 +318,16 @@ _WAYPOINTS = [[0, 0, 0], [1, 0, 0], [1, 1, 0]]
      "spline quaternion contains a non-finite entry at index 0"),
     (lambda: SplineMotion([0.0, 1.0, 2.0], _WAYPOINTS, [0, 0, 0, 0]), "spline quaternion must be nonzero"),
     (lambda: Scene([], [], gravity=[0, 0, np.nan]), "gravity contains a non-finite entry at index 2"),
+    (lambda: LinearMotion(_START, [1.0, 0.0]), r"LinearMotion linear_velocity must be 3 numbers, got shape \(2,\)"),
+    (lambda: LinearMotion(_START, [0, 0, 0], [[0.0, 0.0, 1.0]]),
+     r"LinearMotion angular_velocity must be 3 numbers, got shape \(1, 3\)"),
+    (lambda: StaticMotion(None), "StaticMotion pose must be a Pose, got None"),
 ], ids=["linear_velocity", "angular_velocity", "spline_time", "spline_position", "spline_quaternion_inf",
-        "spline_quaternion_zero", "scene_gravity"])
+        "spline_quaternion_zero", "scene_gravity", "linear_velocity_shape", "angular_velocity_shape", "static_pose"])
 def test_constructors_reject_nonfinite_input_by_name(make, message):
-    # Each is rejected when built, not at the first pose(t) or step.
+    # Each is rejected when built, not at the first pose(t) or step: a
+    # 2-vector velocity would give velocity(t) 5 numbers, and _frames a
+    # broadcast error naming no body.
     with pytest.raises(ValueError, match=rf"^{message}$"):
         make()
 
@@ -1206,6 +1212,28 @@ def test_helper_takes_the_params_of_each_rollout():
 
 
 @needs_fork
+@pytest.mark.parametrize("name", ["push_t_1", "batching"])
+def test_helper_rollouts_follow_a_replaced_motion_and_controls(name):
+    # The helper was forked with the old motion: push_t_1's finger then
+    # moves 3 cm off its start at 0.2 m/s along y, the batching scene's
+    # ground stands still; then the controls change. Each next rollout on
+    # the helper is the serial path's bit for bit.
+    scene, st = _helper_scene(name)
+    rollout(scene, st, 2e-3, 1)
+    pid = scene._helper.pid
+    body = scene.bodies[scene.body_index("finger" if name == "push_t_1" else "ground")]
+    start = body.motion.pose(0.0)
+    moved = (LinearMotion(Pose(start.translation + np.array([0.03, 0.0, 0.0]), start.quaternion), [0.0, 0.2, 0.0])
+             if name == "push_t_1" else StaticMotion(start))
+    for obj, attr, value in ((body, "motion", moved), (scene, "controls", lambda t: np.full(scene.n, 0.3))):
+        setattr(obj, attr, value)
+        with _time_limit(120):
+            got = rollout(scene, st, 2e-3, 5)
+        assert scene._helper.pid == pid
+        _assert_same_rollouts(got, _serially(lambda: rollout(scene, st, 2e-3, 5)))
+
+
+@needs_fork
 @pytest.mark.parametrize("coordinate, value, message", [
     (0, 1e200, "^contact between upper and middle is not finite$"),
     (2, np.nan, "^state has a non-finite pose coordinate tz of body upper$"),
@@ -1269,10 +1297,11 @@ def test_helper_rollouts_pickle_nothing(monkeypatch):
 @needs_fork
 @pytest.mark.parametrize("part", [None, "q", "v"])
 def test_the_owner_computes_one_direction_of_each_chunk(monkeypatch, part):
-    # A real state and complex-step ones alike: 2 RK4 steps and the final
-    # record are 9 evaluations, each one _query_sums call per chunk in this
-    # process (a serial redo, through contact, would make two), and the
-    # same rollouts as the serial path bit for bit.
+    # 2 RK4 steps and the final record are 9 evaluations. On a real state
+    # each makes one _query_sums call per chunk in this process (a serial
+    # evaluation, through contact, makes two); a complex step in q or v is
+    # not carried to the helper, so it runs serially with two. Either way
+    # the rollouts are the serial path's bit for bit.
     from softcontact import contact, dynamics
 
     scene, st = _batching_scene()
@@ -1291,7 +1320,7 @@ def test_the_owner_computes_one_direction_of_each_chunk(monkeypatch, part):
     monkeypatch.setattr(dynamics, "_query_sums", counted)
     with _time_limit(120):
         got = rollout(scene, st, 2e-3, 2)
-    assert len(calls) == 9 * len(scene._pair_chunks)
+    assert len(calls) == 9 * len(scene._pair_chunks) * (1 if part is None else 2)
     _assert_same_rollouts(got, _serially(lambda: rollout(scene, st, 2e-3, 2)))
 
 

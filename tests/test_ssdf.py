@@ -223,6 +223,9 @@ def test_grid_slice_and_validation():
             sample_sdf_grid(cube, ([-1, -1, -1], [1, 1, 1]), (4, 4, 9), 0.1, slice_axis=2, slice_value=value)
     with pytest.raises(ValueError, match="resolution"):
         sample_sdf_grid(cube, ([-1, -1, -1], [1, 1, 1]), (1, 4, 4), 0.1)
+    for resolution in ((4, np.nan, 4), np.inf):
+        with pytest.raises(ValueError, match="^resolution must be finite"):
+            sample_sdf_grid(cube, ([-1, -1, -1], [1, 1, 1]), resolution, 0.1)
     # Non-finite bounds are refused before any lattice or softmax work, with
     # no RuntimeWarning on the way.
     for lo, hi in (([np.nan, -1, -1], [1, 1, 1]), ([-1, -1, -1], [1, np.inf, 1]), ([-1, -1, -np.inf], [1, 1, 1])):

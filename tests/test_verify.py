@@ -555,6 +555,15 @@ def test_gradient_check_passes_where_isotropic_gyro_rounding_failed_it(seed, sam
     assert report.per_function["forward_dynamics"] < 1e-5
 
 
+@pytest.mark.parametrize("pairs", [0, -1, 2.5])
+def test_contact_count_timing_rejects_a_bad_pair_count_by_name(pairs):
+    from softcontact.verify import contact_count_timing
+
+    cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
+    with pytest.raises(ValueError, match=rf"^pairs must be a positive integer, got {pairs}$"):
+        contact_count_timing(cfg.scene, cfg.state, cfg.world.dt, pairs)
+
+
 @pytest.mark.parametrize("through_rollout", [False, True])
 def test_contact_count_timing_alternates_the_two_variants(through_rollout):
     from softcontact.verify import contact_count_timing
