@@ -485,9 +485,9 @@ class _ContactHelper:
         nb = len(scene.bodies)
         # The frames, then per chunk the (value, gt) slots for b in a (I_b
         # queries) and a in b (I_a).
-        slots = [(len(pos), scene._groups[g][2].shape[-2])
+        sizes = [(len(pos), scene._groups[g][2].shape[-2])
                  for (pos, _), sides in zip(scene._pair_chunks, scene._chunk_sides) for g, _ in reversed(sides)]
-        shapes = [(nb, 3), (nb, 3, 3), (nb, 6)] + [shape for P, I in slots for shape in ((P, I), (P, I, 6))]
+        shapes = [(nb, 3), (nb, 3, 3), (nb, 6)] + [shape for P, I in sizes for shape in ((P, I), (P, I, 6))]
         ends = np.cumsum([7] + [int(np.prod(shape)) for shape in shapes])
         buf = np.frombuffer(mmap.mmap(-1, 8 * int(ends[-1])), float)
         views = [buf[start:end].reshape(shape) for shape, start, end in zip(shapes, ends[:-1], ends[1:])]
@@ -511,7 +511,7 @@ class _ContactHelper:
         self._requests, self._replies = open(req_w, "wb", buffering=0), open(rep_r, "rb", buffering=0)
         self.stop = weakref.finalize(scene, _stop_helper, self.pid, self.owner, self._requests, self._replies)
 
-    def walk(self, scene: Scene, frames, arena=None):
+    def walk(self, scene: Scene, frames, arena):
         """_pair_walk's chunks posed from frames (with arena), each with its
         two directions' (value, gt): b in a from the helper, and a in b
         computed here meanwhile, for every chunk before the first reply is
