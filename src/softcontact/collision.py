@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_temperature, softmax
-from .ssdf import _ssdf_blocks, ssdf  # noqa: F401 (ssdf: bound here for perfbench/tracer.py)
+from .ssdf import _ssdf_blocks
+from .ssdf import ssdf  # noqa: F401 (bound here for perfbench/tracer.py)
 
 
 @dataclass(frozen=True)

@@ -320,7 +320,7 @@ def _bias(scene: Scene, v: np.ndarray, m: np.ndarray, R: np.ndarray) -> np.ndarr
 
 
 def total_contact_force(scene: Scene, state: SceneState) -> np.ndarray:
-    return _contact_force(scene, state)[0]
+    return _contact_force(scene, state, _frames(scene, state))[0]
 
 
 def _group_pairs(bodies, pair_indices) -> list:
@@ -365,14 +365,17 @@ def _posing_plan(bodies, dof_start, chunks):
     return groups, sides
 
 
-def _frames(scene: Scene, state: SceneState, checked: bool = False):
+def _frames(scene: Scene, state: SceneState):
     """Every body's origin t (..., nb, 3), rotation R (..., nb, 3, 3), from
     one quat_to_matrix call, and world twist (..., nb, 6) at state: free
     bodies' from q and v, kinematic ones' from their motion. One evaluation
-    takes them once, for posing and for the dynamics. A non-finite q or v
-    entry raises ValueError naming its body and coordinate, unless checked
-    (the caller has scanned the state)."""
-    bad = None if checked else _bad_coordinate(state, scene)
+    takes them once, for posing and for the dynamics. The one gate of every
+    state an evaluation reads: a real q or v with a batch axis (only a
+    complex step's directions take one) raises ValueError naming the shapes,
+    a non-finite q or v entry one naming its body and coordinate."""
+    if any(x.ndim > d and not np.iscomplexobj(x) for x, d in ((state.q, 2), (state.v, 1))):
+        raise ValueError(f"a real state takes no batch axis: q has shape {state.q.shape}, v {state.v.shape}")
+    bad = _bad_coordinate(state, scene)
     if bad:
         raise ValueError(f"state has a non-finite {bad}")
     t = state.time
@@ -395,12 +398,12 @@ def _frames(scene: Scene, state: SceneState, checked: bool = False):
     return trans, quat_to_matrix(quat), twist
 
 
-def _pose_groups(scene: Scene, state: SceneState, frames=None, arena=None) -> list[WorldAopc]:
-    """Every group of Scene._groups posed at state as one stack, from
-    frames (taken here when not given), with its contact._plane_matrices
-    for Scene.params: real ones from the Scratch arena when given, in the
-    caller's block, others fresh."""
-    trans, R, twist = frames or _frames(scene, state)
+def _pose_groups(scene: Scene, frames, arena=None) -> list[WorldAopc]:
+    """Every group of Scene._groups posed as one stack from frames (_frames
+    of a state), with its contact._plane_matrices for Scene.params: real
+    ones from the Scratch arena when given, in the caller's block, others
+    fresh."""
+    trans, R, twist = frames
     groups = []
     for idx, dof_start, *local in scene._groups:
         posed = (*posed_arrays(R[..., idx, :, :], trans[..., idx, :], twist[..., idx, :], *local), trans[..., idx, :],
@@ -421,25 +424,23 @@ def _rows(stack: WorldAopc, rows) -> WorldAopc:
                      stack.num_dofs, planes=tuple(x[..., rows, :, :, :] for x in stack.planes))
 
 
-def _pair_walk(scene: Scene, state: SceneState, frames=None, arena=None) -> list:
+def _pair_walk(scene: Scene, frames, arena=None) -> list:
     """(positions in pair_indices (P,), body indices (P, 2), sides a, b) per chunk
     of Scene._pair_chunks, each side cut by row out of its group, posed once
     (_pose_groups, with frames and arena)."""
-    posed = _pose_groups(scene, state, frames, arena) if scene.pair_indices else []
+    posed = _pose_groups(scene, frames, arena) if scene.pair_indices else []
     return [(pos, chunk, _rows(posed[ga], rows_a), _rows(posed[gb], rows_b))
             for (pos, chunk), ((ga, rows_a), (gb, rows_b)) in zip(scene._pair_chunks, scene._chunk_sides)]
 
 
-def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False, helper=None, frames=None):
-    """Sum of pair forces plus the minimum separation seen (diagnostics);
-    per_pair also returns each pair's soft separation distance, in
-    pair_indices order, from the same evaluation of _pair_walk's chunks,
-    posed from frames (taken here when not given, see _frames). Non-finite
+def _contact_force(scene: Scene, state: SceneState, frames, helper=None):
+    """(sum of pair forces, minimum separation seen, each pair's soft
+    separation distance in pair_indices order) at state, from one walk of
+    _pair_walk's chunks posed from frames, _frames of state. Non-finite
     contact raises ValueError naming the pair's bodies.
     With a helper (a rollout's _ContactHelper) the b-in-a direction of each
     chunk of float64 frames is computed there meanwhile; results and errors
     are the serial ones, as a failed evaluation is redone serially."""
-    frames = frames or _frames(scene, state)
     dtype = np.result_type(state.q.dtype, state.v.dtype)
     batch = _broadcast(state.q.shape[:-2], state.v.shape[:-1])
     out = np.zeros(batch + (scene.n,), dtype=dtype)
@@ -447,7 +448,7 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False, help
     min_sep = np.inf
     with _ARENA.scratch as arena:  # the group plane matrices' block
         walk = None if helper is None else helper.walk(scene, frames, arena)
-        for pos, chunk, a, b, *sums in walk or _pair_walk(scene, state, frames, arena):
+        for pos, chunk, a, b, *sums in walk or _pair_walk(scene, frames, arena):
             try:
                 force, values, coeff = _pair_contact(a, b, scene.params, sums=sums[0] if sums else None)
             except NonFiniteContact as err:
@@ -455,9 +456,8 @@ def _contact_force(scene: Scene, state: SceneState, per_pair: bool = False, help
                 raise ValueError("contact between %s and %s is not finite" % names) from None
             out += force
             min_sep = min(min_sep, float(values.real.min()))
-            if per_pair:
-                seps[..., pos] = np.sum(coeff * values, axis=-1)
-    return (out, min_sep, seps) if per_pair else (out, min_sep)
+            seps[..., pos] = np.sum(coeff * values, axis=-1)
+    return out, min_sep, seps
 
 
 # A helper's status byte per evaluation.
@@ -526,7 +526,7 @@ class _ContactHelper:
             np.copyto(y, x)
         self._talk(self._requests.write, b"\x01")  # any one byte
         try:
-            chunks = _pair_walk(scene, None, frames, arena)
+            chunks = _pair_walk(scene, frames, arena)
             for (_, _, a, b), (_, out) in zip(chunks, self._sums):
                 _query_sums(b, a.points, a.velocities, scene.params, out=out)
         except ValueError:  # a non-finite direction, raised again serially
@@ -559,7 +559,7 @@ class _ContactHelper:
             with contextlib.suppress(Exception):  # the owner's serial redo meets any error again
                 scene.params = ContactParams(*self._sent.tolist())
                 with _ARENA.scratch as arena:
-                    for (_, _, a, b), (out, _) in zip(_pair_walk(scene, None, self._frames, arena), self._sums):
+                    for (_, _, a, b), (out, _) in zip(_pair_walk(scene, self._frames, arena), self._sums):
                         _query_sums(a, b.points, b.velocities, scene.params, out=out)
                 status = _OK
             os.write(replies, status)
@@ -599,7 +599,7 @@ def inverse_dynamics(scene: Scene, state: SceneState, vdot: np.ndarray) -> np.nd
     if bad:
         raise ValueError(f"vdot has a non-finite {bad}")
     frames = _frames(scene, state)
-    contact = _contact_force(scene, state, frames=frames)[0]
+    contact = _contact_force(scene, state, frames)[0]
     m, R = _masses(scene), frames[1][..., scene._free, :, :]
     a = vdot.reshape(-1, 6)
     inertial = np.concatenate([m[:, None] * a[:, :3], (R @ scene._inertia @ R.swapaxes(-1, -2) @ a[:, 3:, None])[..., 0]],
@@ -607,13 +607,13 @@ def inverse_dynamics(scene: Scene, state: SceneState, vdot: np.ndarray) -> np.nd
     return (inertial + _bias(scene, state.v, m, R)).reshape(-1) - contact
 
 
-def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = None, *, _with_separation: bool = False,
-                     _helper=None, _checked: bool = False):
+def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = None, *, _contact: bool = False,
+                     _helper=None):
     """Acceleration under controls, bias, and contact, the body frames
     taken once for both. The mass matrix is inverted per 6x6 block, without
-    a solve (see _accelerate). _with_separation (private) returns (vdot,
-    minimum separation at state); _helper (private) is rollout's contact
-    helper; _checked (private): step's divergence check scanned the state."""
+    a solve (see _accelerate). _contact (private) returns (vdot, the
+    evaluation's _contact_force triple); _helper (private) is rollout's
+    contact helper."""
     if tau is None:
         tau = scene.tau(state.time)
     tau = np.asarray(tau)
@@ -622,10 +622,10 @@ def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = N
     bad = _bad_entry(scene, tau, _DOF_COORDS)
     if bad:
         raise ValueError(f"tau has a non-finite {bad}")
-    frames = _frames(scene, state, _checked)
-    contact, min_sep = _contact_force(scene, state, helper=_helper, frames=frames)
-    vdot = _accelerate(scene, state, tau, contact, frames[1][..., scene._free, :, :])
-    return (vdot, min_sep) if _with_separation else vdot
+    frames = _frames(scene, state)
+    contact = _contact_force(scene, state, frames, _helper)
+    vdot = _accelerate(scene, state, tau, contact[0], frames[1][..., scene._free, :, :])
+    return (vdot, contact) if _contact else vdot
 
 
 def _accelerate(scene: Scene, state: SceneState, tau: np.ndarray, contact: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -641,15 +641,6 @@ def _accelerate(scene: Scene, state: SceneState, tau: np.ndarray, contact: np.nd
     rhs[..., :3] /= m[:, None]
     rhs[..., 3:] = angular[..., 0]
     return rhs.reshape(rhs.shape[:-2] + (-1,))
-
-
-def _separation_force_acceleration(scene: Scene, state: SceneState):
-    """(soft separation per pair, total contact force, forward dynamics under
-    scene.tau) from one contact evaluation: the gradient check's map."""
-    frames = _frames(scene, state)
-    contact, _, seps = _contact_force(scene, state, per_pair=True, frames=frames)
-    return seps, contact, _accelerate(scene, state, scene.tau(state.time), contact,
-                                      frames[1][..., scene._free, :, :])
 
 
 def _advance_q(q: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
@@ -736,18 +727,21 @@ def step(scene: Scene, state: SceneState, dt: float, integrator: str = "rk4", *,
     bodies follow their trajectories evaluated at the stage times.
     _with_separation (private) returns (new state, minimum separation at the
     given state), read off the first stage's contact evaluation; _helper
-    (private) is rollout's contact helper."""
+    (private) is rollout's contact helper. A batch state raises ValueError
+    naming its shapes."""
     _check_stepping(dt, integrator)
+    if state.q.ndim != 2 or state.v.ndim != 1:
+        raise ValueError(f"step takes one state, not a batch: q has shape {state.q.shape}, v {state.v.shape}")
     t = state.time
-    a1, min_sep = forward_dynamics(scene, state, scene.tau(t), _with_separation=True, _helper=_helper)
+    a1, (_, min_sep, _) = forward_dynamics(scene, state, scene.tau(t), _contact=True, _helper=_helper)
     v_eff, a_eff = state.v, a1
     if integrator == "rk4":
         vs, accs = [state.v], [a1]
         for h in (dt / 2, dt / 2, dt):
             s = SceneState(t + h, _advance_q(state.q, vs[-1], h), state.v + h * accs[-1])
-            _check_finite(s, scene)  # the stage state's one scan
+            _check_finite(s, scene)
             vs.append(s.v)
-            accs.append(forward_dynamics(scene, s, scene.tau(t + h), _helper=_helper, _checked=True))
+            accs.append(forward_dynamics(scene, s, scene.tau(t + h), _helper=_helper))
         v_eff = (vs[0] + 2 * vs[1] + 2 * vs[2] + vs[3]) / 6.0
         a_eff = (accs[0] + 2 * accs[1] + 2 * accs[2] + accs[3]) / 6.0
     q_new = _advance_q(state.q, v_eff, dt)
@@ -783,7 +777,7 @@ def rollout(scene: Scene, state: SceneState, dt: float, n_steps: int, integrator
     evaluation. Where core._may_fork allows, the scene's helper process
     (_ContactHelper) computes one direction of every pair chunk of a real
     state meanwhile, posed from this process's frames, with the serial
-    results bit for bit; complex-step and batch states run serially."""
+    results bit for bit; complex-step states run serially."""
     _check_n_steps(n_steps, state)
     _check_stepping(dt, integrator)
     states = [state.copy()]
@@ -801,7 +795,7 @@ def rollout(scene: Scene, state: SceneState, dt: float, n_steps: int, integrator
         states.append(cur.copy())
         seps.append(sep)
     if record_separation:
-        seps.append(_contact_force(scene, cur, helper=helper)[1])
+        seps.append(_contact_force(scene, cur, _frames(scene, cur), helper)[1])
     else:
         seps = [np.nan] * (n_steps + 1)
     return RolloutResult(states, np.asarray(seps), np.asarray(times))

@@ -30,11 +30,11 @@ import numpy as np
 
 from .contact import point_plane_force
 from .core import _fork, _may_fork, softmax
-from .dynamics import (Scene, SceneState, _pair_walk, _separation_force_acceleration, pose_all, rollout,
-                       separated_state, step)
+from .dynamics import (Scene, SceneState, _frames, _pair_walk, forward_dynamics, pose_all, rollout, separated_state,
+                       step)
 # Bound here for perfbench/tracer.py, which wraps them as verify attributes.
 from .collision import separation_field  # noqa: F401
-from .dynamics import forward_dynamics, total_contact_force  # noqa: F401
+from .dynamics import total_contact_force  # noqa: F401
 from .ssdf import _ssdf_blocks, hard_sdf
 
 
@@ -217,15 +217,17 @@ def unflatten_state(scene: Scene, state: SceneState, theta: np.ndarray) -> Scene
 def _checked_map(scene: Scene, state: SceneState):
     """The flattened state; the gradient check's map of it to the soft
     separation distances, total contact force and forward dynamics under
-    scene.tau, from one contact evaluation; and each function's (rows,
-    columns) block of the map's Jacobian. The separation's keeps the pose
+    scene.tau, from one forward_dynamics call (through this module's
+    binding); and each function's (rows, columns) block of the map's
+    Jacobian. The separation's keeps the pose
     columns only, as its velocity gradient is identically zero. The map
     also takes a batch (K, n) of complex-step states that share one real
     part, in one contact evaluation, and returns (K, m)."""
     n_pairs, n_pose = len(scene.pair_indices), 7 * len(scene.free_indices)
 
     def joint(theta):
-        return np.concatenate(_separation_force_acceleration(scene, unflatten_state(scene, state, theta)), axis=-1)
+        vdot, (force, _, seps) = forward_dynamics(scene, unflatten_state(scene, state, theta), _contact=True)
+        return np.concatenate((seps, force, vdot), axis=-1)
 
     blocks = {
         "soft_separation_distance": (slice(0, n_pairs), slice(0, n_pose)),
@@ -352,7 +354,7 @@ def _state_clear_of_kinks(scene: Scene, state: SceneState, margin: float) -> boo
     the separation weight is nonnegative and rounding monotone, so testing
     it times the peak decides as testing every entry does."""
     params = scene.params
-    for _, _, a, b in _pair_walk(scene, state):
+    for _, _, a, b in _pair_walk(scene, _frames(scene, state)):
         values, peaks = [], []
         for cloud, qs in ((a, b), (b, a)):
             cloud_speed = np.sum(cloud.velocities * cloud.normals, axis=-1)[..., None, :]

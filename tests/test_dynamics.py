@@ -39,6 +39,13 @@ from softcontact.geometry import AopcError, Pose, box_aopc, cylinder_aopc, pose_
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
+def _contact(scene, state):
+    """dynamics._contact_force at state, posed from its frames."""
+    from softcontact import dynamics
+
+    return dynamics._contact_force(scene, state, dynamics._frames(scene, state))
+
+
 def free_sphere_scene(gravity=(0, 0, -9.81)):
     s = sphere_aopc(0.5, 54)
     body = Body("ball", s, "free", 1.0, sphere_inertia(1.0, 0.5))
@@ -410,7 +417,7 @@ def test_rollout_reads_separation_off_the_first_stage(monkeypatch, integrator, s
     n = 3
     res = rollout(scene, st, 2e-3, n, integrator, record_separation=True)
     assert len(calls) == (stages * n + 1) * len(scene.pairs)
-    expected = [dynamics._contact_force(scene, s)[1] for s in res.states]
+    expected = [_contact(scene, s)[1] for s in res.states]
     np.testing.assert_array_equal(res.min_separation, expected)
     assert res.min_separation.max() < 0  # both pairs in contact throughout
     calls.clear()
@@ -466,12 +473,12 @@ def test_stacked_pairs_match_pair_by_pair_forces(monkeypatch):
     monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * 54 * 54)
     scene, st = _batching_scene()
     assert [len(pos) for pos, _ in scene._pair_chunks] == [2, 2, 2]
-    got, sep = dynamics._contact_force(scene, st)
+    got, sep, _ = _contact(scene, st)
     want, want_sep = _pair_by_pair(scene, st)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert sep == want_sep < 0
     theta = flatten_state(st)
-    g_got = cs_gradient(lambda t: dynamics._contact_force(scene, unflatten_state(scene, st, t))[0], theta)
+    g_got = cs_gradient(lambda t: _contact(scene, unflatten_state(scene, st, t))[0], theta)
     g_want = cs_gradient(lambda t: _pair_by_pair(scene, unflatten_state(scene, st, t))[0], theta)
     assert np.abs(g_got - g_want).max() <= 1e-12 * np.abs(g_want).max()
 
@@ -509,7 +516,7 @@ def test_group_posing_matches_pose_all_bit_for_bit():
     theta[-2] += 1e-30j  # an angular velocity of "ball"
     for state in (st, unflatten_state(scene, st, theta)):
         world = dynamics.pose_all(scene, state)
-        posed = dynamics._pose_groups(scene, state)
+        posed = dynamics._pose_groups(scene, dynamics._frames(scene, state))
         for (idx, *_), stack in zip(scene._groups, posed):
             for r, i in enumerate(idx):
                 w = world[i]
@@ -531,7 +538,7 @@ def test_contact_force_poses_by_group_only(monkeypatch):
 
     for mod, name in ((dynamics, "pose_all"), (dynamics, "pose_aopc"), (geometry, "pose_aopc")):
         monkeypatch.setattr(mod, name, refuse)
-    got, sep = dynamics._contact_force(scene, st)
+    got, sep, _ = _contact(scene, st)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert sep == want_sep < 0
     assert np.abs(got).max() > 1.0
@@ -637,10 +644,10 @@ def test_warm_contact_force_allocates_no_pair_sized_array(name, complex_v):
     scene, st = _config_state(name, complex_v)
     (ia, ib), = scene.pair_indices
     qi_bytes = scene.bodies[ia].aopc.num_points * scene.bodies[ib].aopc.num_points * st.v.itemsize
-    dynamics._contact_force(scene, st)
+    _contact(scene, st)
     tracemalloc.start()
     try:
-        dynamics._contact_force(scene, st)
+        _contact(scene, st)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -685,10 +692,10 @@ def test_contact_scratch_reuse_keeps_results_bit_for_bit():
     kept_arrays = (kept.values, kept.distribution, b_in_a.weights, b_in_a.plane_distances,
                    a_in_b.weights, a_in_b.plane_distances)
     snapshot = [a.copy() for a in kept_arrays]
-    first = [_in_new_thread(lambda c=c: dynamics._contact_force(*c, per_pair=True)) for c in cases]
+    first = [_in_new_thread(lambda c=c: _contact(*c)) for c in cases]
     for k in (0, 3, 1, 2, 2, 0, 3, 1):
         scene, st = cases[k]
-        got = dynamics._contact_force(scene, st, per_pair=True)
+        got = _contact(scene, st)
         _assert_same_bits(got, first[k])
         want, want_sep = _pair_by_pair(scene, st)
         assert np.abs(got[0] - want).max() <= 1e-12 * np.abs(want).max()
@@ -713,12 +720,12 @@ def test_threads_share_one_scene_with_their_own_scratch():
             st.v = st.v.astype(complex)
             st.v[0] += 1e-30j
         states.append(st)
-    serial = [dynamics._contact_force(scene, st, per_pair=True) for st in states]
+    serial = [_contact(scene, st) for st in states]
     results = [[] for _ in states]
 
     def work(k):
         for _ in range(4):
-            results[k].append(dynamics._contact_force(scene, states[k], per_pair=True))
+            results[k].append(_contact(scene, states[k]))
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(len(states))]
     interval = sys.getswitchinterval()
@@ -753,8 +760,8 @@ def test_contact_scratch_holds_one_block_whatever_the_cloud_size():
         st.v[1] += 1e-30j
 
         def warm():
-            dynamics._contact_force(scene, st)
-            dynamics._contact_force(scene, st)
+            _contact(scene, st)
+            _contact(scene, st)
             return core._ARENA.scratch._size
 
         return _in_new_thread(warm)
@@ -768,7 +775,7 @@ def test_complex_step_arena_is_no_larger_than_the_real_one():
     # half the rows per block and its arena outgrows the real one only by
     # the per-query and per-plane rows: here no more than 32 complex entries
     # per point of either cloud.
-    from softcontact import core, dynamics
+    from softcontact import core
 
     scene, st = _config_state("sphere_pair.json")
     cs = st.copy()
@@ -777,8 +784,8 @@ def test_complex_step_arena_is_no_larger_than_the_real_one():
 
     def warm(state):
         def run():
-            dynamics._contact_force(scene, state, per_pair=True)
-            dynamics._contact_force(scene, state, per_pair=True)
+            _contact(scene, state)
+            _contact(scene, state)
             return core._ARENA.scratch._size
         return _in_new_thread(run)
 
@@ -837,9 +844,9 @@ def test_complex_step_contact_matches_all_complex_arithmetic(monkeypatch, name, 
         scene, st = _config_state(name + ".json")
         st.v = 0.05 * np.random.default_rng(2).standard_normal(st.v.shape)
     cs = _complex_step(st, part, 3)
-    got = dynamics._contact_force(scene, cs, per_pair=True)
+    got = _contact(scene, cs)
     monkeypatch.setattr(contact, "_query_sums", _complex_query_sums)
-    want = dynamics._contact_force(scene, cs, per_pair=True)
+    want = _contact(scene, cs)
     assert np.max(np.abs(want[0].imag)) > 0
     for g, w in zip(got, want):
         g, w = np.asarray(g), np.asarray(w)
@@ -864,7 +871,7 @@ def test_complex_step_query_blocks_take_only_real_arrays(monkeypatch):
 
     monkeypatch.setattr(core.Scratch, "empty", recording)
     for part in ("q", "v"):
-        (_, _, a, b), = dynamics._pair_walk(scene, _complex_step(st, part, 5))
+        (_, _, a, b), = dynamics._pair_walk(scene, dynamics._frames(scene, _complex_step(st, part, 5)))
 
         def run():
             taken.clear()
@@ -882,7 +889,7 @@ def test_consecutive_chunk_rows_are_cut_as_views():
     from softcontact import dynamics
 
     scene, st = _config_state("stacked_boxes.json")
-    posed = dynamics._pose_groups(scene, st)
+    posed = dynamics._pose_groups(scene, dynamics._frames(scene, st))
     (side_a, side_b), = scene._chunk_sides
     for g, rows in (side_a, side_b):
         assert isinstance(rows, slice)
@@ -960,7 +967,7 @@ def test_repeated_chunk_sides_are_cut_once_as_broadcast_views(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 2 * 54 * 54)
     scene, st = _batching_scene()
-    posed = dynamics._pose_groups(scene, st)
+    posed = dynamics._pose_groups(scene, dynamics._frames(scene, st))
     repeated = [(scene.bodies[chunk[0, side]].name, g, rows)
                 for (_, chunk), sides in zip(scene._pair_chunks, scene._chunk_sides)
                 for side, (g, rows) in enumerate(sides) if len(set(chunk[:, side])) == 1 < len(chunk)]
@@ -971,7 +978,7 @@ def test_repeated_chunk_sides_are_cut_once_as_broadcast_views(monkeypatch):
         for name in ("points", "normals", "tangents", "arms", "velocities"):
             x = getattr(cut, name)
             assert np.shares_memory(x, getattr(posed[g], name)) and x.shape[-3] == 1
-    force, min_sep, seps = dynamics._contact_force(scene, st, per_pair=True)
+    force, min_sep, seps = _contact(scene, st)
     want, want_sep = _pair_by_pair(scene, st)
     assert np.abs(force - want).max() <= 1e-12 * np.abs(want).max()
     assert min_sep == want_sep
@@ -999,13 +1006,13 @@ def test_warm_contact_force_takes_no_cross_product(monkeypatch):
     from softcontact import dynamics
 
     scene, st = _config_state("stacked_boxes.json")
-    want = dynamics._contact_force(scene, st)
+    want = _contact(scene, st)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the contact path took a cross product")
 
     monkeypatch.setattr(np, "cross", refuse)
-    got = dynamics._contact_force(scene, st)
+    got = _contact(scene, st)
     assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
 
@@ -1025,8 +1032,8 @@ def test_sdf_grid_leaves_no_more_arena_than_a_contact_evaluation():
         return core._ARENA.scratch._size
 
     def contact():
-        dynamics._contact_force(scene, st)
-        dynamics._contact_force(scene, st)
+        _contact(scene, st)
+        _contact(scene, st)
         return core._ARENA.scratch._size
 
     assert 0 < _in_new_thread(grid) <= _in_new_thread(contact)
@@ -1048,17 +1055,17 @@ def test_kernel_error_inside_pair_contact_leaves_the_arena_empty():
     bad = st.copy()
     bad.q = bad.q.astype(complex)
     bad.q[1, 0] += 1e-6j
-    want = _in_new_thread(lambda: dynamics._contact_force(scene, st, per_pair=True))
+    want = _in_new_thread(lambda: _contact(scene, st))
 
     def run():
-        dynamics._contact_force(scene, st)
+        _contact(scene, st)
         error = None
         try:
-            dynamics._contact_force(scene, bad)
+            _contact(scene, bad)
         except ValueError as e:
             error = str(e)
         held = _arena_held(core._ARENA.scratch)
-        return error, held, dynamics._contact_force(scene, st, per_pair=True)
+        return error, held, _contact(scene, st)
 
     error, held, got = _in_new_thread(run)
     assert error is not None and error.startswith("complex-step perturbation")
@@ -1476,8 +1483,9 @@ def test_a_nan_in_one_tangent_of_a_batch_reaches_the_finiteness_checks():
     steps = np.full(7, 1e-30)
     steps[3] = np.nan
     with pytest.raises(ValueError, match="non-finite pose coordinate qw of body small"):
-        dynamics._contact_force(scene, _batch(scene, st, np.arange(7, 14), steps))
-    (_, _, a, b), = dynamics._pair_walk(scene, _batch(scene, st, np.arange(7, 14), np.full(7, 1e-30)))
+        _contact(scene, _batch(scene, st, np.arange(7, 14), steps))
+    batch = _batch(scene, st, np.arange(7, 14), np.full(7, 1e-30))
+    (_, _, a, b), = dynamics._pair_walk(scene, dynamics._frames(scene, batch))
     pts = b.points.copy()
     pts.imag[3] = np.nan
     with pytest.raises(contact.NonFiniteContact):
@@ -1491,10 +1499,10 @@ def test_a_step_at_the_bound_in_any_one_direction_of_a_batch_raises(k):
 
     scene, st = _config_state("sphere_pair.json")
     steps = np.full(7, 1e-30)
-    dynamics._contact_force(scene, _batch(scene, st, np.arange(7), steps))
+    _contact(scene, _batch(scene, st, np.arange(7), steps))
     steps[k] = 1e-6
     with pytest.raises(ValueError, match="complex-step perturbation"):
-        dynamics._contact_force(scene, _batch(scene, st, np.arange(7), steps))
+        _contact(scene, _batch(scene, st, np.arange(7), steps))
 
 
 def _ball_cube_flat_scene():

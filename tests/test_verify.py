@@ -501,7 +501,7 @@ def test_shared_map_matches_the_three_pipeline_maps():
         return np.stack([collision.soft_separation_distance(collision.separation_field(world[ia], world[ib], *eps))
                          for ia, ib in scene.pair_indices])
 
-    seps, force, vdot = dynamics._separation_force_acceleration(scene, st)
+    vdot, (force, _, seps) = dynamics.forward_dynamics(scene, st, _contact=True)
     want = oracle(theta[:n_pose])
     assert np.abs(seps - want).max() <= 1e-14 * np.abs(want).max()
     assert np.all(want < 0.05)  # all three pairs near contact
@@ -512,7 +512,7 @@ def test_shared_map_matches_the_three_pipeline_maps():
         fn, x = maps[name]
         np.testing.assert_array_equal(x, theta[: x.size])
         np.testing.assert_array_equal(fn(x), got)
-    jac = cs_gradient(lambda th: dynamics._separation_force_acceleration(scene, unflatten_state(scene, st, th))[0], theta)
+    jac = cs_gradient(lambda th: dynamics.forward_dynamics(scene, unflatten_state(scene, st, th), _contact=True)[1][2], theta)
     jac_want = cs_gradient(oracle, theta[:n_pose])
     assert np.abs(jac[:, :n_pose] - jac_want).max() <= 1e-12 * np.abs(jac_want).max()
     assert not jac[:, n_pose:].any()  # separation does not depend on velocities
