@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import SeparationField
-from .core import (_ARENA, _CHUNK_ENTRIES, Scratch, _broadcast, _check_step, _dual, _first_order, _parts, _quotient,
-                   _softplus, _tangent_scale, check_temperature, dot, softmax, softplus, squared_norm)
+from .core import (_ARENA, _CHUNK_ENTRIES, Scratch, _blocks, _broadcast, _check_step, _dual, _first_order, _parts,
+                   _quotient, _softplus, _tangent_scale, check_temperature, dot, softmax, softplus, squared_norm)
 from .geometry import moment
 from .ssdf import _block, _query_rows, _ssdf_matrix, _stacked
 
@@ -165,8 +165,8 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
     have value and gt where complex: the real part is computed once, and the
     tangent stages run on (K, I, ..., Q_block) arrays; one direction without
     that axis is K = 1. A step in q carries a tangent through the SSDF and
-    the forces, one in v through the forces only. Each block's arrays hold
-    at most _CHUNK_ENTRIES float64 entries' bytes, all K + 1 parts together.
+    the forces, one in v through the forces only. Each block (core._blocks)
+    holds at most _CHUNK_ENTRIES float64 entries' bytes, K + 1 parts in all.
     """
     I, Q = cloud.num_points, points.shape[-2]
     full = _broadcast(cloud.points.shape[:-2], points.shape[:-2], cloud.velocities.shape[:-2],
@@ -216,10 +216,8 @@ def _query_sums(cloud, points, velocities, params: ContactParams, out=None):
         val = _parts(value).reshape((2, K) + lead + (Q,)) if sq else value
         sums = (arena.empty(lead + (Q,)), arena.empty((K,) + lead + (Q,))) if sq else arena.empty(lead + (Q,))
         gts = _parts(gt).reshape((2, K) + lead + (Q, 6)) if sf else gt[None, None]
-        step = max(1, _CHUNK_ENTRIES // ((1 + K * sf) * math.prod(lead) * I))
-        for start in range(0, Q, step):
-            blk = slice(start, start + step)
-            n = min(Q, start + step) - start
+        for blk in _blocks(Q, max(1, _CHUNK_ENTRIES // ((1 + K * sf) * math.prod(lead) * I))):
+            n = blk.stop - blk.start
             with arena:
                 B = arena.empty((2 + 2 * K * sq, I) + lead + (n,))
                 _block(S, rows[..., blk], (val[0, 0][..., blk], val[1][..., blk]) if sq else val[..., blk],

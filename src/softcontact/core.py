@@ -156,6 +156,16 @@ def _broadcast(*shapes: tuple) -> tuple:
     return shapes[0] if shapes.count(shapes[0]) == len(shapes) else np.broadcast_shapes(*shapes)
 
 
+def _blocks(n: int, most: int) -> list[slice]:
+    """range(n) cut as np.array_split cuts it into ceil(n / most) slices,
+    whose lengths differ by at most one: the one block rule for queries and
+    pairs. No ragged remainder is left, such as a one-query block, whose
+    matrix-vector product may round differently in the last bit."""
+    k = -(-n // most)
+    ends = [i * (n // k) + min(i, n % k) for i in range(k + 1)] if k else []
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
 def _first_order(z: np.ndarray, value: np.ndarray, slope: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """f(a + ib) = value + i b slope, with value = f(a) and slope = f'(a).
     Set part by part: complex arithmetic would carry a NaN in b into the

@@ -26,7 +26,7 @@ from .collision import separation_field  # noqa: F401
 from .contact import ContactParams, NonFiniteContact, _pair_contact, _plane_matrices, _query_sums
 # Bound here for perfbench/tracer.py, which wraps dynamics.ssdf_ssdf_force.
 from .contact import ssdf_ssdf_force  # noqa: F401
-from .core import _ARENA, _CHUNK_ENTRIES, Scratch, _broadcast, _fork, _may_fork, _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
+from .core import _ARENA, _CHUNK_ENTRIES, Scratch, _blocks, _broadcast, _fork, _may_fork, _reject_nonfinite, quat_from_rotvec, quat_multiply, quat_normalize, quat_to_matrix
 from .geometry import _NEXT, _PREV, LocalAopc, Pose, WorldAopc, pose_aopc, posed_arrays
 
 
@@ -334,8 +334,8 @@ def _group_pairs(bodies, pair_indices) -> list:
     for (Ia, Ib), positions in groups.items():
         # As many pairs as one float64 query block of contact._query_sums
         # holds whole.
-        per_chunk = max(1, _CHUNK_ENTRIES // (Ia * Ib))
-        chunks += [(pos, pairs[pos]) for pos in np.array_split(np.array(positions), -(-len(positions) // per_chunk))]
+        pos = np.array(positions)
+        chunks += [(pos[sl], pairs[pos[sl]]) for sl in _blocks(len(pos), max(1, _CHUNK_ENTRIES // (Ia * Ib)))]
     return chunks
 
 
@@ -368,11 +368,10 @@ def _posing_plan(bodies, dof_start, chunks):
 def _frames(scene: Scene, state: SceneState):
     """Every body's origin t (..., nb, 3), rotation R (..., nb, 3, 3), from
     one quat_to_matrix call, and world twist (..., nb, 6) at state: free
-    bodies' from q and v, kinematic ones' from their motion. One evaluation
-    takes them once, for posing and for the dynamics. The one gate of every
-    state an evaluation reads: a real q or v with a batch axis (only a
-    complex step's directions take one) raises ValueError naming the shapes,
-    a non-finite q or v entry one naming its body and coordinate."""
+    bodies' from q and v, kinematic ones' from their motion, taken once per
+    evaluation. The one gate of every state an evaluation reads: ValueError
+    names the shapes of a real q or v with a batch axis (only complex-step
+    directions take one), or the body and coordinate of a non-finite entry."""
     if any(x.ndim > d and not np.iscomplexobj(x) for x, d in ((state.q, 2), (state.v, 1))):
         raise ValueError(f"a real state takes no batch axis: q has shape {state.q.shape}, v {state.v.shape}")
     bad = _bad_coordinate(state, scene)
@@ -611,9 +610,8 @@ def forward_dynamics(scene: Scene, state: SceneState, tau: np.ndarray | None = N
                      _helper=None):
     """Acceleration under controls, bias, and contact, the body frames
     taken once for both. The mass matrix is inverted per 6x6 block, without
-    a solve (see _accelerate). _contact (private) returns (vdot, the
-    evaluation's _contact_force triple); _helper (private) is rollout's
-    contact helper."""
+    a solve (see _accelerate). Private: _contact returns (vdot, the
+    _contact_force result), _helper is rollout's contact helper."""
     if tau is None:
         tau = scene.tau(state.time)
     tau = np.asarray(tau)
@@ -727,8 +725,7 @@ def step(scene: Scene, state: SceneState, dt: float, integrator: str = "rk4", *,
     bodies follow their trajectories evaluated at the stage times.
     _with_separation (private) returns (new state, minimum separation at the
     given state), read off the first stage's contact evaluation; _helper
-    (private) is rollout's contact helper. A batch state raises ValueError
-    naming its shapes."""
+    (private) is rollout's contact helper. A batch state raises ValueError."""
     _check_stepping(dt, integrator)
     if state.q.ndim != 2 or state.v.ndim != 1:
         raise ValueError(f"step takes one state, not a batch: q has shape {state.q.shape}, v {state.v.shape}")

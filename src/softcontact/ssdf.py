@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ARENA, _CHUNK_ENTRIES, _EXP_TAIL, _check_step, _dual, _exp, _parts, _quotient, _reject_nonfinite, _tangent_scale, check_temperature, softmax
+from .core import _ARENA, _CHUNK_ENTRIES, _EXP_TAIL, _blocks, _check_step, _dual, _exp, _parts, _quotient, _reject_nonfinite, _tangent_scale, check_temperature, softmax
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,11 @@ def ssdf(aopc, p, eps1: float) -> SsdfResult:
 
 
 def _ssdf_blocks(cloud, points, eps1: float, n: int | None = None):
-    """(slice, value, sums, out) of _block over blocks of n queries of points
-    (by default as many as fit _CHUNK_ENTRIES entries, stack x block x
-    planes), from one _ssdf_matrix: the block rule of every SSDF reader
-    outside the contact kernel, ssdf's one block of all. value is ssdf's of
-    points[..., slice, :]; for a real query out[0] / sums are its weights.
+    """(slice, value, sums, out) of _block over core._blocks of at most n
+    queries of points (by default as many as fit _CHUNK_ENTRIES entries,
+    stack x block x planes), from one _ssdf_matrix: the walk of every SSDF
+    reader outside the contact kernel, ssdf's one block of all. value is
+    ssdf's of points[..., slice, :], and out[0] / sums a real query's weights.
     A complex step is split once (K = 1) and its tangents given unscaled. A
     non-finite query raises ValueError."""
     check_temperature(eps1, "eps1")
@@ -115,9 +115,7 @@ def _ssdf_blocks(cloud, points, eps1: float, n: int | None = None):
     if step:
         S = _dual(S, scale, np.empty((1,) + S.shape[:-2] + (8,) + S.shape[-1:]))
     lead = np.broadcast_shapes(pts.shape[:-2], q.shape[:-2])
-    n = n or max(1, _CHUNK_ENTRIES // (math.prod(lead) * pts.shape[-2]))
-    for start in range(0, q.shape[-2], n):
-        sl = slice(start, start + n)
+    for sl in _blocks(q.shape[-2], n or max(1, _CHUNK_ENTRIES // (math.prod(lead) * pts.shape[-2]))):
         rows = _query_rows(q[..., sl, :])
         if not step:
             yield (sl, *_block(S, rows))

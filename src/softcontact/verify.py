@@ -217,12 +217,11 @@ def unflatten_state(scene: Scene, state: SceneState, theta: np.ndarray) -> Scene
 def _checked_map(scene: Scene, state: SceneState):
     """The flattened state; the gradient check's map of it to the soft
     separation distances, total contact force and forward dynamics under
-    scene.tau, from one forward_dynamics call (through this module's
-    binding); and each function's (rows, columns) block of the map's
-    Jacobian. The separation's keeps the pose
-    columns only, as its velocity gradient is identically zero. The map
-    also takes a batch (K, n) of complex-step states that share one real
-    part, in one contact evaluation, and returns (K, m)."""
+    scene.tau, from one forward_dynamics call (this module's binding); and
+    each function's (rows, columns) block of the map's Jacobian, the
+    separation's with the pose columns only, as its velocity gradient is
+    identically zero. The map also takes a complex-step batch (K, n) of
+    states that share one real part, in one evaluation, returning (K, m)."""
     n_pairs, n_pose = len(scene.pair_indices), 7 * len(scene.free_indices)
 
     def joint(theta):

@@ -463,6 +463,30 @@ def test_query_blocks_match_the_broadcast_oracle(monkeypatch):
     assert np.abs(want).max() > 1.0
 
 
+def test_default_query_blocks_leave_no_lone_query():
+    # A 54-point box against 607 queries: the default bound holds 606 rows,
+    # so core._blocks cuts 304 + 303, not 606 + 1, whose lone query's
+    # matrix-vector product rounded differently from ssdf's one block. The
+    # kernel's values and the SSDF readers' walk (ssdf._ssdf_blocks) are
+    # ssdf's bit for bit; a 606 + 1 cut gives 3 of these 8 draws a lone
+    # query that differs in the last bit.
+    import importlib
+
+    from softcontact import contact
+
+    ssdf_module = importlib.import_module("softcontact.ssdf")  # the package binds ssdf to the function
+    cloud, params = posed(box_aopc([0.3, 0.3, 0.3], 54)), ContactParams(eps1=1e-3)
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        queries = rng.uniform(-0.3, 0.3, (607, 3))
+        want = ssdf(cloud, queries, params.eps1).value
+        blocks = list(ssdf_module._ssdf_blocks(cloud, queries, params.eps1))
+        assert [sl.stop - sl.start for sl, *_ in blocks] == [304, 303]
+        assert np.concatenate([value for _, value, _, _ in blocks]).tobytes() == want.tobytes()
+        value, _ = contact._query_sums(cloud, queries, np.zeros((607, 3)), params)
+        assert value.tobytes() == want.tobytes()
+
+
 def _written_out_field(a, b, params):
     """The separation field of a pair from the ContactParams temperatures
     as given: softmin weights softmax(-|q - p_i|^2 / eps1), the plane

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from softcontact.core import (
+    _blocks,
     _exp,
     quat_from_rotvec,
     quat_multiply,
@@ -337,3 +338,17 @@ def test_complex_step_nan_imaginary_part_propagates():
     got = softplus(x, 0.1, check=False)
     assert np.isnan(got.imag[1:]).all()
     np.testing.assert_array_equal(got.real, softplus(np.array([0.3, 0.3, -0.3]), 0.1))
+
+
+@given(st.integers(1, 500), st.integers(1, 700))
+@settings(max_examples=200, deadline=None)
+def test_blocks_cut_as_array_split_with_no_ragged_remainder(n, most):
+    # ceil(n / most) consecutive slices of at most most items whose lengths
+    # differ by at most one: np.array_split's cut, so 607 queries in blocks
+    # of at most 606 are 304 + 303, not 606 + 1.
+    cut = _blocks(n, most)
+    sizes = [sl.stop - sl.start for sl in cut]
+    assert len(cut) == -(-n // most) and sum(sizes) == n
+    assert [list(range(n))[sl] for sl in cut] == [part.tolist() for part in np.array_split(np.arange(n), len(cut))]
+    assert not sizes or (max(sizes) <= most and max(sizes) - min(sizes) <= 1)
+    assert [sl.stop - sl.start for sl in _blocks(607, 606)] == [304, 303] and _blocks(0, most) == []

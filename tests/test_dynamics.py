@@ -639,8 +639,6 @@ def test_warm_contact_force_allocates_no_pair_sized_array(name, complex_v):
     # After one call has sized this thread's scratch, the (P, Q, I) arrays
     # of a contact evaluation come from it: the traced peak stays below one
     # direction's (Q, I) array.
-    from softcontact import dynamics
-
     scene, st = _config_state(name, complex_v)
     (ia, ib), = scene.pair_indices
     qi_bytes = scene.bodies[ia].aopc.num_points * scene.bodies[ib].aopc.num_points * st.v.itemsize
@@ -708,8 +706,6 @@ def test_threads_share_one_scene_with_their_own_scratch():
     # More threads than cores, each at its own state of one shared Scene,
     # with frequent switches: a scratch shared between threads would mix
     # their (P, Q, I) arrays.
-    from softcontact import dynamics
-
     scene, base = _config_state("stacked_boxes.json")
     states = []
     for k in range(4):
@@ -770,14 +766,18 @@ def test_contact_scratch_holds_one_block_whatever_the_cloud_size():
     assert abs(large - small) <= dynamics._CHUNK_ENTRIES * np.dtype(complex).itemsize
 
 
-def test_complex_step_arena_is_no_larger_than_the_real_one():
+def test_complex_step_arena_is_no_larger_than_the_real_one(monkeypatch):
     # Query blocks are bounded in bytes, so a complex-step evaluation takes
     # half the rows per block and its arena outgrows the real one only by
     # the per-query and per-plane rows: here no more than 32 complex entries
-    # per point of either cloud.
-    from softcontact import core
+    # per point of either cloud. The bound is set so that both cuts of the
+    # 216 queries are whole blocks (2 x 108 real, 4 x 54 complex), as
+    # core._blocks evens out any other cut.
+    from softcontact import contact, core
 
     scene, st = _config_state("sphere_pair.json")
+    assert [b.aopc.num_points for b in scene.bodies] == [216, 216]
+    monkeypatch.setattr(contact, "_CHUNK_ENTRIES", 108 * 216)
     cs = st.copy()
     cs.q, cs.v = cs.q.astype(complex), cs.v.astype(complex)
     cs.q[1, 0] += 1e-30j
@@ -836,7 +836,7 @@ def test_complex_step_contact_matches_all_complex_arithmetic(monkeypatch, name, 
     # alike. The configs' states get velocities, so that the dissipation
     # factor and the friction vary; the batching scene has them, stacked
     # chunks and one-row sides.
-    from softcontact import contact, dynamics
+    from softcontact import contact
 
     if name == "batching":
         scene, st = _batching_scene()
@@ -1003,8 +1003,6 @@ def test_contact_that_is_not_finite_names_the_pair():
 def test_warm_contact_force_takes_no_cross_product(monkeypatch):
     # The moment arms are posed from the body frame and point velocities
     # come from one matmul: a contact evaluation calls no np.cross.
-    from softcontact import dynamics
-
     scene, st = _config_state("stacked_boxes.json")
     want = _contact(scene, st)
 
@@ -1020,7 +1018,7 @@ def test_sdf_grid_leaves_no_more_arena_than_a_contact_evaluation():
     # sample_sdf_grid walks the lattice in chunks of _CHUNK_ENTRIES entries,
     # so on the box_slice body (800 points) the thread's arena stays within
     # a warm stacked_boxes contact evaluation's.
-    from softcontact import core, dynamics
+    from softcontact import core
     from softcontact.config import load_config
     from softcontact.ssdf import sample_sdf_grid
 
@@ -1049,7 +1047,7 @@ def test_kernel_error_inside_pair_contact_leaves_the_arena_empty():
     # check raise deep inside _pair_contact's nested blocks. A complex-step
     # v cannot: velocities reach only the dissipation factor and friction,
     # which take no step check.
-    from softcontact import core, dynamics
+    from softcontact import core
 
     scene, st = _config_state("sphere_pair.json", complex_v=True)
     bad = st.copy()
@@ -1495,14 +1493,35 @@ def test_a_nan_in_one_tangent_of_a_batch_reaches_the_finiteness_checks():
 
 @pytest.mark.parametrize("k", [0, 4, 6])
 def test_a_step_at_the_bound_in_any_one_direction_of_a_batch_raises(k):
-    from softcontact import dynamics
-
     scene, st = _config_state("sphere_pair.json")
     steps = np.full(7, 1e-30)
     _contact(scene, _batch(scene, st, np.arange(7), steps))
     steps[k] = 1e-6
     with pytest.raises(ValueError, match="complex-step perturbation"):
         _contact(scene, _batch(scene, st, np.arange(7), steps))
+
+
+def test_a_batch_axis_is_named_where_it_cannot_run():
+    # A real state takes no batch axis: forward_dynamics and
+    # total_contact_force name the shapes rather than fail inside numpy, and
+    # step and rollout, which take one state, name any batch. A complex-step
+    # batch still evaluates through forward_dynamics.
+    import re
+
+    scene, st = _config_state("sphere_pair.json")
+    for q, v in ((np.stack([st.q] * 3), np.stack([st.v] * 3)), (st.q, np.stack([st.v] * 3)), (np.stack([st.q] * 3), st.v)):
+        batch = SceneState(st.time, q, v)
+        shapes = re.escape(f"q has shape {q.shape}, v {v.shape}")
+        for call in (lambda: forward_dynamics(scene, batch), lambda: total_contact_force(scene, batch)):
+            with pytest.raises(ValueError, match=f"^a real state takes no batch axis: {shapes}$"):
+                call()
+        for call in (lambda: step(scene, batch, 1e-3), lambda: rollout(scene, batch, 1e-3, 2)):
+            with pytest.raises(ValueError, match=f"^step takes one state, not a batch: {shapes}$"):
+                call()
+    poses = _batch(scene, st, np.arange(7, 14), np.full(7, 1e-30))
+    assert forward_dynamics(scene, poses).shape == (7, scene.n)
+    with pytest.raises(ValueError, match=re.escape("step takes one state, not a batch: q has shape (7, 2, 7), v (7, 12)")):
+        step(scene, poses, 1e-3)
 
 
 def _ball_cube_flat_scene():

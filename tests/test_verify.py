@@ -467,6 +467,27 @@ def test_check_pipeline_gradients_evaluates_contact_once_per_perturbation(monkey
     assert check_pipeline_gradients(cfg.scene, st) == report
 
 
+def test_check_pipeline_gradients_calls_forward_dynamics_through_verify(monkeypatch):
+    # The checked map is forward_dynamics, reached through verify's binding
+    # (the one a tracer wraps): with forks refused, one call per evaluation,
+    # 4 for the complex-step batches of (K, ...) states and 2 x 26 for the
+    # real central-difference states.
+    cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
+    st = sample_nondegenerate_state(cfg.scene, np.random.default_rng(0), cfg.state, vel_scale=cfg.scene.params.v_d)
+    calls = []
+    forward = verify.forward_dynamics
+
+    def counted(scene, state, *args, **kwargs):
+        calls.append((np.iscomplexobj(state.q), state.q.shape))
+        return forward(scene, state, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "forward_dynamics", counted)
+    _cpus(monkeypatch, 1)
+    assert check_pipeline_gradients(cfg.scene, st).passed
+    assert sorted(set(calls)) == [(False, (2, 7)), (True, (6, 2, 7)), (True, (7, 2, 7))]
+    assert [calls.count(kind) for kind in sorted(set(calls))] == [52, 2, 2]
+
+
 def _mixed_pair_scene():
     ball = sphere_aopc(0.1, 24)
     box = box_aopc([0.2, 0.2, 0.2], 54)
