@@ -429,14 +429,21 @@ def test_check_pipeline_gradients_evaluates_contact_once_per_perturbation(monkey
     # (each sphere's 7 pose and 6 velocity coordinates), one evaluation
     # each, and 2 x 26 central differences on the two spheres; every pair is
     # evaluated inside those contact evaluations, and no separation field is
-    # built. Counts made in
-    # worker processes do not reach the caller, so the count runs on one
-    # CPU; on two the report is the same.
+    # built. Each is one call of forward_dynamics through verify's binding
+    # (the one a tracer wraps), on a (K, ...) complex-step batch or a real
+    # state. Counts made in worker processes do not reach the caller, so
+    # the count runs on one CPU; on two the report is the same.
     cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
     st = sample_nondegenerate_state(cfg.scene, np.random.default_rng(0), cfg.state, vel_scale=cfg.scene.params.v_d)
     calls = {"contact": 0, "inside": 0, "outside": 0, "field": 0, "depth": 0}
+    states = []
     contact_force = dynamics._contact_force
     pair_contact = dynamics._pair_contact
+    forward = verify.forward_dynamics
+
+    def counted_forward(scene, state, *args, **kwargs):
+        states.append((np.iscomplexobj(state.q), state.q.shape))
+        return forward(scene, state, *args, **kwargs)
 
     def counted_contact(*args, **kwargs):
         calls["contact"] += 1
@@ -458,34 +465,17 @@ def test_check_pipeline_gradients_evaluates_contact_once_per_perturbation(monkey
     monkeypatch.setattr(dynamics, "_pair_contact", counted_pair)
     monkeypatch.setattr(dynamics, "separation_field", counted_field)
     monkeypatch.setattr(verify, "separation_field", counted_field)
+    monkeypatch.setattr(verify, "forward_dynamics", counted_forward)
     _cpus(monkeypatch, 1)
     report = check_pipeline_gradients(cfg.scene, st)
     assert report.passed
     assert flatten_state(st).size == 26
     assert calls == {"contact": 56, "inside": 56, "outside": 0, "field": 0, "depth": 0}
+    kinds = sorted(set(states))
+    assert kinds == [(False, (2, 7)), (True, (6, 2, 7)), (True, (7, 2, 7))]
+    assert [states.count(kind) for kind in kinds] == [52, 2, 2]
     _cpus(monkeypatch, 2)
     assert check_pipeline_gradients(cfg.scene, st) == report
-
-
-def test_check_pipeline_gradients_calls_forward_dynamics_through_verify(monkeypatch):
-    # The checked map is forward_dynamics, reached through verify's binding
-    # (the one a tracer wraps): with forks refused, one call per evaluation,
-    # 4 for the complex-step batches of (K, ...) states and 2 x 26 for the
-    # real central-difference states.
-    cfg = load_config(os.path.join(CONFIG_DIR, "sphere_pair.json"))
-    st = sample_nondegenerate_state(cfg.scene, np.random.default_rng(0), cfg.state, vel_scale=cfg.scene.params.v_d)
-    calls = []
-    forward = verify.forward_dynamics
-
-    def counted(scene, state, *args, **kwargs):
-        calls.append((np.iscomplexobj(state.q), state.q.shape))
-        return forward(scene, state, *args, **kwargs)
-
-    monkeypatch.setattr(verify, "forward_dynamics", counted)
-    _cpus(monkeypatch, 1)
-    assert check_pipeline_gradients(cfg.scene, st).passed
-    assert sorted(set(calls)) == [(False, (2, 7)), (True, (6, 2, 7)), (True, (7, 2, 7))]
-    assert [calls.count(kind) for kind in sorted(set(calls))] == [52, 2, 2]
 
 
 def _mixed_pair_scene():
